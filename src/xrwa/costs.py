@@ -15,7 +15,6 @@ floating point, and sums at this magnitude stay exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -118,14 +117,3 @@ class CostTable:
             return self.weights[kind]
         except KeyError:
             raise CostTableError(f"no cost weight for op kind {kind!r}") from None
-
-    @classmethod
-    def from_file(cls, path: str) -> "CostTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise CostTableError("cost table file must hold a JSON object")
-        return cls(weights={str(k): float(v) for k, v in data.items()})
-
-    def to_json(self) -> dict[str, float]:
-        return dict(self.weights)

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .identity import Did, did_resolve, resolve_version
 from .ledger import World
-from .primitives import KeyPair, digest, sign, verify_sig
+from .primitives import KeyPair, digest, length_prefixed, sign, verify_sig
 
 __all__ = [
     "SECTIONS",
@@ -62,6 +62,7 @@ __all__ = [
     "prove",
     "verify",
     "status_clear",
+    "consulted_status",
     "revoke",
     "reinstate",
     "audit_credential",
@@ -103,10 +104,6 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 STATUS_LIST_CAPACITY = 4096
-
-
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
 
 
 # ------------------------------------------------------------ status lists --
@@ -179,16 +176,16 @@ def field_salt(nonce: bytes, selector: str) -> bytes:
 def field_digest(selector: str, value: Any, salt: bytes) -> bytes:
     return digest(
         _FIELD_DOMAIN
-        + _lp(salt)
-        + _lp(selector.encode("utf-8"))
-        + _lp(canonical.dumps_bytes(value))
+        + length_prefixed(salt)
+        + length_prefixed(selector.encode("utf-8"))
+        + length_prefixed(canonical.dumps_bytes(value))
     )
 
 
 def section_hash_from_digests(digests: Mapping[str, bytes]) -> bytes:
     acc = _SECTION_DOMAIN
     for selector in sorted(digests):
-        acc += _lp(selector.encode("utf-8")) + digests[selector]
+        acc += length_prefixed(selector.encode("utf-8")) + digests[selector]
     return digest(acc)
 
 
@@ -730,10 +727,48 @@ def status_clear(
     return None
 
 
+def consulted_status(world: World, presentation: Presentation) -> Optional[VerifyResult]:
+    """First status failure among the consulted sections (every section with
+    a disclosed field, plus asset), or None when all of them are clear."""
+    consulted = {sel.split(".", 1)[0] for sel in presentation.disclosed}
+    consulted.add("asset")
+    for section in sorted(consulted):
+        ref = presentation.disclosed.get(f"{section}.sStatus")
+        if ref is None:
+            return _fail("StatusListMissing", section)
+        failure = status_clear(world, world.status_lists, ref, section)
+        if failure is not None:
+            return failure
+    return None
+
+
+def _top_proof_failure(
+    world: World, top: SectionProof, credential_id: str, holder_pk: bytes
+) -> Optional[VerifyResult]:
+    """Issuer head status, key version and top-proof signature; the first
+    failure, or None when the top proof holds."""
+    try:
+        head = did_resolve(world, top.issuer)
+    except NotFound:
+        return _fail("IssuerUnknown", top.issuer)
+    if head.status != "Active":
+        return _fail("IssuerDeactivated", top.issuer)
+    try:
+        issuer_doc = resolve_version(world, top.issuer, top.issuer_key_version)
+    except NotFound:
+        return _fail("IssuerKeyVersionUnknown", top.issuer)
+    message = _proof_message(
+        credential_id, "top", top.section_hash, top.issuer, top.issued, top.expires,
+        top.issuer_key_version, holder_pk_hex=canonical.to_hex(holder_pk),
+    )
+    if not verify_sig(issuer_doc.controller_pk, message, top.proof_value):
+        return _fail("BadIssuerSignature", "top")
+    return None
+
+
 def verify(
     world: World,
     presentation: Presentation,
-    status_lists: Optional[Mapping[str, StatusList]] = None,
     issuer_did: Optional[str] = None,
     chain: Optional[str] = None,
 ) -> VerifyResult:
@@ -747,8 +782,6 @@ def verify(
     Counts as one full credential-signature verification on `chain`.
     """
     world.count_verification(chain)
-    if status_lists is None:
-        status_lists = world.status_lists
 
     # field digests of disclosed values must match the committed digests
     for sel, value in presentation.disclosed.items():
@@ -774,31 +807,11 @@ def verify(
         return _fail("IssuerMismatch", presentation.issuer)
     if presentation.top_proof.issuer != presentation.issuer:
         return _fail("IssuerMismatch", presentation.top_proof.issuer)
-    try:
-        head = did_resolve(world, presentation.issuer)
-    except NotFound:
-        return _fail("IssuerUnknown", presentation.issuer)
-    if head.status != "Active":
-        return _fail("IssuerDeactivated", presentation.issuer)
-    try:
-        issuer_doc = resolve_version(
-            world, presentation.issuer, presentation.top_proof.issuer_key_version
-        )
-    except NotFound:
-        return _fail("IssuerKeyVersionUnknown", presentation.issuer)
-
-    top_message = _proof_message(
-        presentation.credential_id,
-        "top",
-        presentation.top_proof.section_hash,
-        presentation.top_proof.issuer,
-        presentation.top_proof.issued,
-        presentation.top_proof.expires,
-        presentation.top_proof.issuer_key_version,
-        holder_pk_hex=canonical.to_hex(presentation.holder_pk),
+    failure = _top_proof_failure(
+        world, presentation.top_proof, presentation.credential_id, presentation.holder_pk
     )
-    if not verify_sig(issuer_doc.controller_pk, top_message, presentation.top_proof.proof_value):
-        return _fail("BadIssuerSignature")
+    if failure is not None:
+        return failure
 
     if not verify_sig(
         presentation.holder_pk,
@@ -811,15 +824,9 @@ def verify(
     if presentation.top_proof.expires < now + "T00:00:00Z":
         return _fail("Expired")
 
-    consulted = {sel.split(".", 1)[0] for sel in presentation.disclosed}
-    consulted.add("asset")
-    for section in sorted(consulted):
-        ref = presentation.disclosed.get(f"{section}.sStatus")
-        if ref is None:
-            return _fail("StatusListMissing", section)
-        failure = status_clear(world, status_lists, ref, section)
-        if failure is not None:
-            return failure
+    failure = consulted_status(world, presentation)
+    if failure is not None:
+        return failure
 
     frm = presentation.disclosed.get("compliance.effectiveFrom")
     to = presentation.disclosed.get("compliance.effectiveTo")
@@ -854,21 +861,9 @@ def audit_credential(world: World, cred: CompositeCredential, chain: Optional[st
             return _fail("BadIssuerSignature", name)
     if cred.top_proof.section_hash != top_hash(hashes):
         return _fail("HashMismatch", "top")
-    try:
-        head = did_resolve(world, cred.issuer)
-    except NotFound:
-        return _fail("IssuerUnknown", cred.issuer)
-    if head.status != "Active":
-        return _fail("IssuerDeactivated", cred.issuer)
-    issuer_doc = resolve_version(world, cred.issuer, cred.top_proof.issuer_key_version)
-    top_message = _proof_message(
-        cred.id, "top", cred.top_proof.section_hash, cred.top_proof.issuer,
-        cred.top_proof.issued, cred.top_proof.expires,
-        cred.top_proof.issuer_key_version,
-        holder_pk_hex=canonical.to_hex(cred.holder_pk),
-    )
-    if not verify_sig(issuer_doc.controller_pk, top_message, cred.top_proof.proof_value):
-        return _fail("BadIssuerSignature", "top")
+    failure = _top_proof_failure(world, cred.top_proof, cred.id, cred.holder_pk)
+    if failure is not None:
+        return failure
     return VerifyResult(ok=True)
 
 

@@ -10,9 +10,9 @@ pass/fail thresholds.
 Timing methodology: monotonic clock, warmup iterations excluded, mean and
 P95 reported for latency benchmarks; scaling ratios use per-point
 best-batch floors over interleaved batches, which resist ambient load far
-better than means. Worker parallelism only ever spreads embarrassingly
-parallel loops over independent worlds; results merge deterministically by
-index.
+better than means. Everything runs on one thread: the vc bench's worker
+shards run one after another, each on its own worlds, so no sample waits on
+another thread for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import platform
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
 from typing import Any, Optional
@@ -71,7 +70,6 @@ REFERENCE_SPV = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 42
-    chains: tuple[str, ...] = ("C1", "C2")
     actors: dict[str, int] = field(default_factory=dict)
     relay_policy: int = 1
     experiment: str = "e2e"
@@ -95,8 +93,6 @@ class ScenarioConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "chains" in data:
-            data = {**data, "chains": tuple(data["chains"])}
         try:
             return cls(**data)
         except TypeError as exc:
@@ -185,11 +181,12 @@ def _mean(samples: list[float]) -> float:
 
 # ---------------------------------------------------------------- vc bench --
 
-def _vc_worker(worker_idx: int, n_creds: int, iterations: int, seed: int) -> dict:
+def _vc_shard(
+    worker_idx: int, n_creds: int, iterations: int, seed: int,
+    issue_ms: list[float], verify_ms: list[float],
+) -> None:
     issuer = keygen(digest(b"bench-issuer" + worker_idx.to_bytes(4, "big")))
     holder = keygen(digest(b"bench-holder" + worker_idx.to_bytes(4, "big")))
-    issue_ms: list[float] = []
-    verify_ms: list[float] = []
     for iteration in range(iterations):
         # fresh world per iteration: status lists never accumulate across runs
         world = World(WorldConfig(seed=seed + worker_idx * 100_003 + iteration))
@@ -210,7 +207,6 @@ def _vc_worker(worker_idx: int, n_creds: int, iterations: int, seed: int) -> dic
             verify_ms.append((time.perf_counter() - t0) * 1e3)
             if not result.ok:
                 raise InvariantViolation(f"benchmark verification failed: {result}")
-    return {"worker": worker_idx, "issueMs": issue_ms, "verifyMs": verify_ms}
 
 
 def bench_vc(
@@ -219,7 +215,8 @@ def bench_vc(
     """Issuance/verification latency plus per-type canonical sizes.
 
     Sizes and counts are deterministic; latency is machine-dependent and
-    lands in the timing section.
+    lands in the timing section. The `workers` shards of `n_creds // workers`
+    credentials run one after another, each on its own worlds.
     """
     if n_creds < 1 or iterations < 1 or workers < 1:
         raise ConfigError("n_creds, iterations and workers must all be >= 1")
@@ -229,16 +226,10 @@ def bench_vc(
     rows.append({"type": "Average", "sizeKb": average})
 
     per_worker = max(n_creds // workers, 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda idx: _vc_worker(idx, per_worker, iterations, seed),
-                range(workers),
-            )
-        )
-    results.sort(key=lambda r: r["worker"])  # deterministic merge by index
-    issue_ms = [m for r in results for m in r["issueMs"]]
-    verify_ms = [m for r in results for m in r["verifyMs"]]
+    issue_ms: list[float] = []
+    verify_ms: list[float] = []
+    for idx in range(workers):
+        _vc_shard(idx, per_worker, iterations, seed, issue_ms, verify_ms)
 
     return MetricsReport(
         experiment="vc_bench",

@@ -34,6 +34,7 @@ from .primitives import KeyPair, digest, keygen, merkle_root, sign, verify_sig
 __all__ = [
     "ChainId",
     "GENESIS_PREV",
+    "header_links",
     "Transaction",
     "BlockHeader",
     "Block",
@@ -79,14 +80,11 @@ class Transaction:
 
     @classmethod
     def make(cls, kind: str, body: dict, keypair: KeyPair, nonce: str) -> "Transaction":
-        unsigned = {
-            "kind": kind,
-            "body": body,
-            "sender": canonical.to_hex(keypair.pk),
-            "nonce": nonce,
-        }
-        sig = sign(keypair.sk, canonical.dumps_bytes(unsigned))
-        return cls(kind=kind, body=body, sender=keypair.pk, nonce=nonce, sig=sig)
+        tx = cls(kind=kind, body=body, sender=keypair.pk, nonce=nonce, sig=b"")
+        # sign what payload() encodes; tx has not escaped, so filling in the
+        # frozen sig field here is safe
+        object.__setattr__(tx, "sig", sign(keypair.sk, tx.payload_bytes()))
+        return tx
 
     def to_json(self) -> dict:
         out = self.payload()
@@ -137,6 +135,18 @@ class BlockHeader:
         return digest(canonical.dumps_bytes(self.to_json()))
 
 
+def header_links(prev: BlockHeader | None, header: BlockHeader) -> bool:
+    """True iff `header` is a genesis header (when `prev` is None) or extends
+    `prev` on the same chain by one height with `prev`'s digest as its link."""
+    if prev is None:
+        return header.height == 0 and header.prev == GENESIS_PREV
+    return (
+        header.chain == prev.chain
+        and header.height == prev.height + 1
+        and header.prev == prev.header_digest()
+    )
+
+
 @dataclass
 class Block:
     header: BlockHeader
@@ -183,11 +193,11 @@ class WorldConfig:
 class World:
     """Single-writer simulation state shared by every protocol module."""
 
-    def __init__(self, config: WorldConfig | None = None, cost_table: CostTable | None = None):
+    def __init__(self, config: WorldConfig | None = None):
         self.config = config or WorldConfig()
         if len(set(self.config.chains)) != len(self.config.chains):
             raise UnknownChain("chain labels must be unique within a world")
-        self.cost_table = cost_table or CostTable()
+        self.cost_table = CostTable()
         self.clock = 0
         self.rng = random.Random(self.config.seed)
         self.chains: dict[ChainId, _ChainState] = {c: _ChainState() for c in self.config.chains}
@@ -370,19 +380,12 @@ class World:
     # -- light-client relay ---------------------------------------------------
 
     def relay_header(self, observer: ChainId, observed: ChainId, header: BlockHeader) -> bool:
-        """Accept iff the header extends the observer's view by exactly one
-        height with correct prev linkage. Rejection is a False return."""
+        """Accept iff the header is labelled `observed` and links onto the
+        observer's view (see `header_links`). Rejection is a False return."""
         self._chain(observer)
         self._chain(observed)
         view = self.relayed.setdefault((observer, observed), [])
-        if not view:
-            ok = header.height == 0 and header.prev == GENESIS_PREV
-        else:
-            ok = (
-                header.height == len(view)
-                and header.prev == view[-1].header_digest()
-            )
-        ok = ok and header.chain == observed
+        ok = header.chain == observed and header_links(view[-1] if view else None, header)
         kind = "relay_header" if ok else "relay_reject"
         self.log_op(observer, kind, descriptor={"observed": observed, "height": header.height})
         if ok:
@@ -452,15 +455,11 @@ class World:
 
     def check_header_chains(self) -> None:
         for label, state in self.chains.items():
-            for k in range(1, len(state.blocks)):
-                prev = state.blocks[k - 1].header
-                cur = state.blocks[k].header
-                if cur.prev != prev.header_digest() or cur.height != k:
+            prev = None
+            for k, block in enumerate(state.blocks):
+                if not header_links(prev, block.header):
                     raise InvariantViolation(f"broken header linkage on {label} at {k}")
-            genesis = state.blocks[0].header
-            if genesis.prev != GENESIS_PREV or genesis.height != 0:
-                raise InvariantViolation(f"bad genesis on {label}")
-            for block in state.blocks:
+                prev = block.header
                 want = merkle_root([tx.tx_id for tx in block.txs])
                 if block.header.merkle_root != want:
                     raise InvariantViolation(

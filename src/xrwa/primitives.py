@@ -9,9 +9,10 @@ attributable):
 - digest: SHA-256, 32 bytes.
 - signatures: Ed25519; key generation is deterministic from a 32-byte seed
   so fixtures are reproducible. Production entropy handling is out of scope.
-- Merkle tree: odd level widths duplicate the final node; leaf and interior
-  hashing are domain-separated by a one-byte prefix (0x00 leaf, 0x01 node)
-  to block second-preimage tree attacks.
+- Merkle tree: odd level widths duplicate the final node; interior nodes
+  hash a one-byte 0x01 prefix before their children. Leaves are transaction
+  ids, the SHA-256 of a transaction's canonical JSON, which starts with
+  ``{`` and so never collides with the node prefix.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ __all__ = [
     "DIGEST_SIZE",
     "SIGNATURE_SCHEME",
     "SEED_SIZE",
-    "LEAF_PREFIX",
     "NODE_PREFIX",
     "KeyPair",
     "MerklePath",
     "digest",
-    "leaf_digest",
+    "length_prefixed",
     "node_digest",
     "keygen",
     "sign",
@@ -55,8 +55,7 @@ DIGEST_SIZE = 32
 SIGNATURE_SCHEME = "ed25519"
 SEED_SIZE = 32
 
-# Domain separation for tree hashing.
-LEAF_PREFIX = b"\x00"
+# Domain separation for interior tree nodes.
 NODE_PREFIX = b"\x01"
 
 
@@ -65,9 +64,9 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def leaf_digest(data: bytes) -> bytes:
-    """Hash raw data into a tree leaf under the leaf domain prefix."""
-    return digest(LEAF_PREFIX + data)
+def length_prefixed(data: bytes) -> bytes:
+    """4-byte big-endian length, then the bytes: unambiguous concatenation."""
+    return len(data).to_bytes(4, "big") + data
 
 
 def node_digest(left: bytes, right: bytes) -> bytes:

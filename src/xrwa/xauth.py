@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
-from .credential import Presentation, status_clear, verify as verify_presentation
+from .credential import Presentation, consulted_status, verify as verify_presentation
 from .errors import (
     CommitmentMismatch,
     InvalidPresentation,
@@ -31,8 +31,15 @@ from .errors import (
     TxNotInBlock,
 )
 from .identity import did_resolve
-from .ledger import BlockHeader, ChainId, Transaction, World
-from .primitives import KeyPair, MerklePath, digest, merkle_prove, merkle_verify
+from .ledger import BlockHeader, ChainId, Transaction, World, header_links
+from .primitives import (
+    KeyPair,
+    MerklePath,
+    digest,
+    length_prefixed,
+    merkle_prove,
+    merkle_verify,
+)
 
 __all__ = [
     "Commitment",
@@ -52,10 +59,6 @@ _COMMIT_DOMAIN = b"xrwa/commit/v1"
 _SUBSET_DOMAIN = b"xrwa/subset/v1"
 
 NONCE_SIZE = 16
-
-
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
 
 
 def disclosed_subset_digest(presentation: Presentation) -> bytes:
@@ -88,11 +91,11 @@ class Commitment:
     def commitment_digest(self) -> bytes:
         return digest(
             _COMMIT_DOMAIN
-            + _lp(self.asset_id.encode("utf-8"))
-            + _lp(self.cred_digest)
-            + _lp(self.token_binding_digest)
+            + length_prefixed(self.asset_id.encode("utf-8"))
+            + length_prefixed(self.cred_digest)
+            + length_prefixed(self.token_binding_digest)
             + self.epoch.to_bytes(8, "big")
-            + _lp(self.nonce)
+            + length_prefixed(self.nonce)
         )
 
     def to_body(self) -> dict:
@@ -248,12 +251,11 @@ def spv_prove(world: World, tx_id: bytes, header_ref: tuple[ChainId, int]) -> Sp
 
 def spv_verify(world: World, observer_chain: ChainId, tx: Transaction, proof: SpvProof) -> bool:
     """True iff the proof's root belongs to a header the observer accepted
-    via relay, and the path recomputation from digest(tx) reaches it."""
+    via relay, and the path recomputation from the tx id reaches it."""
     header = world.relayed_header_at(observer_chain, proof.chain, proof.height)
     if header is None or header.merkle_root != proof.root:
         return False
-    leaf = digest(tx.payload_bytes())
-    return merkle_verify(leaf, proof.path, proof.root)
+    return merkle_verify(tx.tx_id, proof.path, proof.root)
 
 
 def authenticate(
@@ -294,15 +296,9 @@ def authenticate(
         raise IssuerDeactivated(f"issuer {presentation.issuer} is deactivated")
     checks.append("issuer_active")
 
-    consulted = {sel.split(".", 1)[0] for sel in presentation.disclosed}
-    consulted.add("asset")
-    for section in sorted(consulted):
-        ref = presentation.disclosed.get(f"{section}.sStatus")
-        if ref is None:
-            raise Revoked(f"status reference for {section} is not disclosed")
-        failure = status_clear(world, world.status_lists, ref, section)
-        if failure is not None:
-            raise Revoked(str(failure))
+    failure = consulted_status(world, presentation)
+    if failure is not None:
+        raise Revoked(str(failure))
     checks.append("status_clear")
 
     regions = presentation.disclosed.get("compliance.sellableRegions")
@@ -338,14 +334,11 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
     """Standalone proof check from serialized artifacts, no world required:
     validates header linkage from genesis, then the inclusion path against
     the referenced header's root."""
-    from .ledger import GENESIS_PREV
-
     headers = [BlockHeader.from_json(h) for h in headers_json]
-    if not headers or headers[0].prev != GENESIS_PREV or headers[0].height != 0:
+    if not headers or not all(
+        header_links(prev, cur) for prev, cur in zip([None, *headers], headers)
+    ):
         return False
-    for prev, cur in zip(headers, headers[1:]):
-        if cur.prev != prev.header_digest() or cur.height != prev.height + 1:
-            return False
     proof = SpvProof.from_json(proof_json)
     if not 0 <= proof.height < len(headers):
         return False
@@ -353,7 +346,7 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
     if header.chain != proof.chain or header.merkle_root != proof.root:
         return False
     tx = Transaction.from_json(tx_json)
-    return merkle_verify(digest(tx.payload_bytes()), proof.path, proof.root)
+    return merkle_verify(tx.tx_id, proof.path, proof.root)
 
 
 def check_acceptance_soundness(world: World) -> None:

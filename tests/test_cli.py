@@ -27,6 +27,15 @@ def test_run_unknown_experiment_exit_two(tmp_path):
     assert "config error" in result.output
 
 
+def test_run_chains_key_rejected_exit_two(tmp_path):
+    # the e2e scenario always runs on C1 and C2, so a chain list is not a key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "e2e", "chains": ["A", "B", "Z"]}))
+    result = invoke("run", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "unknown config keys: ['chains']" in result.output
+
+
 def test_run_malformed_config_exit_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -82,6 +82,17 @@ def test_issue_then_audit_accepts(setup):
     assert audit_credential(world, cred).ok
 
 
+def test_unknown_top_key_version_is_a_result_in_audit_and_verify(setup):
+    world, _, holder, cred = setup
+    top = dataclasses.replace(
+        cred.top_proof, issuer_key_version=cred.top_proof.issuer_key_version + 7
+    )
+    forged = dataclasses.replace(cred, top_proof=top)
+    assert audit_credential(world, forged).reason == "IssuerKeyVersionUnknown"
+    pres = prove(forged, holder, ["asset.assetId"])
+    assert verify(world, pres).reason == "IssuerKeyVersionUnknown"
+
+
 def test_issue_from_deactivated_issuer_rejected():
     world, issuer, holder = fixture_world()
     doc = identity.did_resolve(world, world.controller_index[canonical.to_hex(issuer.pk)])

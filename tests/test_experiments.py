@@ -70,6 +70,24 @@ def test_e2e_determinism_same_seed():
     assert a.derived["worldDigest"] == b.derived["worldDigest"]
 
 
+def test_seed_42_bytes_pinned():
+    # measured before header linkage, length prefixing, the transaction
+    # payload and the status and top-proof checks each became one function
+    report = run(ScenarioConfig(seed=42))
+    assert report.fingerprint() == (
+        "0x8801243580bcaf73c7cd383260145b5dc7eeee4a34c038781eac08b69ede4ad0"
+    )
+    assert report.derived["opLogDigest"] == (
+        "0x10f8501ce78c7c30269a5f42e9081604399ff237e3023d60a42b687456baaadf"
+    )
+    assert report.derived["worldDigest"] == (
+        "0x49dade1124005c6aa88694db6c665a8843b41d5a2736494133c0104c7959b453"
+    )
+    assert cost_compare(seed=42).fingerprint() == (
+        "0x36b812f50dc43fb055cdcea58b5939fdddaf96ac2384d6f29031c99c80f2f3ff"
+    )
+
+
 def test_e2e_different_seed_different_oplog():
     a = run(ScenarioConfig(seed=11))
     b = run(ScenarioConfig(seed=12))

@@ -1,9 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from xrwa import canonical
-from xrwa.errors import BadSignature, EmptyPool, InsufficientBalance, UnknownChain
+from xrwa import canonical, xauth
+from xrwa.errors import (
+    BadSignature,
+    EmptyPool,
+    InsufficientBalance,
+    InvariantViolation,
+    UnknownChain,
+)
 from xrwa.ledger import BlockHeader, Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, merkle_root
 
@@ -211,6 +218,57 @@ def test_relay_wrong_source_chain_label_rejected(world, alice):
     world.mint("C2", alice.pk, 10)
     g2 = world.header_at("C2", 0)
     assert not world.relay_header("C2", "C1", g2)
+
+
+# Each case breaks one header of C1's three-header chain, keeping its Merkle
+# root, so only the linkage rule can catch it.
+BAD_LINKS = {
+    "genesis-bad-prev": (0, {"prev": b"\x01" * 32}),
+    "genesis-nonzero-height": (0, {"height": 1}),
+    "height-gap": (2, {"height": 3}),
+    "wrong-prev-digest": (2, {"prev": digest(b"not the parent")}),
+    "chain-label-changes": (2, {"chain": "C2"}),
+}
+
+
+def three_header_world(alice):
+    world = World(WorldConfig(seed=7))
+    world.mint("C1", alice.pk, 10)
+    seal_n(world, alice, "C1", 2)
+    return world
+
+
+def offline_bundle(world, headers):
+    tx = world.chains["C1"].blocks[1].txs[0]
+    proof = xauth.spv_prove(world, tx.tx_id, ("C1", 1))
+    return proof.to_json(), tx.to_json(), [h.to_json() for h in headers]
+
+
+def test_honest_chain_links_everywhere(alice):
+    world = three_header_world(alice)
+    headers = [b.header for b in world.chains["C1"].blocks]
+    assert world.relay_chain("C2", "C1") == 3
+    world.check_header_chains()
+    assert xauth.offline_verify(*offline_bundle(world, headers))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINKS))
+def test_bad_header_link_rejected_everywhere(alice, case):
+    at, changes = BAD_LINKS[case]
+    world = three_header_world(alice)
+    headers = [b.header for b in world.chains["C1"].blocks]
+    headers[at] = dataclasses.replace(headers[at], **changes)
+
+    for header in headers[:at]:
+        assert world.relay_header("C2", "C1", header)
+    assert not world.relay_header("C2", "C1", headers[at])
+    assert world.op_log[-1].op_kind == "relay_reject"
+
+    assert not xauth.offline_verify(*offline_bundle(world, headers))
+
+    world.chains["C1"].blocks[at].header = headers[at]
+    with pytest.raises(InvariantViolation, match="linkage"):
+        world.check_header_chains()
 
 
 # ----------------------------------------------------------- determinism ----
