@@ -73,16 +73,15 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
     redeem_at: Optional[int] = None
 
     def try_refunds(t: int) -> None:
-        if schedule.refund_assets_at == t:
-            try:
-                settlement.refund_leg(world, channel, "assets", at=t)
-            except (NotYetExpired, WrongPhase):
-                pass
-        if schedule.refund_funds_at == t:
-            try:
-                settlement.refund_leg(world, channel, "funds", at=t)
-            except (NotYetExpired, WrongPhase):
-                pass
+        for leg_name, refund_at in (
+            ("assets", schedule.refund_assets_at),
+            ("funds", schedule.refund_funds_at),
+        ):
+            if refund_at == t:
+                try:
+                    settlement.refund_leg(world, channel, leg_name, at=t)
+                except (NotYetExpired, WrongPhase):
+                    pass
 
     for t in range(window):
         if schedule.refunds_first:
@@ -93,7 +92,7 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
                 redeem_at = t + schedule.seller_delay
             except (Expired, WrongPhase, WrongPreimage):
                 pass
-        if redeem_at == t and channel.leg_funds.lock_state == "Locked":
+        if redeem_at == t:
             try:
                 settlement.redeem_on_funds_leg(world, channel, preimage, at=t)
             except (Expired, WrongPhase):

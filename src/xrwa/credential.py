@@ -705,15 +705,10 @@ def _fail(reason: str, detail: Optional[str] = None) -> VerifyResult:
     return VerifyResult(ok=False, reason=reason, detail=detail)
 
 
-def status_clear(
-    world: World,
-    status_lists: Mapping[str, StatusList],
-    status_ref: Mapping[str, Any],
-    section: str,
-) -> Optional[VerifyResult]:
+def status_clear(world: World, status_ref: Mapping[str, Any], section: str) -> Optional[VerifyResult]:
     rev_uri = status_ref["statusListCredential"]
     index = status_ref["statusListIndex"]
-    revocation = status_lists.get(rev_uri)
+    revocation = world.status_lists.get(rev_uri)
     if revocation is None:
         return _fail("StatusListMissing", section)
     if not isinstance(index, int) or not 0 <= index < revocation.next_index:
@@ -721,7 +716,7 @@ def status_clear(
     if revocation.bit(index):
         return _fail("SectionRevoked", section)
     susp_uri = rev_uri.rsplit(":", 1)[0] + ":suspension"
-    suspension = status_lists.get(susp_uri)
+    suspension = world.status_lists.get(susp_uri)
     if suspension is not None and suspension.bit(index):
         return _fail("SectionSuspended", section)
     return None
@@ -736,7 +731,7 @@ def consulted_status(world: World, presentation: Presentation) -> Optional[Verif
         ref = presentation.disclosed.get(f"{section}.sStatus")
         if ref is None:
             return _fail("StatusListMissing", section)
-        failure = status_clear(world, world.status_lists, ref, section)
+        failure = status_clear(world, ref, section)
         if failure is not None:
             return failure
     return None

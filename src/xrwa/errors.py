@@ -115,10 +115,6 @@ class WrongPreimage(XrwaError):
     pass
 
 
-class NotLocked(XrwaError):
-    pass
-
-
 class NotYetExpired(XrwaError):
     pass
 
@@ -133,6 +129,10 @@ class ConservationViolation(XrwaError):
 
 class WrongPhase(XrwaError):
     pass
+
+
+class NotLocked(WrongPhase):
+    """A claim or refund on a lock that is not Locked."""
 
 
 class BadTimeouts(XrwaError):

@@ -127,6 +127,17 @@ def _registry_chain(world: World) -> str:
     return world.config.chains[0]
 
 
+def _entry(world: World, did: str) -> DidEntry:
+    entry = world.did_registry.get(did)
+    if entry is None:
+        raise NotFound(f"no document for {did}")
+    return entry
+
+
+def _deactivate_message(did: str, version: int) -> bytes:
+    return canonical.dumps_bytes({"deactivate": did, "version": version})
+
+
 def did_create(
     world: World,
     keypair: KeyPair,
@@ -155,18 +166,11 @@ def did_create(
 
 
 def did_resolve(world: World, did: str | Did) -> DidDocument:
-    text = did.text if isinstance(did, Did) else did
-    entry = world.did_registry.get(text)
-    if entry is None:
-        raise NotFound(f"no document for {text}")
-    return entry.head
+    return _entry(world, did.text if isinstance(did, Did) else did).head
 
 
 def resolve_version(world: World, did: str, version: int) -> DidDocument:
-    entry = world.did_registry.get(did)
-    if entry is None:
-        raise NotFound(f"no document for {did}")
-    for doc in entry.versions:
+    for doc in _entry(world, did).versions:
         if doc.version == version:
             return doc
     raise NotFound(f"{did} has no version {version}")
@@ -177,9 +181,7 @@ def update_signature(keypair: KeyPair, new_doc: DidDocument) -> bytes:
 
 
 def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: bytes) -> DidDocument:
-    entry = world.did_registry.get(did)
-    if entry is None:
-        raise NotFound(f"no document for {did}")
+    entry = _entry(world, did)
     head = entry.head
     if head.status != "Active":
         raise Deactivated(f"{did} is deactivated")
@@ -207,18 +209,15 @@ def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: byt
 
 
 def deactivate_signature(keypair: KeyPair, did: str, version: int) -> bytes:
-    return sign(keypair.sk, canonical.dumps_bytes({"deactivate": did, "version": version}))
+    return sign(keypair.sk, _deactivate_message(did, version))
 
 
 def did_deactivate(world: World, did: str, controller_sig: bytes) -> None:
-    entry = world.did_registry.get(did)
-    if entry is None:
-        raise NotFound(f"no document for {did}")
+    entry = _entry(world, did)
     head = entry.head
     if head.status != "Active":
         raise AlreadyDeactivated(f"{did} is already deactivated")
-    message = canonical.dumps_bytes({"deactivate": did, "version": head.version})
-    if not verify_sig(head.controller_pk, message, controller_sig):
+    if not verify_sig(head.controller_pk, _deactivate_message(did, head.version), controller_sig):
         raise BadSignature("deactivation not authorized by the current controller")
     entry.versions[-1] = dataclasses.replace(head, status="Deactivated")
     entry.authorizations.append(("deactivate", controller_sig))
@@ -243,8 +242,6 @@ def check_authorization(world: World) -> None:
         if entry.head.status == "Deactivated":
             action, sig = entry.authorizations[idx]
             head_active = dataclasses.replace(entry.head, status="Active")
-            message = canonical.dumps_bytes(
-                {"deactivate": did, "version": entry.head.version}
-            )
+            message = _deactivate_message(did, entry.head.version)
             if action != "deactivate" or not verify_sig(head_active.controller_pk, message, sig):
                 raise XrwaError(f"{did}: unauthorized deactivation")

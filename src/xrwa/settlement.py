@@ -1,8 +1,13 @@
 """Hash-timelock escrow and the two-chain settlement channel.
 
-An HtlcLock escrows value or one asset behind a hash condition and a
-timeout: release strictly before the timeout with the right preimage, or
-refund at/after it. Escrow leaves a contract exactly once.
+One hash-timelock rule governs every lock, an HtlcLock and each channel
+leg alike: a Locked lock is claimed with a preimage whose digest is its
+hash condition strictly before its timeout (`_claim`), or refunded at or
+after the timeout (`_refund`). A lock that is not Locked raises NotLocked,
+which is a WrongPhase, so channel callers catch both as WrongPhase.
+
+An HtlcLock escrows exactly one value or one asset. Escrow leaves a
+contract exactly once.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) and an assets
 leg (seller's asset set), usually on different chains. Signed off-chain
@@ -10,12 +15,15 @@ states carry a strictly increasing sequence number and describe the
 cumulative intended allocation relative to the original deposits: `batch`
 is everything the buyer should own so far and `net_payment` everything the
 seller should have been paid so far. Locking installs the hash condition
-with timeouts t1 > t2 (funds leg lives longer, giving the seller a reaction
-window of t1 - t2 ticks once the preimage is public). A settlement executes
-only the delta between the committed state and what previous settlements
-already moved, then the channel re-enters Open with its sequence preserved,
-so further updates and settlements need no reopening. A refund cancels the
-lock without moving anything; the channel likewise continues.
+and the timeouts on the legs themselves, t1 on the funds leg and t2 < t1 on
+the assets leg (funds leg lives longer, giving the seller a reaction window
+of t1 - t2 ticks once the preimage is public); the channel keeps no copy.
+Both settlement paths and the close pay out through `_pay_assets` and
+`_pay_value`. A settlement executes only the delta between the committed
+state and what previous settlements already moved, then the channel
+re-enters Open with its sequence preserved, so further updates and
+settlements need no reopening. A refund cancels the lock without moving
+anything; the channel likewise continues.
 
 All on-chain steps are logged with weights from the calibrated cost table;
 state updates are purely off-chain and log nothing.
@@ -110,14 +118,14 @@ class HtlcLock:
 
 
 def _take_escrow(world: World, chain: ChainId, owner: bytes, escrow: dict) -> None:
-    if "value" in escrow:
+    if escrow.keys() == {"value"}:
         if escrow["value"] < 0:
             raise InsufficientBalance("escrow value must be non-negative")
         world.debit(chain, owner, escrow["value"])
-    elif "asset" in escrow:
+    elif escrow.keys() == {"asset"}:
         world.take_asset(chain, owner, escrow["asset"])
     else:
-        raise InsufficientBalance("escrow must name a value or an asset")
+        raise InsufficientBalance("escrow must name exactly one value or one asset")
 
 
 def _release_escrow(world: World, chain: ChainId, receiver: bytes, escrow: dict) -> None:
@@ -163,15 +171,29 @@ def htlc_lock(
     return lock
 
 
-def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> dict:
-    at = world.clock if at is None else at
+def _claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
+    """Unlock a Locked lock with the preimage, strictly before its timeout."""
     if lock.state != "Locked":
-        raise NotLocked(f"contract is {lock.state}")
+        raise NotLocked(f"{lock.contract_id} is {lock.state}")
     if digest(preimage) != lock.hash_cond:
         raise WrongPreimage("preimage does not hash to the lock condition")
     if at >= lock.timeout:
-        raise Expired(f"unlock at {at} not strictly before timeout {lock.timeout}")
+        raise Expired(f"claim at {at} not strictly before timeout {lock.timeout}")
     lock.state = "Unlocked"
+
+
+def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
+    """Refund a Locked lock at or after its timeout."""
+    if lock.state != "Locked":
+        raise NotLocked(f"{lock.contract_id} is {lock.state}")
+    if at < lock.timeout:
+        raise NotYetExpired(f"refund at {at} before timeout {lock.timeout}")
+    lock.state = "Refunded"
+
+
+def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> dict:
+    at = world.clock if at is None else at
+    _claim(lock, preimage, at)
     _release_escrow(world, lock.chain, lock.beneficiary, lock.escrow)
     world.log_op(lock.chain, "htlc_unlock", descriptor={"contract": lock.contract_id})
     return {"to": canonical.to_hex(lock.beneficiary), "escrow": lock.escrow, "at": at}
@@ -179,11 +201,7 @@ def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int]
 
 def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> dict:
     at = world.clock if at is None else at
-    if lock.state != "Locked":
-        raise NotLocked(f"contract is {lock.state}")
-    if at < lock.timeout:
-        raise NotYetExpired(f"refund at {at} before timeout {lock.timeout}")
-    lock.state = "Refunded"
+    _refund(lock, at)
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
     return {"to": canonical.to_hex(lock.depositor), "escrow": lock.escrow, "at": at}
@@ -240,7 +258,7 @@ class ChannelLeg:
     committed_digest: Optional[bytes] = None
     hash_cond: Optional[bytes] = None
     timeout: Optional[int] = None
-    lock_state: str = "Idle"  # Idle | Locked | Unlocked | Refunded
+    state: str = "Idle"  # Idle | Locked | Unlocked | Refunded
 
     def to_json(self) -> dict:
         return {
@@ -251,7 +269,7 @@ class ChannelLeg:
             "committed": canonical.to_hex(self.committed_digest) if self.committed_digest else None,
             "hashCond": canonical.to_hex(self.hash_cond) if self.hash_cond else None,
             "timeout": self.timeout,
-            "lockState": self.lock_state,
+            "lockState": self.state,
         }
 
 
@@ -269,12 +287,14 @@ class Channel:
     latest: ChannelState
     settled_assets: set[str] = field(default_factory=set)
     settled_payment: int = 0
-    t1: Optional[int] = None
-    t2: Optional[int] = None
-    hash_cond: Optional[bytes] = None
-    committed_seq: Optional[int] = None
-    revealed_preimage: Optional[bytes] = None
     phase: str = "Open"  # Open | Locked | Closed
+
+    def leg(self, name: str) -> ChannelLeg:
+        if name == "assets":
+            return self.leg_assets
+        if name == "funds":
+            return self.leg_funds
+        raise ValueError(f"unknown leg {name!r}; expected 'assets' or 'funds'")
 
     @property
     def buyer_hex(self) -> str:
@@ -337,6 +357,15 @@ def chan_open(
     for asset in deposit_assets:
         if not has_acceptance(world, chain_assets, asset) and world.asset_origins.get(asset) != chain_assets:
             raise UnauthenticatedAsset(f"{asset} not authenticated or issued on {chain_assets}")
+    if len(set(deposit_assets)) != len(deposit_assets) or not world.assets_of(
+        chain_assets, seller.pk
+    ).issuperset(deposit_assets):
+        raise InsufficientBalance(f"seller must hold each deposited asset once on {chain_assets}")
+    # the debit checks the balance before it moves anything, and the checks
+    # above leave no take that can fail, so a refusal moves nothing
+    world.debit(chain_funds, buyer.pk, deposit_value)
+    for asset in deposit_assets:
+        world.take_asset(chain_assets, seller.pk, asset)
 
     channel_id = "chan-" + digest(
         canonical.dumps_bytes(
@@ -349,11 +378,6 @@ def chan_open(
             }
         )
     ).hex()[:16]
-
-    world.debit(chain_funds, buyer.pk, deposit_value)
-    for asset in deposit_assets:
-        world.take_asset(chain_assets, seller.pk, asset)
-
     leg_funds = ChannelLeg(
         contract_id=channel_id + "-funds", chain=chain_funds, escrowed_value=deposit_value
     )
@@ -435,10 +459,7 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
         leg.committed_digest = committed
         leg.hash_cond = hash_cond
         leg.timeout = timeout
-        leg.lock_state = "Locked"
-    channel.hash_cond = hash_cond
-    channel.t1, channel.t2 = t1, t2
-    channel.committed_seq = channel.latest.seq
+        leg.state = "Locked"
     channel.phase = "Locked"
     world.log_op(channel.chain_funds, "chan_lock", descriptor={"channel": channel.channel_id})
     world.log_op(channel.chain_assets, "chan_lock", descriptor={"channel": channel.channel_id})
@@ -453,22 +474,23 @@ def _delta_payment(channel: Channel) -> int:
     return channel.latest.net_payment - channel.settled_payment
 
 
+def _pay_assets(world: World, channel: Channel, assets: list[str], to: bytes) -> None:
+    for asset in assets:
+        channel.leg_assets.escrowed_assets.discard(asset)
+        world.give_asset(channel.chain_assets, to, asset)
+
+
+def _pay_value(world: World, channel: Channel, amount: int, to: bytes) -> None:
+    channel.leg_funds.escrowed_value -= amount
+    world.credit(channel.chain_funds, to, amount)
+
+
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Buyer reveals the preimage on the asset contract, taking the committed
     batch delta. The preimage becomes public knowledge on-chain."""
     at = world.clock if at is None else at
-    leg = channel.leg_assets
-    if channel.phase != "Locked" or leg.lock_state != "Locked":
-        raise WrongPhase("asset leg is not locked")
-    if digest(preimage) != channel.hash_cond:
-        raise WrongPreimage("preimage does not hash to the lock condition")
-    if at >= channel.t2:
-        raise Expired(f"reveal at {at} not strictly before t2={channel.t2}")
-    for asset in _delta_assets(channel):
-        leg.escrowed_assets.discard(asset)
-        world.give_asset(channel.chain_assets, channel.buyer_pk, asset)
-    leg.lock_state = "Unlocked"
-    channel.revealed_preimage = preimage
+    _claim(channel.leg_assets, preimage, at)
+    _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
     world.log_op(channel.chain_assets, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
     _maybe_reopen(channel)
 
@@ -477,17 +499,8 @@ def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Opt
     """Seller redeems the aggregated payment on the funds contract with the
     now-public preimage; allowed strictly before t1."""
     at = world.clock if at is None else at
-    leg = channel.leg_funds
-    if leg.lock_state != "Locked":
-        raise WrongPhase("funds leg is not locked")
-    if digest(preimage) != channel.hash_cond:
-        raise WrongPreimage("preimage does not hash to the lock condition")
-    if at >= channel.t1:
-        raise Expired(f"redeem at {at} not strictly before t1={channel.t1}")
-    delta = _delta_payment(channel)
-    leg.escrowed_value -= delta
-    world.credit(channel.chain_funds, channel.seller_pk, delta)
-    leg.lock_state = "Unlocked"
+    _claim(channel.leg_funds, preimage, at)
+    _pay_value(world, channel, _delta_payment(channel), channel.seller_pk)
     world.log_op(channel.chain_funds, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
     _maybe_reopen(channel)
 
@@ -496,12 +509,8 @@ def refund_leg(world: World, channel: Channel, leg_name: str, at: Optional[int] 
     """Cancel one leg's lock at/after its timeout; escrow stays in the
     channel and the committed assignment is reverted."""
     at = world.clock if at is None else at
-    leg = channel.leg_assets if leg_name == "assets" else channel.leg_funds
-    if channel.phase != "Locked" or leg.lock_state != "Locked":
-        raise WrongPhase(f"{leg_name} leg is not locked")
-    if at < leg.timeout:
-        raise NotYetExpired(f"refund at {at} before timeout {leg.timeout}")
-    leg.lock_state = "Refunded"
+    leg = channel.leg(leg_name)
+    _refund(leg, at)
     world.log_op(leg.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": leg_name})
     _maybe_reopen(channel)
 
@@ -509,22 +518,18 @@ def refund_leg(world: World, channel: Channel, leg_name: str, at: Optional[int] 
 def _maybe_reopen(channel: Channel) -> None:
     """Once both legs resolved, fold the outcome into the cumulative settled
     totals and re-enter Open with the sequence preserved."""
-    states = (channel.leg_funds.lock_state, channel.leg_assets.lock_state)
-    if "Locked" in states or channel.phase != "Locked":
+    legs = (channel.leg_funds, channel.leg_assets)
+    if any(leg.state == "Locked" for leg in legs):
         return
-    if channel.leg_assets.lock_state == "Unlocked":
+    if channel.leg_assets.state == "Unlocked":
         channel.settled_assets = set(channel.latest.batch)
-    if channel.leg_funds.lock_state == "Unlocked":
+    if channel.leg_funds.state == "Unlocked":
         channel.settled_payment = channel.latest.net_payment
-    for leg in (channel.leg_funds, channel.leg_assets):
+    for leg in legs:
         leg.committed_digest = None
         leg.hash_cond = None
         leg.timeout = None
-        leg.lock_state = "Idle"
-    channel.hash_cond = None
-    channel.t1 = channel.t2 = None
-    channel.committed_seq = None
-    channel.revealed_preimage = None
+        leg.state = "Idle"
     channel.phase = "Open"
 
 
@@ -532,8 +537,6 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
     """Cooperative settlement: reveal on the asset chain, then redeem the
     payment on the funds chain, both at the same tick."""
     at = world.clock if at is None else at
-    if channel.phase != "Locked":
-        raise WrongPhase(f"channel is {channel.phase}")
     reveal_on_assets_leg(world, channel, preimage, at)
     redeem_on_funds_leg(world, channel, preimage, at)
     return channel
@@ -542,8 +545,6 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
 def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: Optional[str] = None) -> Channel:
     """Refund one leg (leg="assets" or "funds") or, with no leg named, both."""
     at = world.clock if at is None else at
-    if channel.phase != "Locked":
-        raise WrongPhase(f"channel is {channel.phase}")
     legs = [leg] if leg else ["assets", "funds"]
     for name in legs:
         refund_leg(world, channel, name, at)
@@ -555,27 +556,19 @@ def chan_close(world: World, channel: Channel) -> dict:
     delta, then return residual deposits to their original owners."""
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
-    assets_out = _delta_assets(channel)
     payment_out = _delta_payment(channel)
-    for asset in assets_out:
-        channel.leg_assets.escrowed_assets.discard(asset)
-        world.give_asset(channel.chain_assets, channel.buyer_pk, asset)
-    channel.leg_funds.escrowed_value -= payment_out
-    world.credit(channel.chain_funds, channel.seller_pk, payment_out)
-
+    _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
+    _pay_value(world, channel, payment_out, channel.seller_pk)
     residual_assets = sorted(channel.leg_assets.escrowed_assets)
-    for asset in residual_assets:
-        channel.leg_assets.escrowed_assets.discard(asset)
-        world.give_asset(channel.chain_assets, channel.seller_pk, asset)
     residual_value = channel.leg_funds.escrowed_value
-    channel.leg_funds.escrowed_value = 0
-    world.credit(channel.chain_funds, channel.buyer_pk, residual_value)
+    _pay_assets(world, channel, residual_assets, channel.seller_pk)
+    _pay_value(world, channel, residual_value, channel.buyer_pk)
 
     channel.phase = "Closed"
     world.log_op(channel.chain_funds, "chan_close", descriptor={"channel": channel.channel_id})
     world.log_op(channel.chain_assets, "chan_close", descriptor={"channel": channel.channel_id})
     return {
-        "buyerAssets": sorted(set(channel.latest.batch) | set(assets_out)),
+        "buyerAssets": sorted(channel.latest.batch),
         "sellerPayment": channel.settled_payment + payment_out,
         "buyerResidualValue": residual_value,
         "sellerResidualAssets": residual_assets,

@@ -413,5 +413,5 @@ def test_verify_rejects_out_of_range_status_index(setup):
     # status gate directly
     from xrwa.credential import status_clear
 
-    failure = status_clear(world, world.status_lists, ref, "asset")
+    failure = status_clear(world, ref, "asset")
     assert failure is not None and failure.reason == "StatusIndexOutOfRange"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from xrwa import settlement
+from xrwa import canonical, settlement
 from xrwa.atomicity import explore_schedules, fuzz_schedules, run_schedule, Schedule
 from xrwa.costs import CostTable
 from xrwa.errors import (
@@ -38,6 +38,7 @@ from xrwa.settlement import (
     refund_eligible,
     sign_state,
 )
+from xrwa.scenarios import run_channel_route, run_htlc_route
 
 ALICE = keygen(digest(b"settle-alice"))
 BOB = keygen(digest(b"settle-bob"))
@@ -115,6 +116,17 @@ def test_htlc_asset_escrow_roundtrip(world):
     world.check_conservation()
 
 
+def test_htlc_escrow_names_one_value_or_one_asset(world):
+    # an escrow naming both would take only one of them but report both
+    for escrow in ({"value": 5, "asset": "did:xrwa:asset-x"}, {}, {"asset": "did:xrwa:asset-x", "memo": 1}):
+        with pytest.raises(InsufficientBalance):
+            htlc_lock(world, "C2", BOB.pk, ALICE.pk, escrow, H_RHO, timeout=5)
+    assert world.balance("C2", BOB.pk) == 500
+    assert "did:xrwa:asset-x" in world.assets_of("C2", BOB.pk)
+    assert world.chains["C2"].contracts == {}
+    world.check_conservation()
+
+
 def test_symmetric_swap_setup_with_staggered_timeouts(world):
     # classic atomic-swap shape: funds on C1 under t1, asset on C2 under t2 < t1
     l1 = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 400}, H_RHO, timeout=10)
@@ -137,8 +149,26 @@ def test_chan_open_escrows_both_sides(world):
     assert world.balance("C1", ALICE.pk) == 400
     assert world.assets_of("C2", BOB.pk) == {"did:xrwa:asset-z"}
     assert ch.phase == "Open"
-    assert ch.hash_cond is None  # no hash-locked condition at open
+    assert ch.leg_funds.hash_cond is None and ch.leg_assets.hash_cond is None  # no hash-locked condition at open
     assert len([r for r in world.op_log if r.op_kind == "chan_open"]) == 2
+    world.check_conservation()
+
+
+@pytest.mark.parametrize(
+    "value, assets",
+    [
+        (600, ["did:xrwa:asset-x", "did:xrwa:asset-x"]),  # the same asset twice
+        (600, ["did:xrwa:asset-x", "did:xrwa:asset-w"]),  # seller lacks one
+        (10_000, ["did:xrwa:asset-x"]),  # buyer lacks the value
+    ],
+)
+def test_chan_open_refused_moves_nothing(world, value, assets):
+    world.mint_asset("C2", ALICE.pk, "did:xrwa:asset-w")
+    before = (world.balance("C1", ALICE.pk), world.assets_of("C2", BOB.pk), world.assets_of("C2", ALICE.pk))
+    with pytest.raises(InsufficientBalance):
+        chan_open(world, ALICE, BOB, value, assets)
+    assert (world.balance("C1", ALICE.pk), world.assets_of("C2", BOB.pk), world.assets_of("C2", ALICE.pk)) == before
+    assert world.chains["C1"].contracts == {} and world.chains["C2"].contracts == {}
     world.check_conservation()
 
 
@@ -259,7 +289,6 @@ def test_lock_commits_same_digest_on_both_legs(world):
     ch = locked_channel(world)
     assert ch.leg_funds.committed_digest == ch.leg_assets.committed_digest
     assert ch.leg_funds.committed_digest == ch.latest.state_digest()
-    assert ch.committed_seq == ch.latest.seq
 
 
 def test_partial_settlement_without_closure(world):
@@ -318,6 +347,14 @@ def test_refund_c2_at_t2_then_c1_before_t1_rejected(world):
         chan_refund(world, ch, at=5, leg="funds")
     chan_refund(world, ch, at=8, leg="funds")
     assert ch.phase == "Open"
+
+
+def test_refund_unknown_leg_name_rejected(world):
+    ch = locked_channel(world, t1=8, t2=5)
+    with pytest.raises(ValueError):
+        chan_refund(world, ch, at=8, leg="asset")
+    assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
+    assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
 
 
 def test_refund_restores_pre_lock_assignment(world):
@@ -404,6 +441,33 @@ def test_offchain_zero_cost_1_vs_1000_updates():
         chan_unlock(w, ch, RHO, at=1)
         logs.append(w.op_log_csv())
     assert logs[0] == logs[1]
+
+
+# ------------------------------------------------------------ route bytes ----
+
+# measured before the claim/refund rule, the channel lock and the escrow
+# payout each became one function
+ROUTE_PINS = [
+    (run_htlc_route, 1,
+     "0xc5367cca8804a2e27f91f502c1b46145dd50e5cd80a8d28891a4fb4c79e43ffb",
+     "0xcfad3dd7db4bf1875c9c169258e52ef8a51d715377bb68d671b23e6b3cf794a5"),
+    (run_channel_route, 1,
+     "0x5da291f364281ac9ad27627ba19dbfa2bbe9d8b577b20dbc01830a9bb7f4d32f",
+     "0xe6427a328c92dad288dca870486d7bb2e5b2287568fd4501a407771853b95241"),
+    (run_htlc_route, 5,
+     "0x9659c3612b0e1cc8d198e8343408a8baf6db398cf4a6006dea05db4b59442e31",
+     "0x3b6973eecfd4b4973317bbe20d0b1af55cf016fcb8f2b17dd6c8a1774b022e76"),
+    (run_channel_route, 5,
+     "0x05b3a95e74e3c899956829eeebf4eb8cd30e4c18fd05cde4d1a863460ad8b743",
+     "0x89ba0d03c3d047e659864a58fbc6a87d6b0990e7eff8da089f8ab06a13022ef4"),
+]
+
+
+@pytest.mark.parametrize("route, n, world_hex, op_log_hex", ROUTE_PINS)
+def test_route_bytes_pinned(route, n, world_hex, op_log_hex):
+    w = route(42, n)
+    assert canonical.to_hex(w.world_digest()) == world_hex
+    assert canonical.to_hex(digest(w.op_log_csv().encode())) == op_log_hex
 
 
 # ------------------------------------------------------------- cost table ----
