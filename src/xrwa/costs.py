@@ -1,7 +1,8 @@
 """Calibrated per-operation cost model for on-chain operations.
 
-Costs are abstract units, not measured gas. The table is free to choose any
-strictly positive weights as long as two calibration identities hold:
+Costs are abstract units, not measured gas. The weights are one constant
+table; the settlement weights are strictly positive and satisfy two
+calibration identities, which the test suite checks:
 
 - one full hash-timelock interaction (lock + unlock on both chains) totals
   exactly 465,426 units;
@@ -15,37 +16,16 @@ floating point, and sums at this magnitude stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
 from .errors import CostTableError
 
 __all__ = [
-    "HTLC_INTERACTION_TOTAL",
-    "CHANNEL_LIFECYCLE_TOTAL",
     "DEFAULT_WEIGHTS",
-    "CostTable",
+    "weight",
     "format_units",
 ]
 
-HTLC_INTERACTION_TOTAL = 465_426
-CHANNEL_LIFECYCLE_TOTAL = 917_253
-
-# Weights that must satisfy the calibration identities. The split across
-# open/lock/unlock is ~40/35/25 and is itself arbitrary; only totals bind.
-CALIBRATED_KINDS = (
-    "htlc_lock",
-    "htlc_unlock",
-    "htlc_refund",
-    "chan_open",
-    "chan_lock",
-    "chan_unlock",
-    "chan_refund",
-    "chan_close",
-    "anchor",
-    "acceptance",
-)
-
+# Settlement and anchoring weights first. The split across open/lock/unlock
+# is ~40/35/25 and is itself arbitrary; only the calibration totals bind.
 DEFAULT_WEIGHTS: dict[str, float] = {
     "htlc_lock": 139_628,
     "htlc_unlock": 93_085,
@@ -78,42 +58,9 @@ def format_units(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class CostTable:
-    """Per-op-kind cost weights, validated against the calibration identities."""
-
-    weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-
-    def __post_init__(self) -> None:
-        merged = dict(DEFAULT_WEIGHTS)
-        merged.update(self.weights)
-        object.__setattr__(self, "weights", merged)
-        self.validate()
-
-    def validate(self) -> None:
-        for kind in CALIBRATED_KINDS:
-            w = self.weights.get(kind)
-            if w is None or w <= 0:
-                raise CostTableError(f"weight for {kind!r} must be strictly positive")
-        htlc = 2 * (self.weights["htlc_lock"] + self.weights["htlc_unlock"])
-        if htlc != HTLC_INTERACTION_TOTAL:
-            raise CostTableError(
-                f"HTLC calibration broken: lock+unlock on both chains = "
-                f"{format_units(htlc)}, expected {HTLC_INTERACTION_TOTAL}"
-            )
-        chan = 2 * (
-            self.weights["chan_open"]
-            + self.weights["chan_lock"]
-            + self.weights["chan_unlock"]
-        )
-        if chan != CHANNEL_LIFECYCLE_TOTAL:
-            raise CostTableError(
-                f"channel calibration broken: open+lock+unlock on both chains = "
-                f"{format_units(chan)}, expected {CHANNEL_LIFECYCLE_TOTAL}"
-            )
-
-    def weight(self, kind: str) -> float:
-        try:
-            return self.weights[kind]
-        except KeyError:
-            raise CostTableError(f"no cost weight for op kind {kind!r}") from None
+def weight(kind: str) -> float:
+    """Cost units of one op of `kind`."""
+    try:
+        return DEFAULT_WEIGHTS[kind]
+    except KeyError:
+        raise CostTableError(f"no cost weight for op kind {kind!r}") from None

@@ -45,7 +45,7 @@ from .errors import (
     StatusListFull,
     UnknownSelector,
 )
-from .identity import Did, did_resolve, resolve_version
+from .identity import Did, controlled_did, did_resolve, issuer_status, resolve_version
 from .ledger import World
 from .primitives import KeyPair, digest, length_prefixed, sign, verify_sig
 
@@ -199,6 +199,14 @@ def section_field_digests(section: str, body: Mapping[str, Any], nonce: bytes) -
     return out
 
 
+def section_commitments(
+    sections: Mapping[str, Mapping[str, Any]], nonce: bytes
+) -> tuple[dict[str, dict[str, bytes]], dict[str, bytes]]:
+    """Field digests and section hash of every section."""
+    digests = {name: section_field_digests(name, sections[name], nonce) for name in SECTIONS}
+    return digests, {name: section_hash_from_digests(d) for name, d in digests.items()}
+
+
 def top_hash(section_hashes: Mapping[str, bytes]) -> bytes:
     return digest(b"".join(section_hashes[s] for s in SECTIONS))
 
@@ -238,30 +246,23 @@ class SectionProof:
             proof_purpose=data["proofPurpose"],
         )
 
-
-def _proof_message(
-    credential_id: str,
-    section: str,
-    section_hash: bytes,
-    issuer: str,
-    issued: str,
-    expires: str,
-    key_version: int,
-    holder_pk_hex: Optional[str] = None,
-) -> bytes:
-    body = {
-        "credentialId": credential_id,
-        "expires": expires,
-        "issued": issued,
-        "issuer": issuer,
-        "issuerKeyVersion": key_version,
-        "proofPurpose": "assertionMethod",
-        "section": section,
-        "sectionHash": canonical.to_hex(section_hash),
-    }
-    if holder_pk_hex is not None:
-        body["holderPk"] = holder_pk_hex
-    return canonical.dumps_bytes(body)
+    def message(self, credential_id: str, section: str, holder_pk: Optional[bytes] = None) -> bytes:
+        """What the issuer signs: this proof's fields under the credential id
+        and the section name ("top" for the top proof, which also binds the
+        holder key)."""
+        body = {
+            "credentialId": credential_id,
+            "expires": self.expires,
+            "issued": self.issued,
+            "issuer": self.issuer,
+            "issuerKeyVersion": self.issuer_key_version,
+            "proofPurpose": "assertionMethod",
+            "section": section,
+            "sectionHash": canonical.to_hex(self.section_hash),
+        }
+        if holder_pk is not None:
+            body["holderPk"] = canonical.to_hex(holder_pk)
+        return canonical.dumps_bytes(body)
 
 
 # -------------------------------------------------------------- credential --
@@ -316,12 +317,7 @@ class CompositeCredential:
         return self.top_proof.issuer
 
     def section_hashes(self) -> dict[str, bytes]:
-        return {
-            name: section_hash_from_digests(
-                section_field_digests(name, body, self.disclosure_nonce)
-            )
-            for name, body in self.sections.items()
-        }
+        return section_commitments(self.sections, self.disclosure_nonce)[1]
 
     def status_ref(self, section: str) -> dict:
         return self.sections[section]["sStatus"]
@@ -489,27 +485,14 @@ def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
     return CredentialRequest(items=items, holder_pk=holder.pk, sig=sig)
 
 
-def _issuer_did_for(world: World, issuer: KeyPair) -> tuple[str, int]:
-    did = world.controller_index.get(canonical.to_hex(issuer.pk))
-    if did is None:
-        # the key may have controlled a did that has since been deactivated
-        for text, entry in world.did_registry.items():
-            if entry.head.controller_pk == issuer.pk:
-                raise IssuerDeactivated(f"issuer did {text} is deactivated")
-        raise NotFound("issuer key controls no registered did")
-    doc = did_resolve(world, did)
-    if doc.status != "Active":
-        raise IssuerDeactivated(f"issuer did {did} is deactivated")
-    return did, doc.version
-
-
 def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCredential:
     """Issue a four-section credential against a holder request.
 
     Allocates one status-list index per section, computes per-field
     commitments, and signs four section proofs plus the top proof.
     """
-    issuer_did, key_version = _issuer_did_for(world, issuer)
+    issuer_did = controlled_did(world, issuer.pk)
+    key_version = did_resolve(world, issuer_did).version
     if not req.verify():
         raise BadSignature("request signature does not verify under holder key")
 
@@ -535,36 +518,21 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     year = int(world.config.current_date[:4])
     expires = f"{year + 1}{world.config.current_date[4:]}T00:00:00Z"
 
-    hashes = {
-        name: section_hash_from_digests(section_field_digests(name, sections[name], nonce))
-        for name in SECTIONS
-    }
+    hashes = section_commitments(sections, nonce)[1]
+    hashes["top"] = top_hash(hashes)
     proofs = {}
-    for name in SECTIONS:
-        message = _proof_message(
-            cred_id, name, hashes[name], issuer_did, issued, expires, key_version
-        )
-        proofs[name] = SectionProof(
+    for name, section_hash in hashes.items():
+        unsigned = SectionProof(
             issuer=issuer_did,
             issued=issued,
             expires=expires,
-            section_hash=hashes[name],
-            proof_value=sign(issuer.sk, message),
+            section_hash=section_hash,
+            proof_value=b"",
             issuer_key_version=key_version,
         )
-    holder_hex = canonical.to_hex(req.holder_pk)
-    top = top_hash(hashes)
-    top_message = _proof_message(
-        cred_id, "top", top, issuer_did, issued, expires, key_version, holder_pk_hex=holder_hex
-    )
-    top_proof = SectionProof(
-        issuer=issuer_did,
-        issued=issued,
-        expires=expires,
-        section_hash=top,
-        proof_value=sign(issuer.sk, top_message),
-        issuer_key_version=key_version,
-    )
+        message = unsigned.message(cred_id, name, req.holder_pk if name == "top" else None)
+        proofs[name] = dataclasses.replace(unsigned, proof_value=sign(issuer.sk, message))
+    top_proof = proofs.pop("top")
     return CompositeCredential(
         id=cred_id,
         holder_pk=req.holder_pk,
@@ -656,9 +624,7 @@ def prove(
         effective.add(sel.split(".", 1)[0] + ".sStatus")
 
     nonce = cred.disclosure_nonce
-    all_digests = {
-        name: section_field_digests(name, body, nonce) for name, body in cred.sections.items()
-    }
+    all_digests, hashes = section_commitments(cred.sections, nonce)
     touched = {sel.split(".", 1)[0] for sel in effective}
     disclosed: dict[str, Any] = {}
     salts: dict[str, bytes] = {}
@@ -674,9 +640,7 @@ def prove(
         disclosed=disclosed,
         field_salts=salts,
         section_digests={sec: all_digests[sec] for sec in sorted(touched)},
-        section_hashes={
-            name: section_hash_from_digests(all_digests[name]) for name in SECTIONS
-        },
+        section_hashes=hashes,
         top_proof=cred.top_proof,
         holder_sig=b"",
     )
@@ -737,27 +701,25 @@ def consulted_status(world: World, presentation: Presentation) -> Optional[Verif
     return None
 
 
-def _top_proof_failure(
-    world: World, top: SectionProof, credential_id: str, holder_pk: bytes
+def _proof_failure(
+    world: World,
+    proof: SectionProof,
+    credential_id: str,
+    section: str,
+    holder_pk: Optional[bytes],
 ) -> Optional[VerifyResult]:
-    """Issuer head status, key version and top-proof signature; the first
-    failure, or None when the top proof holds."""
+    """Issuer status, key version and signature of one proof; the first
+    failure, or None when the proof holds."""
+    status = issuer_status(world, proof.issuer)
+    if status is not None:
+        return _fail(status, proof.issuer)
     try:
-        head = did_resolve(world, top.issuer)
+        issuer_doc = resolve_version(world, proof.issuer, proof.issuer_key_version)
     except NotFound:
-        return _fail("IssuerUnknown", top.issuer)
-    if head.status != "Active":
-        return _fail("IssuerDeactivated", top.issuer)
-    try:
-        issuer_doc = resolve_version(world, top.issuer, top.issuer_key_version)
-    except NotFound:
-        return _fail("IssuerKeyVersionUnknown", top.issuer)
-    message = _proof_message(
-        credential_id, "top", top.section_hash, top.issuer, top.issued, top.expires,
-        top.issuer_key_version, holder_pk_hex=canonical.to_hex(holder_pk),
-    )
-    if not verify_sig(issuer_doc.controller_pk, message, top.proof_value):
-        return _fail("BadIssuerSignature", "top")
+        return _fail("IssuerKeyVersionUnknown", proof.issuer)
+    message = proof.message(credential_id, section, holder_pk)
+    if not verify_sig(issuer_doc.controller_pk, message, proof.proof_value):
+        return _fail("BadIssuerSignature", section)
     return None
 
 
@@ -802,8 +764,8 @@ def verify(
         return _fail("IssuerMismatch", presentation.issuer)
     if presentation.top_proof.issuer != presentation.issuer:
         return _fail("IssuerMismatch", presentation.top_proof.issuer)
-    failure = _top_proof_failure(
-        world, presentation.top_proof, presentation.credential_id, presentation.holder_pk
+    failure = _proof_failure(
+        world, presentation.top_proof, presentation.credential_id, "top", presentation.holder_pk
     )
     if failure is not None:
         return failure
@@ -834,80 +796,70 @@ def verify(
 
 
 def audit_credential(world: World, cred: CompositeCredential, chain: Optional[str] = None) -> VerifyResult:
-    """Verify the full credential in place: all four section proofs, the top
-    proof, and every hash recomputation. Counts as one full verification."""
+    """Verify the full credential in place: all four section proofs, then the
+    top proof, each against its recomputed hash, the credential's issuer and
+    the issuer's key. Counts as one full verification."""
     world.count_verification(chain)
     hashes = cred.section_hashes()
-    for name in SECTIONS:
-        proof = cred.section_proofs[name]
-        if proof.section_hash != hashes[name]:
+    hashes["top"] = top_hash(hashes)
+    proofs = {**cred.section_proofs, "top": cred.top_proof}
+    for name, section_hash in hashes.items():
+        proof = proofs[name]
+        if proof.section_hash != section_hash:
             return _fail("HashMismatch", name)
-        try:
-            issuer_doc = resolve_version(world, proof.issuer, proof.issuer_key_version)
-        except NotFound:
-            return _fail("IssuerUnknown", proof.issuer)
-        if proof.issuer != cred.top_proof.issuer:
+        if proof.issuer != cred.issuer:
             return _fail("IssuerMismatch", name)
-        message = _proof_message(
-            cred.id, name, proof.section_hash, proof.issuer, proof.issued,
-            proof.expires, proof.issuer_key_version,
+        failure = _proof_failure(
+            world, proof, cred.id, name, cred.holder_pk if name == "top" else None
         )
-        if not verify_sig(issuer_doc.controller_pk, message, proof.proof_value):
-            return _fail("BadIssuerSignature", name)
-    if cred.top_proof.section_hash != top_hash(hashes):
-        return _fail("HashMismatch", "top")
-    failure = _top_proof_failure(world, cred.top_proof, cred.id, cred.holder_pk)
-    if failure is not None:
-        return failure
+        if failure is not None:
+            return failure
     return VerifyResult(ok=True)
 
 
 # -------------------------------------------------------------- revocation --
 
-def _owned_list(world: World, status_list: StatusList | str, issuer: KeyPair) -> StatusList:
-    sl = world.status_lists.get(status_list) if isinstance(status_list, str) else status_list
-    if sl is None:
-        raise NotFound(f"no status list {status_list!r}")
-    owner_did = world.controller_index.get(canonical.to_hex(issuer.pk))
-    if owner_did is None:
-        raise BadSignature("key controls no active did")
-    if owner_did != sl.issuer:
-        raise NotOwner(f"{owner_did} does not own {sl.uri}")
-    return sl
+def _require_owner(world: World, status_list: StatusList, issuer: KeyPair) -> None:
+    try:
+        owner_did = controlled_did(world, issuer.pk)
+    except (NotFound, IssuerDeactivated):
+        raise BadSignature("key controls no active did") from None
+    if owner_did != status_list.issuer:
+        raise NotOwner(f"{owner_did} does not own {status_list.uri}")
 
 
 def revoke(
     world: World,
-    status_list: StatusList | str,
+    status_list: StatusList,
     cred: CompositeCredential,
     section: str,
     issuer: KeyPair,
 ) -> StatusList:
     """Set the targeted section's bit in the given list (idempotent on the
     bit; the list version still increments)."""
-    sl = _owned_list(world, status_list, issuer)
+    _require_owner(world, status_list, issuer)
     index = cred.status_ref(section)["statusListIndex"]
-    sl.set_bit(index)
+    status_list.set_bit(index)
     world.log_op(
         world.config.chains[0], "revoke",
-        descriptor={"list": sl.uri, "index": index, "v": sl.version},
+        descriptor={"list": status_list.uri, "index": index, "v": status_list.version},
     )
-    return sl
+    return status_list
 
 
 def reinstate(
     world: World,
-    status_list: StatusList | str,
+    status_list: StatusList,
     cred: CompositeCredential,
     section: str,
     issuer: KeyPair,
 ) -> StatusList:
     """Clear a suspension bit; rejected for revocation lists."""
-    sl = _owned_list(world, status_list, issuer)
+    _require_owner(world, status_list, issuer)
     index = cred.status_ref(section)["statusListIndex"]
-    sl.clear_bit(index)
+    status_list.clear_bit(index)
     world.log_op(
         world.config.chains[0], "reinstate",
-        descriptor={"list": sl.uri, "index": index, "v": sl.version},
+        descriptor={"list": status_list.uri, "index": index, "v": status_list.version},
     )
-    return sl
+    return status_list

@@ -144,7 +144,7 @@ class UnauthenticatedAsset(XrwaError):
 
 
 class CostTableError(XrwaError):
-    """Cost table failed its calibration constraints at load time."""
+    """An op kind has no weight in the cost table."""
 
 
 # --- cli ------------------------------------------------------------------

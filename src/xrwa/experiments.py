@@ -51,7 +51,14 @@ __all__ = [
     "run",
 ]
 
-EXPERIMENTS = ("vc_bench", "spv_bench", "cost_compare", "e2e")
+# experiment name -> the params keys `run` reads for it
+EXPERIMENT_PARAMS = {
+    "vc_bench": ("n_creds", "iterations", "workers"),
+    "spv_bench": ("sizes", "reps"),
+    "cost_compare": ("n",),
+    "e2e": ("updates",),
+}
+EXPERIMENTS = tuple(EXPERIMENT_PARAMS)
 
 REFERENCE_VC_LATENCY = {
     "issuanceMeanMs": 8.16,
@@ -84,6 +91,9 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.relay_policy < 1:
             raise ConfigError("relay_policy must be a positive block count")
+        unknown = set(self.params) - set(EXPERIMENT_PARAMS[self.experiment])
+        if unknown:
+            raise ConfigError(f"unknown params for {self.experiment}: {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import canonical
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     BadSignature,
     Deactivated,
     DuplicateController,
+    IssuerDeactivated,
     NotFound,
     VersionSkew,
     XrwaError,
@@ -39,6 +41,8 @@ __all__ = [
     "did_resolve",
     "did_update",
     "did_deactivate",
+    "controlled_did",
+    "issuer_status",
     "update_signature",
     "deactivate_signature",
     "check_authorization",
@@ -174,6 +178,32 @@ def resolve_version(world: World, did: str, version: int) -> DidDocument:
         if doc.version == version:
             return doc
     raise NotFound(f"{did} has no version {version}")
+
+
+def controlled_did(world: World, pk: bytes) -> str:
+    """The active DID whose current controller key is `pk`.
+
+    Raises IssuerDeactivated when the DID that `pk` controls is deactivated
+    and NotFound when `pk` controls none; a key that `did_update` rotated
+    away controls none.
+    """
+    did = world.controller_index.get(canonical.to_hex(pk))
+    if did is not None:
+        return did
+    for text, entry in world.did_registry.items():
+        if entry.head.controller_pk == pk:
+            raise IssuerDeactivated(f"issuer did {text} is deactivated")
+    raise NotFound("key controls no registered did")
+
+
+def issuer_status(world: World, did: str) -> Optional[str]:
+    """Why `did` cannot act as an issuer ("IssuerUnknown" when it is not
+    registered, "IssuerDeactivated" when its head is deactivated), or None."""
+    try:
+        head = _entry(world, did).head
+    except NotFound:
+        return "IssuerUnknown"
+    return None if head.status == "Active" else "IssuerDeactivated"
 
 
 def update_signature(keypair: KeyPair, new_doc: DidDocument) -> bytes:

@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import canonical
-from .costs import CostTable, format_units
+from . import canonical, costs
 from .errors import (
     BadSignature,
     EmptyPool,
@@ -162,7 +161,7 @@ class OpRecord:
     tx_id: str  # 0x-hex, possibly of a synthetic descriptor
 
     def csv_row(self) -> str:
-        return f"{self.tick},{self.chain},{self.op_kind},{format_units(self.cost_units)},{self.tx_id}"
+        return f"{self.tick},{self.chain},{self.op_kind},{costs.format_units(self.cost_units)},{self.tx_id}"
 
 
 @dataclass
@@ -197,7 +196,6 @@ class World:
         self.config = config or WorldConfig()
         if len(set(self.config.chains)) != len(self.config.chains):
             raise UnknownChain("chain labels must be unique within a world")
-        self.cost_table = CostTable()
         self.clock = 0
         self.rng = random.Random(self.config.seed)
         self.chains: dict[ChainId, _ChainState] = {c: _ChainState() for c in self.config.chains}
@@ -241,7 +239,7 @@ class World:
             tick=self.clock,
             chain=chain,
             op_kind=op_kind,
-            cost_units=self.cost_table.weight(op_kind),
+            cost_units=costs.weight(op_kind),
             tx_id=canonical.to_hex(tx_id),
         )
         self.op_log.append(rec)
@@ -338,8 +336,9 @@ class World:
             state.balances[sender] = state.balances.get(sender, 0) - amount
             state.balances[dest] = state.balances.get(dest, 0) + amount
         state.pending.append(tx)
-        self.log_op(chain, "anchor" if tx.kind == "anchor" else tx.kind, tx_id=tx.tx_id)
-        return tx.tx_id
+        tx_id = tx.tx_id
+        self.log_op(chain, tx.kind, tx_id=tx_id)
+        return tx_id
 
     def seal_block(self, chain: ChainId) -> BlockHeader:
         state = self._chain(chain)

@@ -3,8 +3,10 @@
 One hash-timelock rule governs every lock, an HtlcLock and each channel
 leg alike: a Locked lock is claimed with a preimage whose digest is its
 hash condition strictly before its timeout (`_claim`), or refunded at or
-after the timeout (`_refund`). A lock that is not Locked raises NotLocked,
-which is a WrongPhase, so channel callers catch both as WrongPhase.
+after the timeout (`_check_refund`, which `_refund` and `refund_eligible`
+apply; `chan_refund` applies it to every named leg before refunding any).
+A lock that is not Locked raises NotLocked, which is a WrongPhase, so
+channel callers catch both as WrongPhase.
 
 An HtlcLock escrows exactly one value or one asset. Escrow leaves a
 contract exactly once.
@@ -25,7 +27,7 @@ re-enters Open with its sequence preserved, so further updates and
 settlements need no reopening. A refund cancels the lock without moving
 anything; the channel likewise continues.
 
-All on-chain steps are logged with weights from the calibrated cost table;
+All on-chain steps are logged with the calibrated weights of `costs`;
 state updates are purely off-chain and log nothing.
 """
 
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import canonical
-from .costs import CostTable  # re-exported as part of this module's surface
 from .errors import (
     BadSignature,
     BadTimeouts,
@@ -56,7 +57,6 @@ from .primitives import KeyPair, digest, sign, verify_sig
 from .xauth import has_acceptance
 
 __all__ = [
-    "CostTable",
     "HtlcLock",
     "ChannelState",
     "ChannelLeg",
@@ -182,12 +182,17 @@ def _claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
     lock.state = "Unlocked"
 
 
-def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
-    """Refund a Locked lock at or after its timeout."""
+def _check_refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
+    """Raise unless the lock is Locked and `at` is at or after its timeout."""
     if lock.state != "Locked":
         raise NotLocked(f"{lock.contract_id} is {lock.state}")
     if at < lock.timeout:
         raise NotYetExpired(f"refund at {at} before timeout {lock.timeout}")
+
+
+def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
+    """Refund a Locked lock at or after its timeout."""
+    _check_refund(lock, at)
     lock.state = "Refunded"
 
 
@@ -208,7 +213,11 @@ def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> dict:
 
 
 def refund_eligible(lock: HtlcLock, clock: int) -> bool:
-    return lock.state == "Locked" and clock >= lock.timeout
+    try:
+        _check_refund(lock, clock)
+    except (NotLocked, NotYetExpired):
+        return False
+    return True
 
 
 # ----------------------------------------------------------------- channel --
@@ -543,9 +552,12 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
 
 
 def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: Optional[str] = None) -> Channel:
-    """Refund one leg (leg="assets" or "funds") or, with no leg named, both."""
+    """Refund one leg (leg="assets" or "funds") or, with no leg named, both;
+    every named leg is checked before any is refunded."""
     at = world.clock if at is None else at
     legs = [leg] if leg else ["assets", "funds"]
+    for name in legs:
+        _check_refund(channel.leg(name), at)
     for name in legs:
         refund_leg(world, channel, name, at)
     return channel

@@ -30,7 +30,7 @@ from .errors import (
     SpvFailed,
     TxNotInBlock,
 )
-from .identity import did_resolve
+from .identity import controlled_did, issuer_status
 from .ledger import BlockHeader, ChainId, Transaction, World, header_links
 from .primitives import (
     KeyPair,
@@ -216,9 +216,10 @@ def anchor(
 ) -> tuple[bytes, Optional[BlockHeader]]:
     """Submit the commitment transaction; by default seal it into a block and
     return the containing header."""
-    issuer_did = world.controller_index.get(canonical.to_hex(issuer.pk))
-    if issuer_did is None or did_resolve(world, issuer_did).status != "Active":
-        raise IssuerDeactivated("anchoring key does not control an active did")
+    try:
+        controlled_did(world, issuer.pk)
+    except NotFound:
+        raise IssuerDeactivated("anchoring key does not control an active did") from None
     # a nonce may serve one (asset, epoch) pair only
     slot = (commitment.asset_id, commitment.epoch, commitment.nonce)
     if slot in world.anchor_nonces:
@@ -288,12 +289,9 @@ def authenticate(
         raise CommitmentMismatch("token binding differs from anchored commitment")
     checks.append("commitment")
 
-    try:
-        issuer_doc = did_resolve(world, presentation.issuer)
-    except NotFound:
-        raise IssuerDeactivated(f"issuer {presentation.issuer} is not registered") from None
-    if issuer_doc.status != "Active":
-        raise IssuerDeactivated(f"issuer {presentation.issuer} is deactivated")
+    status = issuer_status(world, presentation.issuer)
+    if status is not None:
+        raise IssuerDeactivated(f"{status}({presentation.issuer})")
     checks.append("issuer_active")
 
     failure = consulted_status(world, presentation)

@@ -36,6 +36,14 @@ def test_run_chains_key_rejected_exit_two(tmp_path):
     assert "unknown config keys: ['chains']" in result.output
 
 
+def test_run_unknown_params_exit_two(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cost_compare", "params": {"n_values": [1]}}))
+    result = invoke("run", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "unknown params for cost_compare: ['n_values']" in result.output
+
+
 def test_run_malformed_config_exit_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -25,6 +25,7 @@ from xrwa.errors import (
     Expired,
     IssuerDeactivated,
     MissingField,
+    NotFound,
     NotOwner,
     UnknownSelector,
 )
@@ -415,3 +416,72 @@ def test_verify_rejects_out_of_range_status_index(setup):
 
     failure = status_clear(world, ref, "asset")
     assert failure is not None and failure.reason == "StatusIndexOutOfRange"
+
+
+# ------------------------------------------------ issuer-authority checks ----
+
+def flip_first_byte(raw: bytes) -> bytes:
+    return bytes([raw[0] ^ 1]) + raw[1:]
+
+
+def with_proof(cred, name, **changes):
+    """The credential with one of its five proofs ("top" or a section) changed."""
+    if name == "top":
+        return dataclasses.replace(cred, top_proof=dataclasses.replace(cred.top_proof, **changes))
+    proofs = dict(cred.section_proofs)
+    proofs[name] = dataclasses.replace(proofs[name], **changes)
+    return dataclasses.replace(cred, section_proofs=proofs)
+
+
+@pytest.mark.parametrize("name", [*credential.SECTIONS, "top"])
+def test_audit_flipped_proof_signature_names_the_proof(setup, name):
+    world, _, _, cred = setup
+    proof = cred.top_proof if name == "top" else cred.section_proofs[name]
+    forged = with_proof(cred, name, proof_value=flip_first_byte(proof.proof_value))
+    result = audit_credential(world, forged)
+    assert (result.reason, result.detail) == ("BadIssuerSignature", name)
+
+
+@pytest.mark.parametrize("name", credential.SECTIONS)
+def test_audit_section_proof_naming_foreign_issuer_is_mismatch(setup, name):
+    world, _, _, cred = setup
+    foreign, _ = identity.did_create(world, keygen(digest(b"foreign-issuer")))
+    result = audit_credential(world, with_proof(cred, name, issuer=foreign.text))
+    assert (result.reason, result.detail) == ("IssuerMismatch", name)
+
+
+@pytest.mark.parametrize("name", credential.SECTIONS)
+def test_audit_unknown_section_key_version_reads_key_version_unknown(setup, name):
+    # the same reason the top proof gives for a key version the issuer never had
+    world, _, _, cred = setup
+    proof = cred.section_proofs[name]
+    forged = with_proof(cred, name, issuer_key_version=proof.issuer_key_version + 7)
+    result = audit_credential(world, forged)
+    assert (result.reason, result.detail) == ("IssuerKeyVersionUnknown", cred.issuer)
+
+
+def test_audit_section_proof_naming_unregistered_issuer_is_mismatch(setup):
+    world, _, _, cred = setup
+    stranger = "did:xrwa:" + digest(b"never-registered").hex()
+    result = audit_credential(world, with_proof(cred, "custody", issuer=stranger))
+    assert (result.reason, result.detail) == ("IssuerMismatch", "custody")
+
+
+def test_audit_and_verify_read_issuer_status(setup):
+    world, issuer, holder, cred = setup
+    stranger = "did:xrwa:" + digest(b"never-registered").hex()
+    unknown = verify(world, prove(with_proof(cred, "top", issuer=stranger), holder, []))
+    assert (unknown.reason, unknown.detail) == ("IssuerUnknown", stranger)
+    pres = prove(cred, holder, ["asset.assetId"])
+    doc = identity.did_resolve(world, cred.issuer)
+    identity.did_deactivate(
+        world, cred.issuer, identity.deactivate_signature(issuer, cred.issuer, doc.version)
+    )
+    for result in (verify(world, pres), audit_credential(world, cred)):
+        assert (result.reason, result.detail) == ("IssuerDeactivated", cred.issuer)
+
+
+def test_issue_from_unregistered_key_not_found(setup):
+    world, _, holder, _ = setup
+    with pytest.raises(NotFound):
+        issue(world, request(fixture_items("Gold"), holder), keygen(digest(b"nobody")))

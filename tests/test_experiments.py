@@ -43,6 +43,20 @@ def test_config_from_file(tmp_path):
     assert config.seed == 9
 
 
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("cost_compare", {"n_values": [1]}),
+        ("e2e", {"update": 2}),
+        ("spv_bench", {"sizes": [32], "rep": 10}),
+        ("vc_bench", {"n_creds": 1, "iterations": 1, "worker": 1}),
+    ],
+)
+def test_unknown_params_rejected(experiment, params):
+    with pytest.raises(ConfigError, match="unknown params"):
+        run(ScenarioConfig(experiment=experiment, params=params))
+
+
 def test_config_relay_policy_positive():
     with pytest.raises(ConfigError):
         ScenarioConfig(relay_policy=0)

@@ -5,7 +5,7 @@ import pytest
 
 from xrwa import canonical, settlement
 from xrwa.atomicity import explore_schedules, fuzz_schedules, run_schedule, Schedule
-from xrwa.costs import CostTable
+from xrwa.costs import DEFAULT_WEIGHTS
 from xrwa.errors import (
     BadSignature,
     BadTimeouts,
@@ -349,6 +349,17 @@ def test_refund_c2_at_t2_then_c1_before_t1_rejected(world):
     assert ch.phase == "Open"
 
 
+def test_refund_both_legs_refused_before_t1_moves_nothing(world):
+    # past t2 but before t1: the assets leg could refund, the funds leg cannot
+    ch = locked_channel(world, t1=8, t2=5)
+    with pytest.raises(NotYetExpired):
+        chan_refund(world, ch, at=6)
+    assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
+    assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
+    chan_refund(world, ch, at=8)
+    assert ch.phase == "Open"
+
+
 def test_refund_unknown_leg_name_rejected(world):
     ch = locked_channel(world, t1=8, t2=5)
     with pytest.raises(ValueError):
@@ -473,17 +484,18 @@ def test_route_bytes_pinned(route, n, world_hex, op_log_hex):
 # ------------------------------------------------------------- cost table ----
 
 def test_default_cost_table_calibration():
-    table = CostTable()
-    w = table.weights
+    w = DEFAULT_WEIGHTS
     assert 2 * (w["htlc_lock"] + w["htlc_unlock"]) == 465_426
     assert 2 * (w["chan_open"] + w["chan_lock"] + w["chan_unlock"]) == 917_253
+    for kind in settlement.HTLC_KINDS + settlement.CHANNEL_KINDS + ("anchor", "acceptance"):
+        assert w[kind] > 0, kind
 
 
-def test_cost_table_rejects_broken_calibration():
+def test_unknown_op_kind_has_no_cost_weight(world):
+    before = list(world.op_log)
     with pytest.raises(CostTableError):
-        CostTable(weights={"htlc_lock": 1})
-    with pytest.raises(CostTableError):
-        CostTable(weights={"chan_open": -5})
+        world.log_op("C1", "teleport")
+    assert world.op_log == before
 
 
 def test_cost_report_full_htlc_interaction(world):

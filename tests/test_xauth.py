@@ -7,10 +7,12 @@ import pytest
 
 from xrwa import canonical, credential, identity, xauth
 from xrwa.errors import (
+    BadSignature,
     CommitmentMismatch,
     InvalidPresentation,
     IssuerDeactivated,
     JurisdictionBlocked,
+    NotFound,
     Revoked,
     SpvFailed,
     TxNotInBlock,
@@ -346,3 +348,47 @@ def test_anchor_nonce_unique_per_asset_epoch(flow):
     # different nonce, same asset and epoch: fine
     c2 = xauth.make_commitment(world, "C1", pres, tb, 9, b"\x0d" * 16)
     xauth.anchor(world, "C1", c2, issuer)
+
+
+def test_authenticate_after_issuer_deactivated_rejected(flow):
+    world, issuer, _, cred, pres = flow
+    _, tx, proof = anchored(world, issuer, pres, cred)
+    doc = identity.did_resolve(world, cred.issuer)
+    identity.did_deactivate(
+        world, cred.issuer, identity.deactivate_signature(issuer, cred.issuer, doc.version)
+    )
+    with pytest.raises(IssuerDeactivated):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    assert not xauth.has_acceptance(world, "C2", cred.asset["assetId"])
+
+
+def test_key_rotated_away_refused_by_issue_anchor_and_revoke(flow):
+    world, issuer, holder, cred, pres = flow
+    commitment = xauth.make_commitment(
+        world, "C1", pres, cred.asset["tokenBinding"], 1, b"\x0e" * 16
+    )
+    successor = keygen(digest(b"rotated-issuer"))
+    doc = identity.did_resolve(world, cred.issuer)
+    rotated = dataclasses.replace(
+        doc,
+        version=doc.version + 1,
+        controller_pk=successor.pk,
+        verification_methods=(("key-1", successor.pk),),
+    )
+    identity.did_update(world, cred.issuer, rotated, identity.update_signature(issuer, rotated))
+    rev = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
+    susp = world.status_lists[rev.uri.rsplit(":", 1)[0] + ":suspension"]
+    with pytest.raises(NotFound):
+        credential.issue(world, credential.request(fixture_items("Gold"), holder), issuer)
+    with pytest.raises(IssuerDeactivated):
+        xauth.anchor(world, "C1", commitment, issuer)
+    with pytest.raises(BadSignature):
+        credential.revoke(world, rev, cred, "asset", issuer)
+    with pytest.raises(BadSignature):
+        credential.reinstate(world, susp, cred, "asset", issuer)
+    assert not rev.bit(cred.status_ref("asset")["statusListIndex"])
+    # the successor key holds the same authority at the new key version
+    again = credential.issue(world, credential.request(fixture_items("Gold"), holder), successor)
+    assert again.issuer == cred.issuer and again.top_proof.issuer_key_version == rotated.version
+    xauth.anchor(world, "C1", commitment, successor)
+    credential.revoke(world, rev, cred, "asset", successor)
