@@ -31,6 +31,10 @@ class EmptyPool(XrwaError):
     """seal_block called while the pending pool is empty."""
 
 
+class ReplayedTransaction(XrwaError):
+    """A chain already accepted a transaction with this (sender, nonce) pair."""
+
+
 # --- identity -------------------------------------------------------------
 
 class DuplicateController(XrwaError):

@@ -26,6 +26,7 @@ from .errors import (
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
+    ReplayedTransaction,
     UnknownChain,
 )
 from .primitives import KeyPair, digest, keygen, merkle_root, sign, verify_sig
@@ -73,9 +74,6 @@ class Transaction:
     @property
     def tx_id(self) -> bytes:
         return digest(self.payload_bytes())
-
-    def verify(self) -> bool:
-        return verify_sig(self.sender, self.payload_bytes(), self.sig)
 
     @classmethod
     def make(cls, kind: str, body: dict, keypair: KeyPair, nonce: str) -> "Transaction":
@@ -148,8 +146,12 @@ def header_links(prev: BlockHeader | None, header: BlockHeader) -> bool:
 
 @dataclass
 class Block:
+    """Sealed transactions with the ids the ledger verified at submit;
+    `tx_ids[i]` is the id of `txs[i]` and the Merkle leaf at index i."""
+
     header: BlockHeader
     txs: list[Transaction]
+    tx_ids: list[bytes]
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,9 @@ class OpRecord:
 class _ChainState:
     blocks: list[Block] = field(default_factory=list)
     pending: list[Transaction] = field(default_factory=list)
+    pending_ids: list[bytes] = field(default_factory=list)
+    # (sender, nonce) of every transaction accepted, pending or sealed
+    sender_nonces: set[tuple[bytes, str]] = field(default_factory=set)
     balances: dict[str, int] = field(default_factory=dict)
     holdings: dict[str, set[str]] = field(default_factory=dict)
     contracts: dict[str, Any] = field(default_factory=dict)
@@ -310,19 +315,28 @@ class World:
             "genesis", {"chain": chain}, self.treasury, nonce=f"genesis-{chain}"
         )
         state = self._chain(chain)
+        tx_id = tx.tx_id
         header = BlockHeader(
             chain=chain,
             height=0,
             prev=GENESIS_PREV,
-            merkle_root=merkle_root([tx.tx_id]),
+            merkle_root=merkle_root([tx_id]),
             timestamp=self.clock,
         )
-        state.blocks.append(Block(header=header, txs=[tx]))
+        state.blocks.append(Block(header=header, txs=[tx], tx_ids=[tx_id]))
+        state.sender_nonces.add((tx.sender, tx.nonce))
 
     def submit_tx(self, chain: ChainId, tx: Transaction) -> bytes:
+        """Verify and apply `tx`, queue it for the next block and return its
+        id. The signature is checked over the same bytes that are hashed
+        into the id, so the id the block keeps is the one verified here."""
         state = self._chain(chain)
-        if not tx.verify():
+        payload = tx.payload_bytes()
+        if not verify_sig(tx.sender, payload, tx.sig):
             raise BadSignature("transaction signature does not verify under sender")
+        pair = (tx.sender, tx.nonce)
+        if pair in state.sender_nonces:
+            raise ReplayedTransaction(f"{chain} already accepted nonce {tx.nonce!r} from this sender")
         sender = canonical.to_hex(tx.sender)
         if tx.kind == "transfer":
             amount = int(tx.body["amount"])
@@ -335,8 +349,10 @@ class World:
             dest = tx.body["to"]
             state.balances[sender] = state.balances.get(sender, 0) - amount
             state.balances[dest] = state.balances.get(dest, 0) + amount
+        tx_id = digest(payload)
         state.pending.append(tx)
-        tx_id = tx.tx_id
+        state.pending_ids.append(tx_id)
+        state.sender_nonces.add(pair)
         self.log_op(chain, tx.kind, tx_id=tx_id)
         return tx_id
 
@@ -350,11 +366,11 @@ class World:
             chain=chain,
             height=len(state.blocks),
             prev=prev,
-            merkle_root=merkle_root([tx.tx_id for tx in state.pending]),
+            merkle_root=merkle_root(state.pending_ids),
             timestamp=self.clock,
         )
-        state.blocks.append(Block(header=header, txs=list(state.pending)))
-        state.pending.clear()
+        state.blocks.append(Block(header=header, txs=state.pending, tx_ids=state.pending_ids))
+        state.pending, state.pending_ids = [], []
         return header
 
     def advance_clock(self, ticks: int) -> int:
@@ -365,9 +381,10 @@ class World:
 
     def find_tx(self, chain: ChainId, tx_id: bytes) -> tuple[Block, int] | None:
         for block in self._chain(chain).blocks:
-            for i, tx in enumerate(block.txs):
-                if tx.tx_id == tx_id:
-                    return block, i
+            try:
+                return block, block.tx_ids.index(tx_id)
+            except ValueError:
+                continue
         return None
 
     def header_at(self, chain: ChainId, height: int) -> BlockHeader:
@@ -453,17 +470,28 @@ class World:
         return digest(canonical.dumps_bytes(self.snapshot()))
 
     def check_header_chains(self) -> None:
+        """Audit every chain: header linkage from genesis, each block's stored
+        ids and Merkle root against ids recomputed from its transactions, and
+        no (sender, nonce) pair in more than one sealed transaction."""
         for label, state in self.chains.items():
             prev = None
+            pairs: set[tuple[bytes, str]] = set()
             for k, block in enumerate(state.blocks):
                 if not header_links(prev, block.header):
                     raise InvariantViolation(f"broken header linkage on {label} at {k}")
                 prev = block.header
-                want = merkle_root([tx.tx_id for tx in block.txs])
-                if block.header.merkle_root != want:
+                ids = [tx.tx_id for tx in block.txs]
+                if block.tx_ids != ids:
+                    raise InvariantViolation(f"stored tx ids disagree on {label} at {k}")
+                if block.header.merkle_root != merkle_root(ids):
                     raise InvariantViolation(
                         f"header root mismatch on {label} at {block.header.height}"
                     )
+                for tx in block.txs:
+                    pair = (tx.sender, tx.nonce)
+                    if pair in pairs:
+                        raise InvariantViolation(f"replayed transaction on {label} at {k}")
+                    pairs.add(pair)
 
     def check_light_client_prefix(self) -> None:
         for (observer, observed), view in self.relayed.items():

@@ -183,15 +183,19 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerklePath:
 
 
 def merkle_verify(leaf: bytes, path: MerklePath, root: bytes) -> bool:
-    """Recompute the path from leaf to root; True iff it lands on root."""
+    """Recompute the path from leaf to root; True iff it lands on root.
+
+    The path's position is pinned: `leaf_index` must lie in
+    [0, 2**len(siblings)) and bit k of it must name the side of sibling k
+    (1: the sibling is on the left), so one proof proves one position."""
+    if not 0 <= path.leaf_index < 1 << len(path.siblings):
+        return False
     node = leaf
-    for sibling, side in path.siblings:
-        if side == "left":
-            node = node_digest(sibling, node)
-        elif side == "right":
-            node = node_digest(node, sibling)
-        else:
+    for k, (sibling, side) in enumerate(path.siblings):
+        on_left = path.leaf_index >> k & 1
+        if side != ("left" if on_left else "right"):
             return False
+        node = node_digest(sibling, node) if on_left else node_digest(node, sibling)
     return node == root
 
 

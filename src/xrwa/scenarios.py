@@ -94,7 +94,7 @@ def run_e2e(
             world.relay_header(dest, source, world.header_at(source, len(view)))
     world.relay_chain(dest, source)
     proof = xauth.spv_prove(world, tx_id, (source, header.height))
-    tx = next(t for t in world.chains[source].blocks[header.height].txs if t.tx_id == tx_id)
+    tx = world.chains[source].blocks[header.height].txs[proof.path.leaf_index]
     record = xauth.authenticate(world, dest, tx, proof, presentation)
 
     # burn-and-reissue migration: the token now lives on the destination chain

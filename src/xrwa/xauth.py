@@ -236,8 +236,7 @@ def anchor(
 def spv_prove(world: World, tx_id: bytes, header_ref: tuple[ChainId, int]) -> SpvProof:
     chain, height = header_ref
     header = world.header_at(chain, height)
-    block = world.chains[chain].blocks[height]
-    leaves = [tx.tx_id for tx in block.txs]
+    leaves = world.chains[chain].blocks[height].tx_ids
     try:
         index = leaves.index(tx_id)
     except ValueError:

@@ -9,10 +9,11 @@ from xrwa.errors import (
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
+    ReplayedTransaction,
     UnknownChain,
 )
 from xrwa.ledger import BlockHeader, Transaction, World, WorldConfig
-from xrwa.primitives import digest, keygen, merkle_root
+from xrwa.primitives import digest, keygen, merkle_prove, merkle_root
 
 
 @pytest.fixture
@@ -319,3 +320,133 @@ def test_snapshot_is_canonical_json_stable(world, alice):
     s2 = canonical.dumps(world.snapshot())
     assert s1 == s2
     assert canonical.loads(s1) == world.snapshot()
+
+
+# ---------------------------------------------------------------- replay ----
+
+def test_replayed_transfer_refused(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    tx = transfer(world, alice, bob, 4)
+    world.submit_tx("C1", tx)
+    with pytest.raises(ReplayedTransaction):
+        world.submit_tx("C1", tx)
+    assert world.balance("C1", bob.pk) == 4
+    assert world.balance("C1", alice.pk) == 6
+    assert world.chains["C1"].pending == [tx]
+
+
+def test_sealed_pair_refused_even_with_other_body(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    tx = transfer(world, alice, bob, 4)
+    world.submit_tx("C1", tx)
+    world.seal_block("C1")
+    n_ops = len(world.op_log)
+    for again in (tx, Transaction.make("transfer", {"to": canonical.to_hex(bob.pk), "amount": 1},
+                                       alice, tx.nonce)):
+        with pytest.raises(ReplayedTransaction):
+            world.submit_tx("C1", again)
+    assert world.balance("C1", bob.pk) == 4
+    assert world.chains["C1"].pending == []
+    assert len(world.op_log) == n_ops
+
+
+def test_replay_guard_is_per_chain(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    world.mint("C2", alice.pk, 10)
+    tx = transfer(world, alice, bob, 4)
+    world.submit_tx("C1", tx)
+    world.submit_tx("C2", tx)
+    assert world.balance("C2", bob.pk) == 4
+
+
+def test_duplicated_last_tx_block_fails_audit(world, alice):
+    """CVE-2012-2459: [a, b, c, c] has the Merkle root of [a, b, c]."""
+    world.mint("C1", alice.pk, 10)
+    for _ in range(3):
+        world.submit_tx("C1", transfer(world, alice, alice, 0))
+    world.seal_block("C1")
+    world.check_all()
+    block = world.chains["C1"].blocks[-1]
+    block.txs.append(block.txs[-1])
+    block.tx_ids.append(block.tx_ids[-1])
+    assert merkle_root(block.tx_ids) == block.header.merkle_root
+    with pytest.raises(InvariantViolation, match="replayed"):
+        world.check_all()
+
+
+# ------------------------------------------------------------ stored ids ----
+
+def sealed_block(world, kp, n):
+    """Seal one block of n zero-amount self-transfers from kp on C1."""
+    for i in range(n):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(kp.pk), "amount": 0}, kp, f"n{i}"),
+        )
+    world.seal_block("C1")
+    return world.chains["C1"].blocks[-1]
+
+
+def test_check_all_catches_body_edited_after_seal(world, alice):
+    block = sealed_block(world, alice, 3)
+    world.check_all()
+    block.txs[1].body["amount"] = 5
+    with pytest.raises(InvariantViolation, match="stored tx ids"):
+        world.check_all()
+
+
+@pytest.mark.parametrize("how", ["replaced", "swapped"])
+def test_check_all_catches_edited_stored_ids(world, alice, how):
+    block = sealed_block(world, alice, 3)
+    if how == "replaced":
+        block.tx_ids[1] = digest(b"not a transaction")
+    else:
+        block.tx_ids[0], block.tx_ids[1] = block.tx_ids[1], block.tx_ids[0]
+    with pytest.raises(InvariantViolation, match="stored tx ids"):
+        world.check_all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1025])
+def test_find_and_prove_agree_with_recomputed_ids(world, alice, n):
+    block = sealed_block(world, alice, n)
+    leaves = [tx.tx_id for tx in block.txs]
+    root, height = merkle_root(leaves), block.header.height
+    for i, tx_id in enumerate(leaves):
+        assert world.find_tx("C1", tx_id) == (block, i)
+        proof = xauth.spv_prove(world, tx_id, ("C1", height))
+        assert proof.path == merkle_prove(leaves, i)
+        assert proof.root == root
+
+
+def test_snapshot_and_digest_exclude_stored_ids(world, alice):
+    block = sealed_block(world, alice, 3)
+    snapshot, before = world.snapshot(), world.world_digest()
+    block.tx_ids.reverse()
+    assert world.snapshot() == snapshot
+    assert world.world_digest() == before
+
+
+def test_each_tx_encoded_once_at_submit_and_never_after(world, alice, monkeypatch):
+    txs = [
+        Transaction.make("transfer", {"to": canonical.to_hex(alice.pk), "amount": 0}, alice, f"n{i}")
+        for i in range(1000)
+    ]
+    encoded = []
+    payload_bytes = Transaction.payload_bytes
+
+    def counting(tx):
+        encoded.append(tx)
+        return payload_bytes(tx)
+
+    monkeypatch.setattr(Transaction, "payload_bytes", counting)
+    ids = []
+    for tx in txs:
+        encoded.clear()
+        ids.append(world.submit_tx("C1", tx))
+        assert encoded == [tx]
+    encoded.clear()
+    header = world.seal_block("C1")
+    for tx_id in ids:
+        world.find_tx("C1", tx_id)
+        xauth.spv_prove(world, tx_id, ("C1", header.height))
+    assert encoded == []

@@ -224,7 +224,8 @@ def test_tamper_law_exhaustive_small_trees():
 
         # flip every side flag; a duplicated-last-node sibling equals the
         # running hash, where left/right fold to the same parent, so those
-        # positions are not a detectable mutation and are skipped
+        # positions are skipped here (the position check rejects them; see
+        # test_proof_position_pinned_small_trees)
         running = leaves[i]
         for pos in range(len(path.siblings)):
             h, side = path.siblings[pos]
@@ -244,6 +245,27 @@ def test_tamper_law_exhaustive_small_trees():
         assert not prim.merkle_verify(
             leaves[i], path, bytes([root[0] ^ 0x01]) + root[1:]
         )
+
+
+def test_proof_position_pinned_small_trees():
+    """Each honest proof verifies at its own leaf index only, and flipping
+    any sibling side, a duplicated last node's included, is rejected."""
+    rng = random.Random(0xDC)
+    for n in range(1, 18):
+        leaves = rand_digests(rng, n)
+        root = prim.merkle_root(leaves)
+        for i in range(n):
+            path = prim.merkle_prove(leaves, i)
+            assert prim.merkle_verify(leaves[i], path, root)
+            for j in range(-1, 2 ** len(path.siblings) + 1):
+                if j != i:
+                    moved = prim.MerklePath(siblings=path.siblings, leaf_index=j)
+                    assert not prim.merkle_verify(leaves[i], moved, root)
+            for pos, (h, side) in enumerate(path.siblings):
+                sibs = list(path.siblings)
+                sibs[pos] = (h, "left" if side == "right" else "right")
+                flipped = prim.MerklePath(siblings=tuple(sibs), leaf_index=i)
+                assert not prim.merkle_verify(leaves[i], flipped, root)
 
 
 def test_wrong_tree_root_rejected():

@@ -392,3 +392,43 @@ def test_key_rotated_away_refused_by_issue_anchor_and_revoke(flow):
     assert again.issuer == cred.issuer and again.top_proof.issuer_key_version == rotated.version
     xauth.anchor(world, "C1", commitment, successor)
     credential.revoke(world, rev, cred, "asset", successor)
+
+
+# ------------------------------------------------------------ proof position ----
+
+def moved(proof_json, leaf_index=None, flip=None):
+    out = dict(proof_json, path=[dict(e) for e in proof_json["path"]])
+    if leaf_index is not None:
+        out["leafIndex"] = leaf_index
+    if flip is not None:
+        e = out["path"][flip]
+        e["side"] = "left" if e["side"] == "right" else "right"
+    return out
+
+
+@pytest.mark.parametrize("change", [
+    {"leaf_index": 2}, {"leaf_index": 7}, {"leaf_index": -1}, {"leaf_index": 8}, {"flip": 0},
+], ids=["index-2", "index-7", "index-negative", "index-8", "side-0"])
+def test_moved_proof_position_rejected(change):
+    """The last of seven leaves is its own sibling at the bottom level, so a
+    flipped side there still reaches the root; only the position check
+    catches it, and the changed leaf indices."""
+    world = World(WorldConfig(seed=8))
+    key = keygen(digest(b"positions"))
+    world.mint("C1", key.pk, 1)
+    for i in range(7):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(key.pk), "amount": 0}, key, f"p{i}"),
+        )
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    target = world.chains["C1"].blocks[header.height].txs[6]
+    good = xauth.spv_prove(world, target.tx_id, ("C1", header.height))
+    headers = [h.to_json() for h in world.relayed[("C2", "C1")]]
+    assert xauth.spv_verify(world, "C2", target, good)
+    assert xauth.offline_verify(good.to_json(), target.to_json(), headers)
+
+    bad = moved(good.to_json(), **change)
+    assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(bad))
+    assert not xauth.offline_verify(bad, target.to_json(), headers)
