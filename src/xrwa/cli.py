@@ -6,6 +6,7 @@ invariant is found broken.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -15,14 +16,7 @@ import click
 from . import xauth
 from .credential import canonical_serialize
 from .errors import ConfigError, InvariantViolation, XrwaError
-from .experiments import (
-    MetricsReport,
-    ScenarioConfig,
-    bench_spv,
-    bench_vc,
-    cost_compare,
-    run as run_experiment,
-)
+from .experiments import EXPERIMENTS, MetricsReport, ScenarioConfig, run as run_experiment
 from .fixtures import FIXTURE_TYPES, issue_fixture_set
 
 EXIT_CONFIG = 2
@@ -55,9 +49,39 @@ def _guarded(fn):
         sys.exit(1)
 
 
+def _run(out: str | None, fmt: str, config) -> None:
+    _guarded(lambda: _emit(run_experiment(config()), out, fmt))
+
+
+def _bench(out: str | None, fmt: str, seed: int, experiment: str, **options) -> None:
+    """Run `experiment` with the options the user passed. One left out is
+    None and is not passed on, so its value is the default in the
+    experiment's signature."""
+    params = {k: v for k, v in options.items() if v is not None}
+    _run(out, fmt, lambda: ScenarioConfig(seed=seed, experiment=experiment, params=params))
+
+
+def _int_list(ctx, param, text: str | None) -> list[int] | None:
+    if text is None:
+        return None
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise click.BadParameter(f"not a comma-separated list of integers: {text!r}") from None
+
+
+def param_option(flag: str, experiment: str, name: str, help: str = "", **kwargs):
+    """An option for one experiment param. It defaults to None, so a value
+    the user leaves out is not passed on; the default shown in the help is
+    read from the experiment's signature."""
+    default = inspect.signature(EXPERIMENTS[experiment]).parameters[name].default
+    shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+    return click.option(flag, name, help=f"{help}  [default: {shown}]".strip(), **kwargs)
+
+
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-seed_option = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=42, show_default=True)
+seed_option = click.option("--seed", type=int, default=ScenarioConfig.seed, show_default=True)
 
 
 @click.group()
@@ -72,65 +96,39 @@ def main() -> None:
 @format_option
 def run_cmd(config_path: str | None, seed: int, out: str | None, fmt: str) -> None:
     """Run a configured experiment (default: the end-to-end trade)."""
-
-    def body():
-        if config_path:
-            config = ScenarioConfig.from_file(config_path)
-        else:
-            config = ScenarioConfig(seed=seed)
-        report = run_experiment(config)
-        _emit(report, out, fmt)
-
-    _guarded(body)
+    _run(out, fmt, lambda: ScenarioConfig.from_file(config_path) if config_path else ScenarioConfig(seed=seed))
 
 
 @main.command("bench-vc")
-@click.option("--creds", type=click.IntRange(min=1), default=500, show_default=True, help="Credentials per worker iteration set.")
-@click.option("--iterations", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=8, show_default=True)
+@param_option("--creds", "vc_bench", "n_creds", type=int, help="Credentials per iteration.")
+@param_option("--iterations", "vc_bench", "iterations", type=int)
 @seed_option
 @out_option
 @format_option
-def bench_vc_cmd(creds: int, iterations: int, workers: int, seed: int, out: str | None, fmt: str) -> None:
+def bench_vc_cmd(n_creds: int | None, iterations: int | None, seed: int, out: str | None, fmt: str) -> None:
     """Benchmark credential issuance and verification latency."""
-    _guarded(lambda: _emit(bench_vc(creds, iterations, workers, seed), out, fmt))
+    _bench(out, fmt, seed, "vc_bench", n_creds=n_creds, iterations=iterations)
 
 
 @main.command("bench-spv")
-@click.option("--sizes", default=",".join(str(2**k) for k in range(5, 14)), show_default=True, help="Comma-separated leaf counts.")
-@click.option("--reps", type=click.IntRange(min=10), default=10_000, show_default=True)
+@param_option("--sizes", "spv_bench", "sizes", callback=_int_list, help="Comma-separated leaf counts.")
+@param_option("--reps", "spv_bench", "reps", type=int)
 @seed_option
 @out_option
 @format_option
-def bench_spv_cmd(sizes: str, reps: int, seed: int, out: str | None, fmt: str) -> None:
+def bench_spv_cmd(sizes: list[int] | None, reps: int | None, seed: int, out: str | None, fmt: str) -> None:
     """Benchmark inclusion-proof verification across block sizes."""
-
-    def body():
-        try:
-            parsed = [int(s) for s in sizes.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --sizes list: {sizes!r}") from None
-        _emit(bench_spv(parsed, reps, seed), out, fmt)
-
-    _guarded(body)
+    _bench(out, fmt, seed, "spv_bench", sizes=sizes, reps=reps)
 
 
 @main.command("cost-compare")
-@click.option("--n", "n_values", default="1,2,5,10,100", show_default=True, help="Comma-separated interaction counts.")
+@param_option("--n", "cost_compare", "n", callback=_int_list, help="Comma-separated interaction counts.")
 @seed_option
 @out_option
 @format_option
-def cost_compare_cmd(n_values: str, seed: int, out: str | None, fmt: str) -> None:
+def cost_compare_cmd(n: list[int] | None, seed: int, out: str | None, fmt: str) -> None:
     """Compare per-route settlement cost totals from simulated op counts."""
-
-    def body():
-        try:
-            parsed = [int(s) for s in n_values.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --n list: {n_values!r}") from None
-        _emit(cost_compare(parsed, seed), out, fmt)
-
-    _guarded(body)
+    _bench(out, fmt, seed, "cost_compare", n=n)
 
 
 @main.command("fixtures")

@@ -52,6 +52,7 @@ from .primitives import KeyPair, digest, length_prefixed, sign, verify_sig
 __all__ = [
     "SECTIONS",
     "StatusList",
+    "status_list_uri",
     "SectionProof",
     "CredentialRequest",
     "CompositeCredential",
@@ -108,6 +109,13 @@ STATUS_LIST_CAPACITY = 4096
 
 # ------------------------------------------------------------ status lists --
 
+def status_list_uri(issuer_did: str, purpose: str) -> str:
+    """Where the issuer's status list of `purpose` ("Revocation" or
+    "Suspension") lives in `World.status_lists`."""
+    suffix = Did.parse(issuer_did).id_string[:16]
+    return f"urn:xrwa:status:{suffix}:{purpose.lower()}"
+
+
 @dataclass
 class StatusList:
     """Issuer-owned bit list; one bit per allocated section index."""
@@ -120,8 +128,7 @@ class StatusList:
 
     @property
     def uri(self) -> str:
-        suffix = Did.parse(self.issuer).id_string[:16]
-        return f"urn:xrwa:status:{suffix}:{self.purpose.lower()}"
+        return status_list_uri(self.issuer, self.purpose)
 
     def bit(self, index: int) -> int:
         if not 0 <= index < STATUS_LIST_CAPACITY:
@@ -156,15 +163,14 @@ class StatusList:
 
 def _issuer_lists(world: World, issuer_did: str) -> tuple[StatusList, StatusList]:
     """Fetch or create the issuer's revocation and suspension lists."""
-    lists = []
-    for purpose in ("Revocation", "Suspension"):
-        probe = StatusList(issuer=issuer_did, purpose=purpose)
-        existing = world.status_lists.get(probe.uri)
-        if existing is None:
-            world.status_lists[probe.uri] = probe
-            existing = probe
-        lists.append(existing)
-    return lists[0], lists[1]
+
+    def fetch(purpose: str) -> StatusList:
+        uri = status_list_uri(issuer_did, purpose)
+        if uri not in world.status_lists:
+            world.status_lists[uri] = StatusList(issuer=issuer_did, purpose=purpose)
+        return world.status_lists[uri]
+
+    return fetch("Revocation"), fetch("Suspension")
 
 
 # ------------------------------------------------- commitments and hashing --
@@ -679,8 +685,7 @@ def status_clear(world: World, status_ref: Mapping[str, Any], section: str) -> O
         return _fail("StatusIndexOutOfRange", section)
     if revocation.bit(index):
         return _fail("SectionRevoked", section)
-    susp_uri = rev_uri.rsplit(":", 1)[0] + ":suspension"
-    suspension = world.status_lists.get(susp_uri)
+    suspension = world.status_lists.get(status_list_uri(revocation.issuer, "Suspension"))
     if suspension is not None and suspension.bit(index):
         return _fail("SectionSuspended", section)
     return None

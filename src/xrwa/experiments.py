@@ -10,21 +10,24 @@ pass/fail thresholds.
 Timing methodology: monotonic clock, warmup iterations excluded, mean and
 P95 reported for latency benchmarks; scaling ratios use per-point
 best-batch floors over interleaved batches, which resist ambient load far
-better than means. Everything runs on one thread: the vc bench's worker
-shards run one after another, each on its own worlds, so no sample waits on
-another thread for the interpreter lock.
+better than means. Everything runs on one thread.
+
+`EXPERIMENTS` maps each experiment name to its function; the function's
+keyword parameters other than `seed` are the experiment's config `params`,
+and their defaults are the only ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import platform
 import random
 import time
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import canonical, credential, identity, scenarios, settlement
 from .costs import format_units
@@ -48,17 +51,9 @@ __all__ = [
     "bench_vc",
     "bench_spv",
     "cost_compare",
+    "e2e",
     "run",
 ]
-
-# experiment name -> the params keys `run` reads for it
-EXPERIMENT_PARAMS = {
-    "vc_bench": ("n_creds", "iterations", "workers"),
-    "spv_bench": ("sizes", "reps"),
-    "cost_compare": ("n",),
-    "e2e": ("updates",),
-}
-EXPERIMENTS = tuple(EXPERIMENT_PARAMS)
 
 REFERENCE_VC_LATENCY = {
     "issuanceMeanMs": 8.16,
@@ -77,21 +72,20 @@ REFERENCE_SPV = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 42
-    actors: dict[str, int] = field(default_factory=dict)
-    relay_policy: int = 1
     experiment: str = "e2e"
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-        if self.relay_policy < 1:
-            raise ConfigError("relay_policy must be a positive block count")
-        unknown = set(self.params) - set(EXPERIMENT_PARAMS[self.experiment])
+        _check_ints("seed", [self.seed], 0, 2**64 - 1)
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
+        # `seed` is a top-level key, so it is never one of the params
+        accepted = set(inspect.signature(EXPERIMENTS[self.experiment]).parameters) - {"seed"}
+        unknown = set(self.params) - accepted
         if unknown:
             raise ConfigError(f"unknown params for {self.experiment}: {sorted(unknown)}")
 
@@ -189,17 +183,40 @@ def _mean(samples: list[float]) -> float:
     return sum(samples) / len(samples)
 
 
+def _check_ints(name: str, values: Any, low: int, high: float = float("inf")) -> None:
+    """ConfigError unless `values` is a non-empty list of integers in
+    [low, high]; a scalar param is checked as a one-item list."""
+    if not (
+        isinstance(values, (list, tuple))
+        and values
+        and all(isinstance(v, int) and low <= v <= high for v in values)
+    ):
+        raise ConfigError(f"{name}: expected integers in [{low}, {high}], got {values!r}")
+
+
 # ---------------------------------------------------------------- vc bench --
 
-def _vc_shard(
-    worker_idx: int, n_creds: int, iterations: int, seed: int,
-    issue_ms: list[float], verify_ms: list[float],
-) -> None:
-    issuer = keygen(digest(b"bench-issuer" + worker_idx.to_bytes(4, "big")))
-    holder = keygen(digest(b"bench-holder" + worker_idx.to_bytes(4, "big")))
+def bench_vc(n_creds: int = 500, iterations: int = 10, seed: int = 42) -> MetricsReport:
+    """Issuance/verification latency plus per-type canonical sizes.
+
+    Sizes and counts are deterministic; latency is machine-dependent and
+    lands in the timing section. Each of the `iterations` issues and
+    verifies `n_creds` credentials on a fresh world.
+    """
+    _check_ints("n_creds", [n_creds], 1)
+    _check_ints("iterations", [iterations], 1)
+    sizes = {name: credential.measured_size_kb(c) for name, c in issue_fixture_set().items()}
+    rows = [{"type": name, "sizeKb": sizes[name]} for name in FIXTURE_TYPES]
+    average = round(sum(sizes.values()) / len(sizes), 2)
+    rows.append({"type": "Average", "sizeKb": average})
+
+    issuer = keygen(digest(b"bench-issuer"))
+    holder = keygen(digest(b"bench-holder"))
+    issue_ms: list[float] = []
+    verify_ms: list[float] = []
     for iteration in range(iterations):
         # fresh world per iteration: status lists never accumulate across runs
-        world = World(WorldConfig(seed=seed + worker_idx * 100_003 + iteration))
+        world = World(WorldConfig(seed=seed + iteration))
         identity.did_create(world, issuer)
         identity.did_create(world, holder)
         # one warmup op outside the measured loops
@@ -218,29 +235,6 @@ def _vc_shard(
             if not result.ok:
                 raise InvariantViolation(f"benchmark verification failed: {result}")
 
-
-def bench_vc(
-    n_creds: int = 500, iterations: int = 10, workers: int = 8, seed: int = 42
-) -> MetricsReport:
-    """Issuance/verification latency plus per-type canonical sizes.
-
-    Sizes and counts are deterministic; latency is machine-dependent and
-    lands in the timing section. The `workers` shards of `n_creds // workers`
-    credentials run one after another, each on its own worlds.
-    """
-    if n_creds < 1 or iterations < 1 or workers < 1:
-        raise ConfigError("n_creds, iterations and workers must all be >= 1")
-    sizes = {name: credential.measured_size_kb(c) for name, c in issue_fixture_set().items()}
-    rows = [{"type": name, "sizeKb": sizes[name]} for name in FIXTURE_TYPES]
-    average = round(sum(sizes.values()) / len(sizes), 2)
-    rows.append({"type": "Average", "sizeKb": average})
-
-    per_worker = max(n_creds // workers, 1)
-    issue_ms: list[float] = []
-    verify_ms: list[float] = []
-    for idx in range(workers):
-        _vc_shard(idx, per_worker, iterations, seed, issue_ms, verify_ms)
-
     return MetricsReport(
         experiment="vc_bench",
         rows=rows,
@@ -256,9 +250,7 @@ def bench_vc(
                 "p95Ms": round(_p95(verify_ms), 4),
                 "samples": len(verify_ms),
             },
-            "workers": workers,
             "iterations": iterations,
-            "credentialsPerWorkerIteration": per_worker,
         },
         annotations={
             "reference": REFERENCE_VC_LATENCY,
@@ -271,13 +263,15 @@ def bench_vc(
 # --------------------------------------------------------------- spv bench --
 
 def bench_spv(
-    sizes: Optional[list[int]] = None, reps: int = 10_000, seed: int = 42
+    sizes: Sequence[int] = tuple(2**k for k in range(5, 14)), reps: int = 10_000, seed: int = 42
 ) -> MetricsReport:
     """Inclusion-proof verification time across block sizes, with a
     least-squares fit against log2(n)."""
-    sizes = sizes or [2**k for k in range(5, 14)]
-    if any(not 2 <= n <= 2**20 for n in sizes):
-        raise ConfigError("spv bench sizes must lie in [2, 2^20]")
+    _check_ints("sizes", sizes, 2, 2**20)
+    if len(set(sizes)) < max(len(sizes), 2):
+        raise ConfigError(f"a fit against log2(n) needs two distinct sizes, each listed once, got {sizes!r}")
+    _check_ints("reps", [reps], 10)
+    sizes = list(sizes)
     rng = random.Random(seed)
     rows = []
     fixtures = []
@@ -295,7 +289,7 @@ def bench_spv(
     # alike; the per-point floor (best batch) is the low-noise estimator used
     # for the growth ratio, timeit-style
     batches = 10
-    per_batch = max(reps // batches, 1)
+    per_batch = reps // batches
     batch_means: dict[int, list[float]] = {n: [] for n in sizes}
     for _ in range(batches):
         for n, leaf, path, root in fixtures:
@@ -363,18 +357,17 @@ def bench_spv(
 
 # ------------------------------------------------------------ cost compare --
 
-def cost_compare(n_values: Optional[list[int]] = None, seed: int = 42) -> MetricsReport:
-    """Simulated op counts priced by the calibrated table, per route."""
-    n_values = n_values or [1, 2, 5, 10, 100]
-    if any(n < 1 for n in n_values):
-        raise ConfigError("interaction counts must be >= 1")
+def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> MetricsReport:
+    """Simulated op counts priced by the calibrated table, per route, for
+    each interaction count in `n`."""
+    _check_ints("interaction counts n", n, 1)
     rows = []
     crossover = None
-    for n in sorted(n_values):
-        htlc_world = scenarios.run_htlc_route(seed, n)
-        chan_world = scenarios.run_channel_route(seed, n)
-        htlc_report = settlement.cost_report(htlc_world, f"htlc-n{n}")
-        chan_report = settlement.cost_report(chan_world, f"channel-n{n}")
+    for count in sorted(n):
+        htlc_world = scenarios.run_htlc_route(seed, count)
+        chan_world = scenarios.run_channel_route(seed, count)
+        htlc_report = settlement.cost_report(htlc_world, f"htlc-n{count}")
+        chan_report = settlement.cost_report(chan_world, f"channel-n{count}")
         htlc_ops = sum(
             htlc_report.counts.get(k, 0) for k in settlement.HTLC_KINDS
         )
@@ -383,7 +376,7 @@ def cost_compare(n_values: Optional[list[int]] = None, seed: int = 42) -> Metric
         )
         rows.append(
             {
-                "n": n,
+                "n": count,
                 "htlc_total": htlc_report.htlc_total,
                 "channel_total": chan_report.channel_total,
                 "htlc_onchain_ops": htlc_ops,
@@ -391,7 +384,7 @@ def cost_compare(n_values: Optional[list[int]] = None, seed: int = 42) -> Metric
             }
         )
         if crossover is None and htlc_report.htlc_total > chan_report.channel_total:
-            crossover = n
+            crossover = count
     return MetricsReport(
         experiment="cost_compare",
         rows=rows,
@@ -407,46 +400,29 @@ def cost_compare(n_values: Optional[list[int]] = None, seed: int = 42) -> Metric
     )
 
 
-# -------------------------------------------------------------------- run --
+# -------------------------------------------------------------------- e2e --
 
-def run(config: ScenarioConfig) -> MetricsReport:
-    """Execute one configured experiment on a fresh world."""
-    params = dict(config.params)
-    if config.experiment == "vc_bench":
-        return bench_vc(
-            n_creds=params.get("n_creds", 500),
-            iterations=params.get("iterations", 10),
-            workers=params.get("workers", 8),
-            seed=config.seed,
-        )
-    if config.experiment == "spv_bench":
-        return bench_spv(
-            sizes=params.get("sizes"),
-            reps=params.get("reps", 10_000),
-            seed=config.seed,
-        )
-    if config.experiment == "cost_compare":
-        return cost_compare(n_values=params.get("n"), seed=config.seed)
-
-    out = scenarios.run_e2e(
-        seed=config.seed,
-        n_updates=params.get("updates", 50),
-        relay_every=config.relay_policy,
-        actor_seeds=config.actors or None,
-    )
+def e2e(
+    updates: int = 50, actors: Optional[dict[str, int]] = None, seed: int = 42
+) -> MetricsReport:
+    """The full cross-chain trade on a fresh world. `actors` maps an actor
+    name (issuer, holder, buyer) to the seed of its key, in place of `seed`."""
+    _check_ints("updates", [updates], 0)
+    actors = actors or {}
+    if not (isinstance(actors, dict) and set(actors) <= {"issuer", "holder", "buyer"}):
+        raise ConfigError(f"actors must map issuer, holder or buyer to a seed, got {actors!r}")
+    for name, actor_seed in actors.items():
+        _check_ints(f"{name} seed", [actor_seed], 0, 2**64 - 1)
+    out = scenarios.run_e2e(seed=seed, n_updates=updates, actor_seeds=actors)
     world: World = out["world"]
-    results = out["results"]
-    proof_bundle = out.get("proofBundle", {})
-    report = MetricsReport(
+    return MetricsReport(
         experiment="e2e",
-        rows=[results],
+        rows=[out["results"]],
         derived={
             "opLogDigest": canonical.to_hex(digest(world.op_log_csv().encode())),
             "worldDigest": canonical.to_hex(world.world_digest()),
-            "artifacts": proof_bundle,
+            "artifacts": out["proofBundle"],
         },
-        timing={},
-        annotations={},
         invariants={
             "checked": [
                 "header chains link",
@@ -457,4 +433,13 @@ def run(config: ScenarioConfig) -> MetricsReport:
             "ok": True,
         },
     )
-    return report
+
+
+# -------------------------------------------------------------------- run --
+
+EXPERIMENTS = {"vc_bench": bench_vc, "spv_bench": bench_spv, "cost_compare": cost_compare, "e2e": e2e}
+
+
+def run(config: ScenarioConfig) -> MetricsReport:
+    """Execute one configured experiment on a fresh world."""
+    return EXPERIMENTS[config.experiment](seed=config.seed, **config.params)

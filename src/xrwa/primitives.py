@@ -187,13 +187,16 @@ def merkle_verify(leaf: bytes, path: MerklePath, root: bytes) -> bool:
 
     The path's position is pinned: `leaf_index` must lie in
     [0, 2**len(siblings)) and bit k of it must name the side of sibling k
-    (1: the sibling is on the left), so one proof proves one position."""
+    (1: the sibling is on the left), so one proof proves one position.
+    A left sibling equal to the node is refused: padding duplicates only
+    ever sit on the right, so the last node of an odd-width level cannot
+    also verify at its duplicate's position."""
     if not 0 <= path.leaf_index < 1 << len(path.siblings):
         return False
     node = leaf
     for k, (sibling, side) in enumerate(path.siblings):
         on_left = path.leaf_index >> k & 1
-        if side != ("left" if on_left else "right"):
+        if side != ("left" if on_left else "right") or (on_left and sibling == node):
             return False
         node = node_digest(sibling, node) if on_left else node_digest(node, sibling)
     return node == root

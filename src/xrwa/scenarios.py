@@ -34,6 +34,9 @@ TRANSFER_DISCLOSURE = [
     "identity.attributes",
 ]
 
+# value paid per asset in the cost-comparison settlement routes
+PRICE_EACH = 1_000
+
 
 @dataclass(frozen=True)
 class Actors:
@@ -62,12 +65,7 @@ def _issue_on_source(world: World, actors: Actors, items: dict) -> credential.Co
     return cred
 
 
-def run_e2e(
-    seed: int = 42,
-    n_updates: int = 50,
-    relay_every: int = 1,
-    actor_seeds: dict[str, int] | None = None,
-) -> dict:
+def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None) -> dict:
     """Full trade: issue on the source chain, anchor, relay, authenticate on
     the destination, migrate the asset, then open a channel, negotiate
     off-chain, and settle one batch without closing the channel."""
@@ -85,13 +83,6 @@ def run_e2e(
         world, source, presentation, cred.asset["tokenBinding"], epoch, world.rng.randbytes(16)
     )
     tx_id, header = xauth.anchor(world, source, commitment, actors.issuer)
-    # relay policy: headers move in batches of `relay_every`; any remainder
-    # is flushed before authentication since relays must stay gapless
-    relay_every = max(relay_every, 1)
-    view = world.relayed.setdefault((dest, source), [])
-    while len(view) + relay_every <= header.height + 1:
-        for _ in range(relay_every):
-            world.relay_header(dest, source, world.header_at(source, len(view)))
     world.relay_chain(dest, source)
     proof = xauth.spv_prove(world, tx_id, (source, header.height))
     tx = world.chains[source].blocks[header.height].txs[proof.path.leaf_index]
@@ -162,7 +153,7 @@ def _settlement_world(seed: int, n_assets: int) -> tuple[World, Actors, list[str
     return world, actors, assets
 
 
-def run_htlc_route(seed: int, n: int, price_each: int = 1_000) -> World:
+def run_htlc_route(seed: int, n: int) -> World:
     """n cross-chain interactions over plain hash-timelock escrows: every
     interaction locks and unlocks on both chains."""
     world, actors, assets = _settlement_world(seed, n)
@@ -171,7 +162,7 @@ def run_htlc_route(seed: int, n: int, price_each: int = 1_000) -> World:
         cond = digest(rho)
         t1, t2 = world.clock + 4, world.clock + 2
         funds = settlement.htlc_lock(
-            world, "C1", actors.buyer.pk, actors.holder.pk, {"value": price_each}, cond, t1
+            world, "C1", actors.buyer.pk, actors.holder.pk, {"value": PRICE_EACH}, cond, t1
         )
         asset = settlement.htlc_lock(
             world, "C2", actors.holder.pk, actors.buyer.pk, {"asset": asset_id}, cond, t2
@@ -182,18 +173,18 @@ def run_htlc_route(seed: int, n: int, price_each: int = 1_000) -> World:
     return world
 
 
-def run_channel_route(seed: int, n: int, price_each: int = 1_000) -> World:
+def run_channel_route(seed: int, n: int) -> World:
     """n cross-chain interactions inside one channel: open once, negotiate n
     signed off-chain states, then a single lock/unlock settles the union."""
     world, actors, assets = _settlement_world(seed, n)
     channel = settlement.chan_open(
-        world, actors.buyer, actors.holder, price_each * n, list(assets)
+        world, actors.buyer, actors.holder, PRICE_EACH * n, list(assets)
     )
     for i in range(n):
         state = settlement.make_state(
             channel,
             batch=assets[: i + 1],
-            net_payment=price_each * (i + 1),
+            net_payment=PRICE_EACH * (i + 1),
             buyer=actors.buyer,
             seller=actors.holder,
         )

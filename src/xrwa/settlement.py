@@ -3,8 +3,8 @@
 One hash-timelock rule governs every lock, an HtlcLock and each channel
 leg alike: a Locked lock is claimed with a preimage whose digest is its
 hash condition strictly before its timeout (`_claim`), or refunded at or
-after the timeout (`_check_refund`, which `_refund` and `refund_eligible`
-apply; `chan_refund` applies it to every named leg before refunding any).
+after the timeout (`_check_refund`, which `_refund` applies; `chan_refund`
+applies it to every named leg before refunding any).
 A lock that is not Locked raises NotLocked, which is a WrongPhase, so
 channel callers catch both as WrongPhase.
 
@@ -65,7 +65,6 @@ __all__ = [
     "htlc_lock",
     "htlc_unlock",
     "htlc_refund",
-    "refund_eligible",
     "chan_open",
     "make_state",
     "sign_state",
@@ -210,14 +209,6 @@ def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> dict:
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
     return {"to": canonical.to_hex(lock.depositor), "escrow": lock.escrow, "at": at}
-
-
-def refund_eligible(lock: HtlcLock, clock: int) -> bool:
-    try:
-        _check_refund(lock, clock)
-    except (NotLocked, NotYetExpired):
-        return False
-    return True
 
 
 # ----------------------------------------------------------------- channel --

@@ -59,7 +59,7 @@ def test_criterion_spv_logarithmic_scaling():
 def test_criterion_cost_comparison():
     with criterion("cost-comparison", budget_s=10.0) as detail:
         ns = [1, 2, 5, 10, 100]
-        report = cost_compare(n_values=ns)
+        report = cost_compare(n=ns)
         by_n = {row["n"]: row for row in report.rows}
         for n in ns:
             assert by_n[n]["htlc_total"] == 465_426 * n, f"htlc total at n={n}"
@@ -147,7 +147,7 @@ def test_criterion_disclosure_revocation_matrix():
 def test_criterion_determinism():
     with criterion("determinism") as detail:
         # end-to-end scenario: byte-identical op logs and report rows
-        a, b = run_e2e(seed=77), run_e2e(seed=77)
+        a, b = run_e2e(seed=77, n_updates=50), run_e2e(seed=77, n_updates=50)
         assert a["world"].op_log_csv() == b["world"].op_log_csv()
         assert a["results"] == b["results"]
         # both settlement routes: byte-identical op logs

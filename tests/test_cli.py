@@ -36,6 +36,24 @@ def test_run_chains_key_rejected_exit_two(tmp_path):
     assert "unknown config keys: ['chains']" in result.output
 
 
+def test_run_removed_top_level_keys_exit_two(tmp_path):
+    # relay_policy changed nothing; actors is an e2e param now
+    for key, value in (("relay_policy", 3), ("actors", {"buyer": 9001})):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "e2e", key: value}))
+        result = invoke("run", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert f"unknown config keys: ['{key}']" in result.output
+
+
+def test_run_config_actors_param(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "e2e", "seed": 21, "params": {"actors": {"buyer": 9001}}}))
+    result = invoke("run", "--config", str(cfg))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["rows"][0]["acceptanceRecords"] == 1
+
+
 def test_run_unknown_params_exit_two(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "cost_compare", "params": {"n_values": [1]}}))
@@ -80,6 +98,25 @@ def test_bench_spv_bad_sizes_exit_two():
     assert invoke("bench-spv", "--sizes", "1,32", "--reps", "100").exit_code == 2
 
 
+def test_bench_spv_one_distinct_size_exit_two():
+    for sizes in ("32", "64,64"):
+        result = invoke("bench-spv", "--sizes", sizes, "--reps", "100")
+        assert result.exit_code == 2
+        assert "two distinct sizes" in result.output
+
+
+def test_bench_spv_reps_floor_exit_two():
+    assert invoke("bench-spv", "--sizes", "32,64", "--reps", "9").exit_code == 2
+
+
+def test_bench_spv_default_sizes():
+    result = invoke("bench-spv", "--reps", "100")
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["derived"]["sizes"] == [2**k for k in range(5, 14)]
+    assert [r["pathLength"] for r in report["rows"]] == list(range(5, 14))
+
+
 def test_bench_spv_quick_json():
     result = invoke("bench-spv", "--sizes", "32,64", "--reps", "100")
     assert result.exit_code == 0
@@ -88,10 +125,13 @@ def test_bench_spv_quick_json():
 
 
 def test_bench_vc_quick():
-    result = invoke("bench-vc", "--creds", "4", "--iterations", "1", "--workers", "2")
+    result = invoke("bench-vc", "--creds", "4", "--iterations", "1")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["derived"]["largestType"] == "RE"
+    assert report["timing"]["issuance"]["samples"] == 4
+    assert invoke("bench-vc", "--creds", "0").exit_code == 2
+    assert invoke("bench-vc", "--workers", "2").exit_code == 2
 
 
 def test_fixtures_verb_writes_seven_files(tmp_path):

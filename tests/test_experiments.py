@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 
 from xrwa.errors import ConfigError
 from xrwa.experiments import (
+    EXPERIMENTS,
     ScenarioConfig,
     bench_spv,
     bench_vc,
@@ -57,9 +60,49 @@ def test_unknown_params_rejected(experiment, params):
         run(ScenarioConfig(experiment=experiment, params=params))
 
 
-def test_config_relay_policy_positive():
+@pytest.mark.parametrize(
+    "experiment, accepted",
+    [
+        ("vc_bench", {"n_creds", "iterations"}),
+        ("spv_bench", {"sizes", "reps"}),
+        ("cost_compare", {"n"}),
+        ("e2e", {"updates", "actors"}),
+    ],
+)
+def test_params_are_the_signature_minus_seed(experiment, accepted):
+    signature = inspect.signature(EXPERIMENTS[experiment])
+    assert set(signature.parameters) - {"seed"} == accepted
+    defaults = {name: p.default for name, p in signature.parameters.items() if name != "seed"}
+    ScenarioConfig(experiment=experiment, params=defaults)
+    with pytest.raises(ConfigError, match="unknown params"):
+        ScenarioConfig(experiment=experiment, params={"seed": 1})
+
+
+def test_config_has_only_seed_experiment_params():
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == ["seed", "experiment", "params"]
+    for key in ("relay_policy", "actors", "workers"):
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            ScenarioConfig.from_dict({"experiment": "e2e", key: 1})
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("vc_bench", {"n_creds": 0}),
+        ("vc_bench", {"iterations": "2"}),
+        ("spv_bench", {"reps": 0}),
+        ("spv_bench", {"reps": 9}),
+        ("spv_bench", {"sizes": 64}),
+        ("cost_compare", {"n": []}),
+        ("cost_compare", {"n": [1, 2.5]}),
+        ("e2e", {"updates": -1}),
+        ("e2e", {"actors": {"seller": 1}}),
+        ("e2e", {"actors": {"buyer": -1}}),
+    ],
+)
+def test_config_file_values_get_the_range_checks(experiment, params):
     with pytest.raises(ConfigError):
-        ScenarioConfig(relay_policy=0)
+        run(ScenarioConfig(experiment=experiment, params=params))
 
 
 # ------------------------------------------------------------------- e2e ----
@@ -108,15 +151,10 @@ def test_e2e_different_seed_different_oplog():
     assert a.derived["opLogDigest"] != b.derived["opLogDigest"]
 
 
-def test_e2e_relay_policy_batching_still_authenticates():
-    report = run(ScenarioConfig(seed=5, relay_policy=3))
-    assert report.rows[0]["acceptanceRecords"] == 1
-
-
 # ------------------------------------------------------------ cost compare ----
 
 def test_cost_compare_identities_and_crossover():
-    report = cost_compare(n_values=[1, 2, 5, 10, 100], seed=3)
+    report = cost_compare(n=[1, 2, 5, 10, 100], seed=3)
     by_n = {row["n"]: row for row in report.rows}
     for n in (1, 2, 5, 10, 100):
         assert by_n[n]["htlc_total"] == 465_426 * n
@@ -139,16 +177,15 @@ def test_cost_compare_rejects_bad_n():
 
 # --------------------------------------------------------------- vc bench ----
 
-def test_vc_bench_sizes_independent_of_workers():
-    one = bench_vc(n_creds=8, iterations=1, workers=1, seed=6)
-    eight = bench_vc(n_creds=8, iterations=1, workers=8, seed=6)
-    assert one.rows == eight.rows
-    assert one.fingerprint() == eight.fingerprint()
-    assert one.timing["workers"] == 1 and eight.timing["workers"] == 8
+def test_vc_bench_measures_n_creds_per_iteration():
+    report = bench_vc(n_creds=4, iterations=2, seed=6)
+    assert report.timing["issuance"]["samples"] == 8
+    assert report.timing["verification"]["samples"] == 8
+    assert report.timing["iterations"] == 2
 
 
 def test_vc_bench_size_rows_shape():
-    report = bench_vc(n_creds=4, iterations=1, workers=2, seed=6)
+    report = bench_vc(n_creds=4, iterations=1, seed=6)
     types = [row["type"] for row in report.rows]
     assert types == ["Vehicle", "RE", "Gold", "Art", "Bond", "Fund", "IP", "Average"]
     assert report.derived["largestType"] == "RE"
@@ -176,6 +213,20 @@ def test_spv_bench_rejects_out_of_range_sizes():
         bench_spv(sizes=[2**21])
 
 
+@pytest.mark.parametrize("sizes", [[32], [64, 64], [32, 64, 64]])
+def test_spv_bench_needs_two_distinct_sizes(sizes):
+    # one distinct size leaves the log2(n) fit with a zero denominator, and a
+    # repeated size would pool its batches into one point listed twice
+    with pytest.raises(ConfigError, match="two distinct sizes"):
+        bench_spv(sizes=sizes, reps=100)
+
+
+def test_spv_bench_reps_floor():
+    with pytest.raises(ConfigError, match="reps"):
+        bench_spv(sizes=[32, 64], reps=9)
+    assert bench_spv(sizes=[32, 64], reps=10).timing["points"][0]["reps"] == 10
+
+
 def test_spv_bench_deterministic_rows():
     a = bench_spv(sizes=[32, 64], reps=100, seed=9)
     b = bench_spv(sizes=[32, 64], reps=100, seed=9)
@@ -188,9 +239,9 @@ def test_spv_bench_deterministic_rows():
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("vc_bench", lambda: bench_vc(n_creds=4, iterations=1, workers=2)),
+        ("vc_bench", lambda: bench_vc(n_creds=4, iterations=1)),
         ("spv_bench", lambda: bench_spv(sizes=[32, 64], reps=100)),
-        ("cost_compare", lambda: cost_compare(n_values=[1, 2])),
+        ("cost_compare", lambda: cost_compare(n=[1, 2])),
         ("e2e", lambda: run(ScenarioConfig(seed=1))),
     ],
 )
@@ -200,7 +251,7 @@ def test_report_schema_stable(name, builder):
 
 
 def test_rows_csv_shape():
-    report = cost_compare(n_values=[1, 2], seed=3)
+    report = cost_compare(n=[1, 2], seed=3)
     lines = report.rows_csv().strip().splitlines()
     assert lines[0] == "n,htlc_total,channel_total,htlc_onchain_ops,channel_onchain_ops"
     assert lines[1].startswith("1,465426,917253")
@@ -208,6 +259,6 @@ def test_rows_csv_shape():
 
 def test_e2e_actor_seed_override_changes_world():
     base = run(ScenarioConfig(seed=21))
-    override = run(ScenarioConfig(seed=21, actors={"buyer": 9001}))
+    override = run(ScenarioConfig(seed=21, params={"actors": {"buyer": 9001}}))
     assert base.derived["worldDigest"] != override.derived["worldDigest"]
     assert override.rows[0]["acceptanceRecords"] == 1

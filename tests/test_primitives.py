@@ -268,6 +268,23 @@ def test_proof_position_pinned_small_trees():
                 assert not prim.merkle_verify(leaves[i], flipped, root)
 
 
+def test_padding_position_rejected():
+    """An odd-width level pads with a copy of its last node on the right. At
+    the copy's position the same hash would be a left sibling equal to the
+    node itself, which is refused, so each leaf verifies at its own index
+    only, even with every sibling side rewritten to match the index."""
+    rng = random.Random(0xDD)
+    for n in range(1, 40):
+        leaves = rand_digests(rng, n)
+        root = prim.merkle_root(leaves)
+        for i in range(n):
+            hashes = [h for h, _ in prim.merkle_prove(leaves, i).siblings]
+            for j in range(1 << len(hashes)):
+                sides = ["left" if j >> k & 1 else "right" for k in range(len(hashes))]
+                other = prim.MerklePath(siblings=tuple(zip(hashes, sides)), leaf_index=j)
+                assert prim.merkle_verify(leaves[i], other, root) == (j == i), (n, i, j)
+
+
 def test_wrong_tree_root_rejected():
     rng = random.Random(0xDA)
     a = rand_digests(rng, 8)

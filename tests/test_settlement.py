@@ -35,7 +35,6 @@ from xrwa.settlement import (
     htlc_refund,
     htlc_unlock,
     make_state,
-    refund_eligible,
     sign_state,
 )
 from xrwa.scenarios import run_channel_route, run_htlc_route
@@ -132,10 +131,18 @@ def test_symmetric_swap_setup_with_staggered_timeouts(world):
     l1 = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 400}, H_RHO, timeout=10)
     l2 = htlc_lock(world, "C2", BOB.pk, ALICE.pk, {"asset": "did:xrwa:asset-y"}, H_RHO, timeout=6)
     world.advance_clock(7)  # past t2, before t1
-    assert refund_eligible(l2, world.clock)
-    assert not refund_eligible(l1, world.clock)
+    assert world.clock == 7
+    with pytest.raises(NotYetExpired):
+        htlc_refund(world, l1)
+    assert l1.state == "Locked"
+    htlc_refund(world, l2)
     world.advance_clock(5)
-    assert refund_eligible(l1, world.clock)
+    assert world.clock == 12
+    htlc_refund(world, l1)
+    assert l1.state == l2.state == "Refunded"
+    assert world.balance("C1", ALICE.pk) == 1_000
+    assert "did:xrwa:asset-y" in world.assets_of("C2", BOB.pk)
+    world.check_conservation()
 
 
 # --------------------------------------------------------------- channel ----

@@ -432,3 +432,28 @@ def test_moved_proof_position_rejected(change):
     bad = moved(good.to_json(), **change)
     assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(bad))
     assert not xauth.offline_verify(bad, target.to_json(), headers)
+
+
+def test_padding_position_proof_rejected():
+    """In a three-transaction block the last transaction is its own sibling
+    at the bottom level, so the same hashes with both sides on the left
+    would reach the root at position 3; both verifiers refuse it."""
+    world = World(WorldConfig(seed=9))
+    key = keygen(digest(b"padding"))
+    world.mint("C1", key.pk, 1)
+    for i in range(3):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(key.pk), "amount": 0}, key, f"q{i}"),
+        )
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    target = world.chains["C1"].blocks[header.height].txs[2]
+    good = xauth.spv_prove(world, target.tx_id, ("C1", header.height))
+    headers = [h.to_json() for h in world.relayed[("C2", "C1")]]
+    assert good.path.siblings[0][0] == target.tx_id
+
+    padded = moved(good.to_json(), leaf_index=3, flip=0)
+    assert [e["side"] for e in padded["path"]] == ["left", "left"]
+    assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(padded))
+    assert not xauth.offline_verify(padded, target.to_json(), headers)
