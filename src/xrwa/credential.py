@@ -4,7 +4,9 @@ A credential has four sections (asset, identity, compliance, custody), each
 independently revocable and provable, plus a top-level proof over the four
 section hashes. Section bodies are canonical JSON objects using camelCase
 field names; the canonical serialization is also what size measurements run
-over.
+over. `REQUIRED_FIELDS` is the schema: a request carries every one of its
+keys in each section, and nothing fills in a missing one, so `issue` refuses
+an incomplete request with MissingField before it allocates anything.
 
 Selective disclosure is a hash-commitment scheme, not zero knowledge:
 
@@ -394,8 +396,6 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
         for key in REQUIRED_FIELDS[name]:
             if key not in body:
                 raise MissingField(f"{name}.{key} is required")
-        if "sStatus" not in body:
-            raise MissingField(f"{name}.sStatus is required")
 
     asset = sections["asset"]
     Did.parse(asset["assetId"])
@@ -429,53 +429,6 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
     _require_digest_hex(cust["insurancePolicyRef"]["hash"], "custody.insurancePolicyRef.hash")
 
 
-def _section_defaults(items: Mapping[str, Any]) -> dict[str, dict]:
-    asset_id = items.get("asset", {}).get("assetId", "")
-    filler_hash = canonical.to_hex(digest(b"xrwa/default-doc/" + str(asset_id).encode()))
-    defaults: dict[str, dict] = {
-        "asset": {
-            "category": "General",
-            "classDid": "did:web:registry.example.org:class:GENERIC",
-        },
-        "identity": {
-            "schemaVersion": 1,
-            "identitySchema": "https://example.org/schemas/rwa-identity-v2.json",
-            "identifiers": [],
-            "taxonomies": [],
-            "spatialFootprint": {
-                "encoding": "GeoJSON",
-                "geometry": {"type": "Point", "coordinates": [0.0, 0.0]},
-                "granularity": "site",
-            },
-            "documents": [],
-            "relations": [],
-            "attributes": [],
-            "custom": {},
-        },
-        "compliance": {
-            "licenseId": "unlicensed",
-            "sellableRegions": [],
-            "restrictions": [],
-            "effectiveFrom": "2020-01-01",
-            "effectiveTo": "2099-01-01",
-            "regulatorDid": "did:web:regulator.example.gov",
-        },
-        "custody": {
-            "custodianDid": "did:web:custody.example.bank",
-            "location": "unspecified",
-            "policy": "unspecified",
-            "auditCycleDays": 365,
-            "insurancePolicyRef": {"hash": filler_hash},
-        },
-    }
-    merged = {}
-    for name in SECTIONS:
-        body = dict(defaults[name])
-        body.update(items.get(name, {}))
-        merged[name] = body
-    return merged
-
-
 # -------------------------------------------------------------- operations --
 
 def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
@@ -502,7 +455,8 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     if not req.verify():
         raise BadSignature("request signature does not verify under holder key")
 
-    sections = _section_defaults(req.items)
+    sections = {name: dict(req.items.get(name, {})) for name in SECTIONS}
+    _validate_sections(sections)
     revocation, suspension = _issuer_lists(world, issuer_did)
     for name in SECTIONS:
         index = revocation.allocate()
@@ -513,7 +467,6 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
             "statusListCredential": revocation.uri,
             "statusListIndex": index,
         }
-    _validate_sections(sections)
 
     nonce = world.rng.randbytes(32)
     cred_id = "did:xrwa:" + digest(
@@ -555,7 +508,6 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
 class Presentation:
     credential_id: str
     holder_pk: bytes
-    issuer: str
     disclosed: dict[str, Any]
     field_salts: dict[str, bytes]
     section_digests: dict[str, dict[str, bytes]]
@@ -563,11 +515,14 @@ class Presentation:
     top_proof: SectionProof
     holder_sig: bytes
 
+    @property
+    def issuer(self) -> str:
+        return self.top_proof.issuer
+
     def body_json(self) -> dict:
         return {
             "credentialId": self.credential_id,
             "holderPk": canonical.to_hex(self.holder_pk),
-            "issuer": self.issuer,
             "disclosed": self.disclosed,
             "fieldSalts": {k: canonical.to_hex(v) for k, v in self.field_salts.items()},
             "sectionDigests": {
@@ -588,7 +543,6 @@ class Presentation:
         return cls(
             credential_id=data["credentialId"],
             holder_pk=canonical.from_hex(data["holderPk"]),
-            issuer=data["issuer"],
             disclosed=data["disclosed"],
             field_salts={k: canonical.from_hex(v) for k, v in data["fieldSalts"].items()},
             section_digests={
@@ -642,7 +596,6 @@ def prove(
     presentation = Presentation(
         credential_id=cred.id,
         holder_pk=cred.holder_pk,
-        issuer=cred.issuer,
         disclosed=disclosed,
         field_salts=salts,
         section_digests={sec: all_digests[sec] for sec in sorted(touched)},
@@ -767,8 +720,6 @@ def verify(
 
     if issuer_did is not None and issuer_did != presentation.issuer:
         return _fail("IssuerMismatch", presentation.issuer)
-    if presentation.top_proof.issuer != presentation.issuer:
-        return _fail("IssuerMismatch", presentation.top_proof.issuer)
     failure = _proof_failure(
         world, presentation.top_proof, presentation.credential_id, "top", presentation.holder_pk
     )

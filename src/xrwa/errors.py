@@ -109,6 +109,11 @@ class JurisdictionBlocked(XrwaError):
     pass
 
 
+class AnchorNotFromIssuer(XrwaError):
+    """The transaction carrying a commitment is not an anchor sent by the
+    current controller key of the presentation's issuer."""
+
+
 # --- settlement -----------------------------------------------------------
 
 class PastTimeout(XrwaError):
@@ -141,6 +146,10 @@ class NotLocked(WrongPhase):
 
 class BadTimeouts(XrwaError):
     pass
+
+
+class ReusedHashLock(XrwaError):
+    """chan_lock named a hash condition an earlier round of the channel used."""
 
 
 class UnauthenticatedAsset(XrwaError):

@@ -26,6 +26,7 @@ from .errors import (
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
+    IssuerDeactivated,
     ReplayedTransaction,
     UnknownChain,
 )
@@ -54,7 +55,7 @@ GENESIS_PREV = b"\x00" * 32
 class Transaction:
     """Signed ledger transaction; payload is a tagged union by `kind`."""
 
-    kind: str  # "transfer" | "anchor" | "contract_call" | "genesis"
+    kind: str  # "transfer" | "anchor" | "genesis"
     body: dict
     sender: bytes
     nonce: str
@@ -329,7 +330,8 @@ class World:
     def submit_tx(self, chain: ChainId, tx: Transaction) -> bytes:
         """Verify and apply `tx`, queue it for the next block and return its
         id. The signature is checked over the same bytes that are hashed
-        into the id, so the id the block keeps is the one verified here."""
+        into the id, so the id the block keeps is the one verified here. An
+        anchor is refused unless its sender controls an active DID."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
         if not verify_sig(tx.sender, payload, tx.sig):
@@ -338,6 +340,8 @@ class World:
         if pair in state.sender_nonces:
             raise ReplayedTransaction(f"{chain} already accepted nonce {tx.nonce!r} from this sender")
         sender = canonical.to_hex(tx.sender)
+        if tx.kind == "anchor" and sender not in self.controller_index:
+            raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
             amount = int(tx.body["amount"])
             if amount < 0:

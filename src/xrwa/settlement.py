@@ -12,14 +12,19 @@ An HtlcLock escrows exactly one value or one asset. Escrow leaves a
 contract exactly once.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) and an assets
-leg (seller's asset set), usually on different chains. Signed off-chain
-states carry a strictly increasing sequence number and describe the
-cumulative intended allocation relative to the original deposits: `batch`
-is everything the buyer should own so far and `net_payment` everything the
-seller should have been paid so far. Locking installs the hash condition
-and the timeouts on the legs themselves, t1 on the funds leg and t2 < t1 on
-the assets leg (funds leg lives longer, giving the seller a reaction window
-of t1 - t2 ticks once the preimage is public); the channel keeps no copy.
+leg (seller's asset set), usually on different chains. A signed off-chain
+state is its batch and its net payment, under the channel id and a strictly
+increasing sequence number: `batch` is every deposited asset the buyer
+should own so far and `net_payment` everything the seller should have been
+paid so far, both cumulative from open. The rest of the allocation follows
+from the deposits, so an update is checked only for a batch of deposited
+assets named once, a payment within the deposit, and no step back from
+what was settled. Locking installs the hash condition and the timeouts on
+the legs themselves, t1 on the funds leg and t2 < t1 on the assets leg
+(funds leg lives longer, giving the seller a reaction window of t1 - t2
+ticks once the preimage is public); the channel keeps no copy. It does keep
+every hash condition its rounds were locked under and refuses to lock
+under one again, since an earlier round may have made its preimage public.
 Both settlement paths and the close pay out through `_pay_assets` and
 `_pay_value`. A settlement executes only the delta between the committed
 state and what previous settlements already moved, then the channel
@@ -47,6 +52,7 @@ from .errors import (
     NotLocked,
     NotYetExpired,
     PastTimeout,
+    ReusedHashLock,
     StaleSeq,
     UnauthenticatedAsset,
     WrongPhase,
@@ -219,8 +225,6 @@ class ChannelState:
 
     channel_id: str
     seq: int
-    balances: dict[str, int]
-    holdings: dict[str, list[str]]
     batch: list[str]
     net_payment: int
     sig_a: bytes = b""
@@ -230,8 +234,6 @@ class ChannelState:
         return {
             "channelId": self.channel_id,
             "seq": self.seq,
-            "balances": self.balances,
-            "holdings": self.holdings,
             "batch": self.batch,
             "netPayment": self.net_payment,
         }
@@ -288,6 +290,8 @@ class Channel:
     settled_assets: set[str] = field(default_factory=set)
     settled_payment: int = 0
     phase: str = "Open"  # Open | Locked | Closed
+    # every hash condition a round of this channel was locked under
+    used_hash_conds: set[bytes] = field(default_factory=set)
 
     def leg(self, name: str) -> ChannelLeg:
         if name == "assets":
@@ -295,14 +299,6 @@ class Channel:
         if name == "funds":
             return self.leg_funds
         raise ValueError(f"unknown leg {name!r}; expected 'assets' or 'funds'")
-
-    @property
-    def buyer_hex(self) -> str:
-        return canonical.to_hex(self.buyer_pk)
-
-    @property
-    def seller_hex(self) -> str:
-        return canonical.to_hex(self.seller_pk)
 
 
 def sign_state(party: KeyPair, state: ChannelState) -> bytes:
@@ -319,18 +315,8 @@ def make_state(
 ) -> ChannelState:
     """Construct and co-sign the next cumulative state."""
     seq = channel.latest.seq + 1 if seq is None else seq
-    batch_sorted = sorted(batch)
-    remaining = sorted(set(channel.deposit_assets) - set(batch_sorted))
     state = ChannelState(
-        channel_id=channel.channel_id,
-        seq=seq,
-        balances={
-            channel.buyer_hex: channel.deposit_value - net_payment,
-            channel.seller_hex: net_payment,
-        },
-        holdings={channel.buyer_hex: batch_sorted, channel.seller_hex: remaining},
-        batch=batch_sorted,
-        net_payment=net_payment,
+        channel_id=channel.channel_id, seq=seq, batch=sorted(batch), net_payment=net_payment
     )
     return dataclasses.replace(
         state, sig_a=sign_state(buyer, state), sig_b=sign_state(seller, state)
@@ -399,7 +385,7 @@ def chan_open(
         leg_assets=leg_assets,
         deposit_value=deposit_value,
         deposit_assets=tuple(sorted(deposit_assets)),
-        latest=ChannelState(channel_id=channel_id, seq=0, balances={}, holdings={}, batch=[], net_payment=0),
+        latest=ChannelState(channel_id=channel_id, seq=0, batch=[], net_payment=0),
     )
     channel.latest = make_state(channel, batch=[], net_payment=0, buyer=buyer, seller=seller, seq=0)
     world.log_op(chain_funds, "chan_open", descriptor={"channel": channel_id})
@@ -408,21 +394,12 @@ def chan_open(
 
 
 def _check_conserves(channel: Channel, state: ChannelState) -> None:
-    parties = {channel.buyer_hex, channel.seller_hex}
-    if set(state.balances) != parties or set(state.holdings) != parties:
-        raise ConservationViolation("state must allocate to exactly the two parties")
-    if any(v < 0 for v in state.balances.values()):
-        raise ConservationViolation("negative balance in proposed state")
-    if sum(state.balances.values()) != channel.deposit_value:
-        raise ConservationViolation("proposed balances do not sum to the deposit")
-    allocated = state.holdings[channel.buyer_hex] + state.holdings[channel.seller_hex]
-    if sorted(allocated) != sorted(channel.deposit_assets):
-        raise ConservationViolation("proposed holdings do not partition the deposit assets")
-    if sorted(state.batch) != sorted(state.holdings[channel.buyer_hex]):
-        raise ConservationViolation("batch must equal the buyer's proposed holdings")
-    if state.net_payment != state.balances[channel.seller_hex]:
-        raise ConservationViolation("net payment must equal the seller's proposed balance")
-    if not set(state.batch) >= channel.settled_assets:
+    batch = set(state.batch)
+    if len(batch) != len(state.batch) or not batch <= set(channel.deposit_assets):
+        raise ConservationViolation("batch must name deposited assets, each once")
+    if not 0 <= state.net_payment <= channel.deposit_value:
+        raise ConservationViolation("net payment must lie between zero and the deposit")
+    if not batch >= channel.settled_assets:
         raise ConservationViolation("proposed batch would un-settle delivered assets")
     if state.net_payment < channel.settled_payment:
         raise ConservationViolation("proposed payment below what is already settled")
@@ -454,6 +431,10 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
         raise BadTimeouts(f"need t1 > t2 > clock, got t1={t1} t2={t2} clock={world.clock}")
     if not channel.latest.sig_a or not channel.latest.sig_b:
         raise BadSignature("latest state is not co-signed")
+    if hash_cond in channel.used_hash_conds:
+        # an earlier round may have made its preimage public
+        raise ReusedHashLock("an earlier round of this channel used this hash condition")
+    channel.used_hash_conds.add(hash_cond)
     committed = channel.latest.state_digest()
     for leg, timeout in ((channel.leg_funds, t1), (channel.leg_assets, t2)):
         leg.committed_digest = committed

@@ -9,7 +9,10 @@ the compact inclusion proof alone.
 The destination side performs digest and commitment recomputation plus
 status and registry lookups only; it never re-runs credential signature
 verification. That work happens exactly once, on the source chain, inside
-``make_commitment``.
+``make_commitment``. What ties the unsigned presentation to that work is the
+anchor's sender: ``authenticate`` accepts only an ``anchor`` transaction sent
+by the current controller key of the presentation's issuer (the issuer of
+its top proof), so a commitment anchored by anyone else vouches for nothing.
 """
 
 from __future__ import annotations
@@ -20,17 +23,17 @@ from typing import Optional
 from . import canonical
 from .credential import Presentation, consulted_status, verify as verify_presentation
 from .errors import (
+    AnchorNotFromIssuer,
     CommitmentMismatch,
     InvalidPresentation,
     InvariantViolation,
     IssuerDeactivated,
     JurisdictionBlocked,
-    NotFound,
     Revoked,
     SpvFailed,
     TxNotInBlock,
 )
-from .identity import controlled_did, issuer_status
+from .identity import issuer_status
 from .ledger import BlockHeader, ChainId, Transaction, World, header_links
 from .primitives import (
     KeyPair,
@@ -215,20 +218,17 @@ def anchor(
     seal: bool = True,
 ) -> tuple[bytes, Optional[BlockHeader]]:
     """Submit the commitment transaction; by default seal it into a block and
-    return the containing header."""
-    try:
-        controlled_did(world, issuer.pk)
-    except NotFound:
-        raise IssuerDeactivated("anchoring key does not control an active did") from None
+    return the containing header. `World.submit_tx` refuses the anchor when
+    `issuer` controls no active DID; a refused anchor takes no nonce slot."""
     # a nonce may serve one (asset, epoch) pair only
     slot = (commitment.asset_id, commitment.epoch, commitment.nonce)
     if slot in world.anchor_nonces:
         raise CommitmentMismatch(
             f"nonce already anchored for {commitment.asset_id} at epoch {commitment.epoch}"
         )
-    world.anchor_nonces.add(slot)
     tx = Transaction.make("anchor", commitment.to_body(), issuer, world.next_nonce())
     tx_id = world.submit_tx(chain, tx)
+    world.anchor_nonces.add(slot)
     header = world.seal_block(chain) if seal else None
     return tx_id, header
 
@@ -266,7 +266,9 @@ def authenticate(
     presentation: Presentation,
 ) -> AcceptanceRecord:
     """Destination-side acceptance: digest and commitment recomputation plus
-    status and registry lookups. No credential signatures are re-verified.
+    status and registry lookups, the issuer's among them: `tx` must be an
+    anchor sent by the current controller key of the presentation's issuer.
+    No credential signatures are re-verified.
 
     An undisclosed compliance section does not block acceptance; the record
     is flagged compliance-unverified instead.
@@ -291,6 +293,11 @@ def authenticate(
     status = issuer_status(world, presentation.issuer)
     if status is not None:
         raise IssuerDeactivated(f"{status}({presentation.issuer})")
+    sender_did = world.controller_index.get(canonical.to_hex(tx.sender))
+    if tx.kind != "anchor" or sender_did != presentation.issuer:
+        raise AnchorNotFromIssuer(
+            f"{tx.kind} from the controller of {sender_did} vouches not for {presentation.issuer}"
+        )
     checks.append("issuer_active")
 
     failure = consulted_status(world, presentation)
@@ -349,9 +356,13 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
 def check_acceptance_soundness(world: World) -> None:
     """Audit: every acceptance record must trace back to an anchor tx in a
     source-chain block whose header the destination accepted via relay, with
-    a matching anchor entry in the op log."""
+    a matching anchor entry in the op log, sent by a key that controlled
+    some version of a registered DID."""
     anchor_log_ids = {
         rec.tx_id for rec in world.op_log if rec.op_kind == "anchor"
+    }
+    controller_keys = {
+        doc.controller_pk for entry in world.did_registry.values() for doc in entry.versions
     }
     for dest, records in world.acceptance_records.items():
         for rec in records:
@@ -368,6 +379,8 @@ def check_acceptance_soundness(world: World) -> None:
             block, tx = carrier
             if canonical.to_hex(tx.tx_id) not in anchor_log_ids:
                 raise InvariantViolation(f"anchor tx {wanted} missing from op log")
+            if tx.sender not in controller_keys:
+                raise InvariantViolation(f"anchor tx {wanted} was sent by no DID controller")
             view = world.relayed.get((dest, rec.source_chain), [])
             if block.header not in view:
                 raise InvariantViolation(

@@ -112,6 +112,27 @@ def test_issue_bad_request_signature_rejected():
         issue(world, forged, issuer)
 
 
+@pytest.mark.parametrize(
+    "selector",
+    [f"{name}.{key}" for name, keys in credential.REQUIRED_FIELDS.items() for key in keys],
+)
+def test_issue_refuses_request_missing_a_schema_field(selector):
+    """Nothing fills in a missing field: each REQUIRED_FIELDS key left out
+    of a request is named by issue's refusal, which allocates no status
+    index."""
+    world, issuer, holder = fixture_world()
+    section, key = selector.split(".", 1)
+    items = fixture_items("RE")
+    del items[section][key]
+    # signed directly: request() itself refuses a missing assetId or assetType
+    req = credential.CredentialRequest(
+        items=items, holder_pk=holder.pk, sig=sign(holder.sk, canonical.dumps_bytes(items))
+    )
+    with pytest.raises(MissingField, match=f"^{selector} is required$"):
+        issue(world, req, issuer)
+    assert world.status_lists == {}
+
+
 def test_issue_allocates_distinct_status_indices(setup):
     _, _, _, cred = setup
     indices = [cred.status_ref(s)["statusListIndex"] for s in credential.SECTIONS]
@@ -193,6 +214,16 @@ def test_verify_post_issue_true(setup):
     pres = prove(cred, holder, ["asset.assetType"])
     result = verify(world, pres, issuer_did=cred.issuer)
     assert result.ok
+
+
+def test_presentation_json_states_issuer_once(setup):
+    world, _, holder, cred = setup
+    pres = prove(cred, holder, ["asset.assetType"])
+    doc = pres.to_json()
+    assert "issuer" not in doc and doc["proof"]["issuer"] == cred.issuer
+    again = Presentation.from_json(canonical.loads(canonical.dumps(doc)))
+    assert again == pres and again.issuer == cred.issuer
+    assert verify(world, again, issuer_did=cred.issuer).ok
 
 
 def test_verify_mutated_disclosed_value_hash_mismatch(setup):

@@ -16,6 +16,7 @@ from xrwa.errors import (
     NotLocked,
     NotYetExpired,
     PastTimeout,
+    ReusedHashLock,
     StaleSeq,
     UnauthenticatedAsset,
     WrongPhase,
@@ -226,6 +227,15 @@ def test_update_bad_signature_rejected(world):
         chan_update(ch, forged)
 
 
+def test_state_signs_only_its_batch_and_payment(world):
+    ch = open_channel(world)
+    state = make_state(ch, batch=["did:xrwa:asset-y"], net_payment=5, buyer=ALICE, seller=BOB)
+    assert set(state.body_json()) == {"channelId", "seq", "batch", "netPayment"}
+    assert [f.name for f in dataclasses.fields(state)] == [
+        "channel_id", "seq", "batch", "net_payment", "sig_a", "sig_b",
+    ]
+
+
 def test_update_conservation_fuzz_against_oracle(world):
     # randomized proposals; a hand-rolled conservation oracle decides validity
     ch = open_channel(world)
@@ -233,20 +243,12 @@ def test_update_conservation_fuzz_against_oracle(world):
     assets = list(ch.deposit_assets)
     accepted = rejected = 0
     for _ in range(120):
-        batch = sorted(rng.sample(assets + ["did:xrwa:rogue"], rng.randrange(0, 3)))
+        batch = rng.sample(assets + ["did:xrwa:rogue"], rng.randrange(0, 3))
+        if batch and rng.random() < 0.2:
+            batch.append(batch[0])  # names one asset twice
         net = rng.randrange(-50, 700)
-        balances = {ch.buyer_hex: ch.deposit_value - net, ch.seller_hex: net}
-        holdings = {
-            ch.buyer_hex: batch,
-            ch.seller_hex: sorted(set(assets) - set(batch)),
-        }
         state = settlement.ChannelState(
-            channel_id=ch.channel_id,
-            seq=ch.latest.seq + 1,
-            balances=balances,
-            holdings=holdings,
-            batch=batch,
-            net_payment=net,
+            channel_id=ch.channel_id, seq=ch.latest.seq + 1, batch=sorted(batch), net_payment=net
         )
         state = dataclasses.replace(
             state, sig_a=sign_state(ALICE, state), sig_b=sign_state(BOB, state)
@@ -254,7 +256,7 @@ def test_update_conservation_fuzz_against_oracle(world):
         oracle_ok = (
             0 <= net <= ch.deposit_value
             and set(batch) <= set(assets)
-            and sorted(holdings[ch.buyer_hex] + holdings[ch.seller_hex]) == sorted(assets)
+            and len(set(batch)) == len(batch)
         )
         try:
             chan_update(ch, state)
@@ -323,6 +325,30 @@ def test_partial_settlement_without_closure(world):
     chan_unlock(world, ch, rho2, at=9)
     assert world.assets_of("C2", ALICE.pk) == {"did:xrwa:asset-x", "did:xrwa:asset-y", "did:xrwa:asset-z"}
     assert world.balance("C1", BOB.pk) == 290
+    world.check_conservation()
+
+
+def test_reused_hash_lock_refused(world):
+    """Round 1 reveals RHO on chain; locking round 2 under its digest again
+    would let the seller redeem the new payment with the public preimage
+    and leave the buyer's new batch to refund."""
+    ch = chan_open(world, ALICE, BOB, 1_000, ["did:xrwa:asset-x", "did:xrwa:asset-y"])
+    first = make_state(ch, batch=["did:xrwa:asset-x"], net_payment=400, buyer=ALICE, seller=BOB)
+    chan_update(ch, first)
+    chan_lock(world, ch, H_RHO, 8, 5)
+    chan_unlock(world, ch, RHO, at=1)
+    both = ["did:xrwa:asset-x", "did:xrwa:asset-y"]
+    chan_update(ch, make_state(ch, batch=both, net_payment=900, buyer=ALICE, seller=BOB))
+    ops_before = len(world.op_log)
+    with pytest.raises(ReusedHashLock):
+        chan_lock(world, ch, H_RHO, world.clock + 8, world.clock + 5)
+    assert ch.phase == "Open" and len(world.op_log) == ops_before
+    assert ch.leg_funds.state == ch.leg_assets.state == "Idle"
+    # a fresh preimage settles round 2 on both legs
+    rho2 = digest(b"round-two-preimage")
+    chan_lock(world, ch, digest(rho2), world.clock + 8, world.clock + 5)
+    chan_unlock(world, ch, rho2, at=world.clock + 1)
+    assert (ch.settled_assets, ch.settled_payment) == (set(both), 900)
     world.check_conservation()
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from xrwa import canonical, credential, identity, xauth
 from xrwa.errors import (
+    AnchorNotFromIssuer,
     BadSignature,
     CommitmentMismatch,
     InvalidPresentation,
+    InvariantViolation,
     IssuerDeactivated,
     JurisdictionBlocked,
     NotFound,
@@ -392,6 +394,117 @@ def test_key_rotated_away_refused_by_issue_anchor_and_revoke(flow):
     assert again.issuer == cred.issuer and again.top_proof.issuer_key_version == rotated.version
     xauth.anchor(world, "C1", commitment, successor)
     credential.revoke(world, rev, cred, "asset", successor)
+
+
+# ------------------------------------------------------- anchor sender ----
+
+def forged_commitment(world, pres):
+    """A presentation with edited asset and region fields, and a commitment
+    over it that only someone skipping make_commitment can build."""
+    tb = dict(pres.disclosed["asset.tokenBinding"], tokenId="999")
+    forged = dataclasses.replace(pres, disclosed={
+        **pres.disclosed,
+        "asset.assetId": "did:xrwa:forged-asset",
+        "asset.tokenBinding": tb,
+        "compliance.sellableRegions": ["SG"],
+    })
+    commitment = xauth.Commitment(
+        asset_id="did:xrwa:forged-asset",
+        cred_digest=xauth.disclosed_subset_digest(forged),
+        token_binding_digest=xauth.token_binding_digest(tb),
+        epoch=len(world.chains["C1"].blocks),
+        nonce=b"\x0f" * 16,
+    )
+    return forged, commitment
+
+
+def test_forged_anchor_from_key_without_did_refused(flow):
+    world, _, _, _, pres = flow
+    _, commitment = forged_commitment(world, pres)
+    forger = keygen(digest(b"forger"))
+    tx = Transaction.make("anchor", commitment.to_body(), forger, "forged-0")
+    ops_before = len(world.op_log)
+    with pytest.raises(IssuerDeactivated):
+        world.submit_tx("C1", tx)
+    assert world.chains["C1"].pending == [] and len(world.op_log) == ops_before
+    with pytest.raises(IssuerDeactivated):
+        xauth.anchor(world, "C1", commitment, forger)
+    assert world.anchor_nonces == set() and world.chains["C1"].pending == []
+    assert len(world.op_log) == ops_before
+
+
+def test_anchor_from_another_did_controller_not_from_issuer(flow):
+    world, _, holder, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    tx_id, header = xauth.anchor(world, "C1", commitment, holder)
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    tx = world.chains["C1"].blocks[header.height].txs[0]
+    with pytest.raises(AnchorNotFromIssuer):
+        xauth.authenticate(world, "C2", tx, proof, forged)
+    assert world.acceptance_records["C2"] == []
+
+
+def test_issuer_swapped_after_deactivation_refused(flow):
+    world, issuer, holder, cred, pres = flow
+    _, tx, proof = anchored(world, issuer, pres, cred)
+    doc = identity.did_resolve(world, cred.issuer)
+    identity.did_deactivate(
+        world, cred.issuer, identity.deactivate_signature(issuer, cred.issuer, doc.version)
+    )
+    with pytest.raises(IssuerDeactivated):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    # the commitment does not cover the issuer, so naming the holder's
+    # active DID as issuer still matches it; the anchor's sender does not
+    holder_did = world.controller_index[canonical.to_hex(holder.pk)]
+    swapped = dataclasses.replace(
+        pres, top_proof=dataclasses.replace(pres.top_proof, issuer=holder_did)
+    )
+    with pytest.raises(AnchorNotFromIssuer):
+        xauth.authenticate(world, "C2", tx, proof, swapped)
+    assert world.acceptance_records["C2"] == []
+
+
+def test_commitment_carried_by_non_anchor_tx_refused(flow):
+    world, issuer, _, cred, pres = flow
+    commitment = xauth.make_commitment(
+        world, "C1", pres, cred.asset["tokenBinding"], 1, b"\x10" * 16
+    )
+    # submit_tx takes any kind the cost table weighs
+    tx_id = world.submit_tx(
+        "C1", Transaction.make("acceptance", commitment.to_body(), issuer, "acceptance-0")
+    )
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    tx = world.chains["C1"].blocks[header.height].txs[0]
+    with pytest.raises(AnchorNotFromIssuer):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+
+
+def test_injected_anchor_from_key_without_did_fails_audit(flow):
+    world, _, _, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    forger = keygen(digest(b"forger"))
+    tx = Transaction.make("anchor", commitment.to_body(), forger, "forged-0")
+    # what submit_tx would record, minus its sender check
+    world.chains["C1"].pending.append(tx)
+    world.chains["C1"].pending_ids.append(tx.tx_id)
+    world.log_op("C1", "anchor", tx_id=tx.tx_id)
+    world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    world.acceptance_records["C2"].append(xauth.AcceptanceRecord(
+        credential_id=forged.credential_id,
+        asset_id=commitment.asset_id,
+        source_chain="C1",
+        dest_chain="C2",
+        accepted_at=world.clock,
+        commitment_digest=commitment.commitment_digest(),
+        checks_passed=("spv", "commitment", "issuer_active", "status_clear", "jurisdiction"),
+    ))
+    world.check_all()  # the ledger alone cannot tell
+    with pytest.raises(InvariantViolation, match="sent by no DID controller"):
+        xauth.check_acceptance_soundness(world)
 
 
 # ------------------------------------------------------------ proof position ----
