@@ -14,10 +14,19 @@ delay up to the gap, every refund landing tick per leg, and both
 within-tick orderings; refund attempts before eligibility are rejected
 without changing state, so only the first effective attempt per leg needs
 enumerating.
+
+Only the seed and the two timeouts shape the locked channel a schedule
+starts from, so it is built once per `(seed, t1, t2)`: a template world in
+which the channel is opened, updated under both signatures and locked.
+Each schedule runs on a `World.fork` of that template, with its own copy of
+the channel bound to the forked legs, and drives the real settlement
+functions from there; the template itself is never touched.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -54,7 +63,10 @@ class Outcome:
         return self.assets_settled != self.funds_settled
 
 
+@functools.lru_cache(maxsize=128)
 def _locked_channel(seed: int, t1: int, t2: int):
+    """The template a schedule forks: world, locked channel and preimage.
+    Cached, so callers must not mutate what it returns."""
     world = World(WorldConfig(seed=seed))
     world.mint("C1", _BUYER.pk, 1_000)
     assets = ["did:xrwa:atomic-a1", "did:xrwa:atomic-a2"]
@@ -69,7 +81,15 @@ def _locked_channel(seed: int, t1: int, t2: int):
 
 
 def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0) -> Outcome:
-    world, channel, preimage = _locked_channel(seed, t1, t2)
+    template_world, template, preimage = _locked_channel(seed, t1, t2)
+    world = template_world.fork()
+    channel = dataclasses.replace(
+        template,
+        leg_funds=world.chains[template.chain_funds].contracts[template.leg_funds.contract_id],
+        leg_assets=world.chains[template.chain_assets].contracts[template.leg_assets.contract_id],
+        settled_assets=set(template.settled_assets),
+        used_hash_conds=set(template.used_hash_conds),
+    )
     redeem_at: Optional[int] = None
 
     def try_refunds(t: int) -> None:

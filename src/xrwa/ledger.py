@@ -15,6 +15,7 @@ scenario; snapshots are plain data and safe to share across threads.
 
 from __future__ import annotations
 
+import copy
 import io
 import random
 from dataclasses import dataclass, field
@@ -180,6 +181,20 @@ class _ChainState:
     minted_value: int = 0
     minted_assets: set[str] = field(default_factory=set)
 
+    def fork(self) -> "_ChainState":
+        """A copy sharing the sealed blocks and nothing that can change."""
+        return _ChainState(
+            blocks=list(self.blocks),
+            pending=list(self.pending),
+            pending_ids=list(self.pending_ids),
+            sender_nonces=set(self.sender_nonces),
+            balances=dict(self.balances),
+            holdings={k: set(v) for k, v in self.holdings.items()},
+            contracts={cid: copy.deepcopy(c) for cid, c in self.contracts.items()},
+            minted_value=self.minted_value,
+            minted_assets=set(self.minted_assets),
+        )
+
 
 # ------------------------------------------------------------------- world --
 
@@ -223,6 +238,33 @@ class World:
         self.treasury = keygen(digest(b"xrwa/treasury/" + str(self.config.seed).encode()))
         for chain in self.config.chains:
             self._seal_genesis(chain)
+
+    def fork(self) -> "World":
+        """An independent copy: what either world does after the fork leaves
+        the other as it was.
+
+        The sealed `Block` objects are shared, with `config` and `treasury`.
+        A chain only ever appends sealed blocks and never edits one, so
+        sharing them is safe and makes a fork cost the mutable state alone:
+        balances, holdings, contracts, pending pool, registries, op log and
+        the rng state are copied."""
+        other = object.__new__(World)
+        other.config = self.config
+        other.treasury = self.treasury
+        other.clock = self.clock
+        other.rng = random.Random()
+        other.rng.setstate(self.rng.getstate())
+        other.chains = {label: state.fork() for label, state in self.chains.items()}
+        other.relayed = {pair: list(view) for pair, view in self.relayed.items()}
+        other.op_log = list(self.op_log)
+        other.did_registry = copy.deepcopy(self.did_registry)
+        other.controller_index = dict(self.controller_index)
+        other.status_lists = copy.deepcopy(self.status_lists)
+        other.acceptance_records = {c: list(recs) for c, recs in self.acceptance_records.items()}
+        other.asset_origins = dict(self.asset_origins)
+        other.anchor_nonces = set(self.anchor_nonces)
+        other.verify_counts = dict(self.verify_counts)
+        return other
 
     # -- plumbing ------------------------------------------------------------
 
@@ -331,11 +373,13 @@ class World:
         """Verify and apply `tx`, queue it for the next block and return its
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
-        anchor is refused unless its sender controls an active DID."""
+        anchor is refused unless its sender controls an active DID, and a
+        kind the cost table does not weigh is refused before anything moves."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
         if not verify_sig(tx.sender, payload, tx.sig):
             raise BadSignature("transaction signature does not verify under sender")
+        costs.weight(tx.kind)
         pair = (tx.sender, tx.nonce)
         if pair in state.sender_nonces:
             raise ReplayedTransaction(f"{chain} already accepted nonce {tx.nonce!r} from this sender")

@@ -9,6 +9,9 @@ attributable):
 - digest: SHA-256, 32 bytes.
 - signatures: Ed25519; key generation is deterministic from a 32-byte seed
   so fixtures are reproducible. Production entropy handling is out of scope.
+  Private-key objects are kept in a bounded cache keyed by the secret, so a
+  key is expanded once rather than per signature; signatures and
+  verifications are never cached.
 - Merkle tree: odd level widths duplicate the final node; interior nodes
   hash a one-byte 0x01 prefix before their children. Leaves are transaction
   ids, the SHA-256 of a transaction's canonical JSON, which starts with
@@ -17,6 +20,7 @@ attributable):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,6 +89,12 @@ class KeyPair:
         return f"KeyPair(pk=0x{self.pk.hex()}, sk=<hidden>)"
 
 
+@functools.lru_cache(maxsize=1024)
+def _private_key(sk: bytes) -> Ed25519PrivateKey:
+    """The key object for a 32-byte secret, built once while it stays cached."""
+    return Ed25519PrivateKey.from_private_bytes(sk)
+
+
 def keygen(seed: bytes) -> KeyPair:
     """Deterministic keypair from a 32-byte seed.
 
@@ -93,8 +103,7 @@ def keygen(seed: bytes) -> KeyPair:
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_SIZE:
         raise SeedError(f"seed must be exactly {SEED_SIZE} bytes")
     seed = bytes(seed)
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = private.public_key().public_bytes(
+    pk = _private_key(seed).public_key().public_bytes(
         encoding=serialization.Encoding.Raw, format=serialization.PublicFormat.Raw
     )
     return KeyPair(pk=pk, sk=seed)
@@ -102,7 +111,7 @@ def keygen(seed: bytes) -> KeyPair:
 
 def sign(sk: bytes, message: bytes) -> bytes:
     """Ed25519 signature over the exact message bytes (deterministic)."""
-    return Ed25519PrivateKey.from_private_bytes(sk).sign(message)
+    return _private_key(sk).sign(message)
 
 
 def verify_sig(pk: bytes, message: bytes, sig: bytes) -> bool:

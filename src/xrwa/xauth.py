@@ -278,6 +278,9 @@ def authenticate(
     if not spv_verify(world, dest_chain, tx, proof):
         raise SpvFailed("inclusion proof does not verify against relayed headers")
     checks.append("spv")
+    if tx.kind != "anchor":
+        # only an anchor's body is a commitment
+        raise AnchorNotFromIssuer(f"a {tx.kind} transaction anchors nothing")
 
     commitment = Commitment.from_body(tx.body)
     asset_id = presentation.disclosed.get("asset.assetId")
@@ -294,9 +297,9 @@ def authenticate(
     if status is not None:
         raise IssuerDeactivated(f"{status}({presentation.issuer})")
     sender_did = world.controller_index.get(canonical.to_hex(tx.sender))
-    if tx.kind != "anchor" or sender_did != presentation.issuer:
+    if sender_did != presentation.issuer:
         raise AnchorNotFromIssuer(
-            f"{tx.kind} from the controller of {sender_did} vouches not for {presentation.issuer}"
+            f"anchor from the controller of {sender_did} vouches not for {presentation.issuer}"
         )
     checks.append("issuer_active")
 

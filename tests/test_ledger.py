@@ -3,17 +3,20 @@ import random
 
 import pytest
 
-from xrwa import canonical, xauth
+from xrwa import canonical, credential, identity, settlement, xauth
 from xrwa.errors import (
     BadSignature,
+    CostTableError,
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
     ReplayedTransaction,
     UnknownChain,
 )
+from xrwa.fixtures import fixture_items, fixture_world
 from xrwa.ledger import BlockHeader, Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, merkle_prove, merkle_root
+from xrwa.scenarios import TRANSFER_DISCLOSURE
 
 
 @pytest.fixture
@@ -450,3 +453,104 @@ def test_each_tx_encoded_once_at_submit_and_never_after(world, alice, monkeypatc
         world.find_tx("C1", tx_id)
         xauth.spv_prove(world, tx_id, ("C1", header.height))
     assert encoded == []
+
+
+def test_unweighed_kind_refused_before_anything_moves(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    state = world.chains["C1"]
+    body = {"to": canonical.to_hex(bob.pk), "amount": 4}
+    before = (
+        list(state.pending), list(state.pending_ids), set(state.sender_nonces),
+        dict(state.balances), list(world.op_log),
+    )
+    with pytest.raises(CostTableError):
+        world.submit_tx("C1", Transaction.make("note", body, alice, "n-1"))
+    assert (
+        state.pending, state.pending_ids, state.sender_nonces, state.balances, world.op_log
+    ) == before
+    # the refused note did not take its (sender, nonce) slot
+    world.submit_tx("C1", Transaction.make("transfer", body, alice, "n-1"))
+    assert world.balance("C1", bob.pk) == 4
+    assert len(state.pending) == 1 and world.op_log[-1].op_kind == "transfer"
+
+
+# ------------------------------------------------------------------- fork ----
+
+def _unsnapshotted(world):
+    """World state that `world_digest` does not cover."""
+    return (
+        {c: set(s.sender_nonces) for c, s in world.chains.items()},
+        {c: list(s.pending_ids) for c, s in world.chains.items()},
+        dict(world.controller_index),
+        dict(world.asset_origins),
+        set(world.anchor_nonces),
+        dict(world.verify_counts),
+    )
+
+
+def test_fork_is_independent_of_its_origin():
+    world, issuer, holder = fixture_world()
+    cred = credential.issue(world, credential.request(fixture_items("RE"), holder), issuer)
+    pres = credential.prove(cred, holder, TRANSFER_DISCLOSURE)
+    world.mint("C1", holder.pk, 50)
+    for asset in ("did:xrwa:fork-a", "did:xrwa:fork-b"):
+        world.mint_asset("C2", holder.pk, asset)
+    lock = settlement.htlc_lock(
+        world, "C2", holder.pk, issuer.pk, {"asset": "did:xrwa:fork-a"}, digest(b"fork"), 5
+    )
+    world.submit_tx("C1", Transaction.make(
+        "transfer", {"to": canonical.to_hex(issuer.pk), "amount": 1}, holder, "pending-1"
+    ))
+    world.relay_chain("C2", "C1")
+
+    fork = world.fork()
+    assert vars(fork).keys() == vars(world).keys()
+    assert fork.world_digest() == world.world_digest()
+    assert fork.op_log_csv() == world.op_log_csv()
+    assert _unsnapshotted(fork) == _unsnapshotted(world)
+    digest_before, csv_before = world.world_digest(), world.op_log_csv()
+    rng_before, hidden_before = world.rng.getstate(), _unsnapshotted(world)
+
+    # ledger: submit and seal, relay, balances, holdings, contracts, rng
+    fork.submit_tx("C1", Transaction.make(
+        "transfer", {"to": canonical.to_hex(issuer.pk), "amount": 2}, holder, "fork-1"
+    ))
+    fork.seal_block("C1")
+    fork.debit("C1", holder.pk, 3)
+    fork.credit("C1", issuer.pk, 3)
+    fork.take_asset("C2", holder.pk, "did:xrwa:fork-b")
+    fork.give_asset("C2", issuer.pk, "did:xrwa:fork-b")
+    fork.burn_asset("C2", issuer.pk, "did:xrwa:fork-b")
+    fork.mint_asset("C2", holder.pk, "did:xrwa:fork-c")
+    settlement.htlc_unlock(fork, fork.chains["C2"].contracts[lock.contract_id], b"fork", at=1)
+    fork.next_nonce()
+    # identity and credential registries
+    identity.did_create(fork, keygen(digest(b"fork-newcomer")))
+    # anchor and accept on the fork
+    commitment = xauth.make_commitment(
+        fork, "C1", pres, cred.asset["tokenBinding"], len(fork.chains["C1"].blocks), b"\x0f" * 16
+    )
+    tx_id, header = xauth.anchor(fork, "C1", commitment, issuer)
+    fork.relay_chain("C2", "C1")
+    tx = fork.chains["C1"].blocks[header.height].txs[-1]
+    xauth.authenticate(fork, "C2", tx, xauth.spv_prove(fork, tx_id, ("C1", header.height)), pres)
+    rev = fork.status_lists[cred.status_ref("compliance")["statusListCredential"]]
+    credential.revoke(fork, rev, cred, "compliance", issuer)
+    holder_did = fork.controller_index[canonical.to_hex(holder.pk)]
+    identity.did_deactivate(fork, holder_did, identity.deactivate_signature(
+        holder, holder_did, identity.did_resolve(fork, holder_did).version
+    ))
+    fork.check_all()
+    xauth.check_acceptance_soundness(fork)
+
+    assert fork.world_digest() != digest_before
+    assert world.world_digest() == digest_before
+    assert world.op_log_csv() == csv_before
+    assert world.rng.getstate() == rng_before
+    assert _unsnapshotted(world) == hidden_before
+    assert world.chains["C2"].contracts[lock.contract_id].state == "Locked"
+    assert world.acceptance_records["C2"] == []
+    world.check_all()
+    # the original goes on as if the fork never happened
+    assert world.seal_block("C1").height == 1
+    assert len(fork.chains["C1"].blocks) == 3

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,16 @@ def test_sign_verify_roundtrip():
     kp = prim.keygen(b"\x07" * 32)
     sig = prim.sign(kp.sk, b"rwa")
     assert prim.verify_sig(kp.pk, b"rwa", sig)
+
+
+def test_sign_equals_uncached_key_object_over_many_keys():
+    # more keys than the key-object cache holds, each signing twice, so
+    # both hits and evicted entries are compared with a fresh key object
+    rng = random.Random(0xD4)
+    secrets = [rng.randbytes(32) for _ in range(1_500)]
+    for sk in secrets + secrets[::-1]:
+        msg = rng.randbytes(24)
+        assert prim.sign(sk, msg) == Ed25519PrivateKey.from_private_bytes(sk).sign(msg)
 
 
 def test_verify_rejects_flipped_message_byte():

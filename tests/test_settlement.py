@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from xrwa import canonical, settlement
+from xrwa import atomicity, canonical, primitives, settlement
 from xrwa.atomicity import explore_schedules, fuzz_schedules, run_schedule, Schedule
 from xrwa.costs import DEFAULT_WEIGHTS
 from xrwa.errors import (
@@ -583,3 +584,60 @@ def test_exhaustive_interleavings_no_mixed_outcomes():
 def test_fuzzed_schedules_no_mixed_outcomes_small():
     outcomes = fuzz_schedules(500)
     assert all(not o.mixed for o in outcomes)
+
+
+def outcomes_digest(outcomes):
+    h = hashlib.sha256()
+    for o in outcomes:
+        s = o.schedule
+        h.update(
+            f"{s.reveal_tick},{s.seller_delay},{s.refund_assets_at},{s.refund_funds_at},"
+            f"{s.refunds_first},{o.assets_settled},{o.funds_settled}\n".encode()
+        )
+    return h.hexdigest()
+
+
+def template_state(seed, t1=4, t2=2):
+    world, channel, preimage = atomicity._locked_channel(seed, t1, t2)
+    return (
+        world.world_digest(), world.op_log_csv(), world.rng.getstate(),
+        dataclasses.asdict(channel), preimage,
+    )
+
+
+def test_sweep_outcomes_pinned_and_templates_untouched():
+    before = {seed: template_state(seed) for seed in range(17)}
+    # digests of every outcome, in order, from building each schedule's
+    # locked channel afresh
+    assert outcomes_digest(explore_schedules()) == (
+        "c00b5d4405901240133540f88e2e33466a9e802de9a90fda8b83327429dcc7a6"
+    )
+    assert outcomes_digest(fuzz_schedules(2_000)) == (
+        "28f3d73cd34f69d840cdd7c38ff100e0276c0f0de4776a6dc8306f7d2ea5dcc4"
+    )
+    assert {seed: template_state(seed) for seed in range(17)} == before
+    world, channel, _ = atomicity._locked_channel(0, 4, 2)
+    assert channel.phase == "Locked" and channel.leg_funds.state == "Locked"
+    world.check_all()
+
+
+def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
+    built = []
+    real = primitives.Ed25519PrivateKey
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(sk):
+            built.append(sk)
+            return real.from_private_bytes(sk)
+
+    monkeypatch.setattr(primitives, "Ed25519PrivateKey", Counting)
+    primitives._private_key.cache_clear()
+    atomicity._locked_channel.cache_clear()
+    outcomes = explore_schedules()
+    assert len(outcomes) == 1296
+    assert atomicity._locked_channel.cache_info().misses == 1
+    # buyer, seller and the world's treasury, one key object each
+    world = atomicity._locked_channel(0, 4, 2)[0]
+    assert len(built) <= 3
+    assert set(built) <= {atomicity._BUYER.sk, atomicity._SELLER.sk, world.treasury.sk}

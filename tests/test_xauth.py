@@ -482,6 +482,22 @@ def test_commitment_carried_by_non_anchor_tx_refused(flow):
         xauth.authenticate(world, "C2", tx, proof, pres)
 
 
+def test_proven_transfer_refused_before_its_body_is_read(flow):
+    world, issuer, holder, cred, pres = flow
+    world.mint("C1", holder.pk, 1)
+    tx = Transaction.make(
+        "transfer", {"to": canonical.to_hex(issuer.pk), "amount": 1}, holder, "transfer-0"
+    )
+    tx_id = world.submit_tx("C1", tx)
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    ops_before = len(world.op_log)
+    with pytest.raises(AnchorNotFromIssuer):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
+
+
 def test_injected_anchor_from_key_without_did_fails_audit(flow):
     world, _, _, _, pres = flow
     forged, commitment = forged_commitment(world, pres)
