@@ -47,7 +47,7 @@ from .errors import (
     StatusListFull,
     UnknownSelector,
 )
-from .identity import Did, controlled_did, did_resolve, issuer_status, resolve_version
+from .identity import REGISTRY_CHAIN, Did, controlled_did, did_resolve, issuer_status, resolve_version
 from .ledger import World
 from .primitives import KeyPair, digest, length_prefixed, sign, verify_sig
 
@@ -264,7 +264,7 @@ class SectionProof:
             "issued": self.issued,
             "issuer": self.issuer,
             "issuerKeyVersion": self.issuer_key_version,
-            "proofPurpose": "assertionMethod",
+            "proofPurpose": self.proof_purpose,
             "section": section,
             "sectionHash": canonical.to_hex(self.section_hash),
         }
@@ -307,18 +307,6 @@ class CompositeCredential:
     @property
     def asset(self) -> dict:
         return self.sections["asset"]
-
-    @property
-    def identity(self) -> dict:
-        return self.sections["identity"]
-
-    @property
-    def compliance(self) -> dict:
-        return self.sections["compliance"]
-
-    @property
-    def custody(self) -> dict:
-        return self.sections["custody"]
 
     @property
     def issuer(self) -> str:
@@ -775,13 +763,39 @@ def audit_credential(world: World, cred: CompositeCredential, chain: Optional[st
 
 # -------------------------------------------------------------- revocation --
 
-def _require_owner(world: World, status_list: StatusList, issuer: KeyPair) -> None:
+def _status_change(
+    world: World,
+    status_list: StatusList,
+    cred: CompositeCredential,
+    section: str,
+    issuer: KeyPair,
+    op: str,
+) -> StatusList:
+    """Flip the section's bit in `status_list` ("revoke" sets it, "reinstate"
+    clears it) once `issuer` is shown to control the list's owner and the
+    section's status entry to name an allocated index of that issuer's
+    lists; a refusal moves nothing."""
     try:
         owner_did = controlled_did(world, issuer.pk)
     except (NotFound, IssuerDeactivated):
         raise BadSignature("key controls no active did") from None
     if owner_did != status_list.issuer:
         raise NotOwner(f"{owner_did} does not own {status_list.uri}")
+    ref = cred.status_ref(section)
+    index = ref["statusListIndex"]
+    if ref["statusListCredential"] != status_list_uri(status_list.issuer, "Revocation"):
+        raise NotOwner(f"{section} status entry is not in {status_list.uri}")
+    if not isinstance(index, int) or not 0 <= index < status_list.next_index:
+        raise NotOwner(f"{section} status index {index!r} was never allocated in {status_list.uri}")
+    if op == "revoke":
+        status_list.set_bit(index)
+    else:
+        status_list.clear_bit(index)
+    world.log_op(
+        REGISTRY_CHAIN, op,
+        descriptor={"list": status_list.uri, "index": index, "v": status_list.version},
+    )
+    return status_list
 
 
 def revoke(
@@ -793,14 +807,7 @@ def revoke(
 ) -> StatusList:
     """Set the targeted section's bit in the given list (idempotent on the
     bit; the list version still increments)."""
-    _require_owner(world, status_list, issuer)
-    index = cred.status_ref(section)["statusListIndex"]
-    status_list.set_bit(index)
-    world.log_op(
-        world.config.chains[0], "revoke",
-        descriptor={"list": status_list.uri, "index": index, "v": status_list.version},
-    )
-    return status_list
+    return _status_change(world, status_list, cred, section, issuer, "revoke")
 
 
 def reinstate(
@@ -811,11 +818,4 @@ def reinstate(
     issuer: KeyPair,
 ) -> StatusList:
     """Clear a suspension bit; rejected for revocation lists."""
-    _require_owner(world, status_list, issuer)
-    index = cred.status_ref(section)["statusListIndex"]
-    status_list.clear_bit(index)
-    world.log_op(
-        world.config.chains[0], "reinstate",
-        descriptor={"list": status_list.uri, "index": index, "v": status_list.version},
-    )
-    return status_list
+    return _status_change(world, status_list, cred, section, issuer, "reinstate")

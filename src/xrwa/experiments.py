@@ -366,24 +366,18 @@ def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> Metri
     for count in sorted(n):
         htlc_world = scenarios.run_htlc_route(seed, count)
         chan_world = scenarios.run_channel_route(seed, count)
-        htlc_report = settlement.cost_report(htlc_world, f"htlc-n{count}")
-        chan_report = settlement.cost_report(chan_world, f"channel-n{count}")
-        htlc_ops = sum(
-            htlc_report.counts.get(k, 0) for k in settlement.HTLC_KINDS
-        )
-        chan_ops = sum(
-            chan_report.counts.get(k, 0) for k in settlement.CHANNEL_KINDS
-        )
+        htlc_total, htlc_ops = settlement.route_cost(htlc_world, settlement.HTLC_KINDS)
+        chan_total, chan_ops = settlement.route_cost(chan_world, settlement.CHANNEL_KINDS)
         rows.append(
             {
                 "n": count,
-                "htlc_total": htlc_report.htlc_total,
-                "channel_total": chan_report.channel_total,
+                "htlc_total": htlc_total,
+                "channel_total": chan_total,
                 "htlc_onchain_ops": htlc_ops,
                 "channel_onchain_ops": chan_ops,
             }
         )
-        if crossover is None and htlc_report.htlc_total > chan_report.channel_total:
+        if crossover is None and htlc_total > chan_total:
             crossover = count
     return MetricsReport(
         experiment="cost_compare",

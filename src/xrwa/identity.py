@@ -9,8 +9,12 @@ Deactivated identifiers still resolve, with their status visible: verifiers
 must be able to distinguish revoked from never-existed, so "non-resolvable"
 is realized as "unusable for authorization" rather than as deletion.
 
-The registry is world-level state hosted on the first configured chain,
-which is where registry operations are logged.
+A key controls at most one DID: `did_create` and `did_update` refuse a
+controller key that another DID holds (`DuplicateController`), so
+`World.controller_index` maps each active head's controller key to its DID.
+
+The registry is world-level state hosted on `REGISTRY_CHAIN`, the first
+chain, where DID and credential status-list operations are logged.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from .errors import (
     VersionSkew,
     XrwaError,
 )
-from .ledger import World
+from .ledger import CHAINS, World
 from .primitives import KeyPair, digest, sign, verify_sig
 
 __all__ = [
     "Did",
     "DidDocument",
     "DidEntry",
+    "REGISTRY_CHAIN",
     "did_create",
     "did_resolve",
     "did_update",
@@ -127,8 +132,7 @@ class DidEntry:
         }
 
 
-def _registry_chain(world: World) -> str:
-    return world.config.chains[0]
+REGISTRY_CHAIN = CHAINS[0]
 
 
 def _entry(world: World, did: str) -> DidEntry:
@@ -142,11 +146,7 @@ def _deactivate_message(did: str, version: int) -> bytes:
     return canonical.dumps_bytes({"deactivate": did, "version": version})
 
 
-def did_create(
-    world: World,
-    keypair: KeyPair,
-    service_endpoints: tuple[tuple[str, str, str], ...] = (),
-) -> tuple[Did, DidDocument]:
+def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
     controller_hex = canonical.to_hex(keypair.pk)
     if controller_hex in world.controller_index:
         raise DuplicateController(
@@ -156,7 +156,7 @@ def did_create(
         did="",
         controller_pk=keypair.pk,
         verification_methods=(("key-1", keypair.pk),),
-        service_endpoints=service_endpoints,
+        service_endpoints=(),
         version=1,
         status="Active",
     )
@@ -165,7 +165,7 @@ def did_create(
     doc = dataclasses.replace(seed_doc, did=did.text)
     world.did_registry[did.text] = DidEntry(versions=[doc])
     world.controller_index[controller_hex] = did.text
-    world.log_op(_registry_chain(world), "did_create", descriptor={"did": did.text})
+    world.log_op(REGISTRY_CHAIN, "did_create", descriptor={"did": did.text})
     return did, doc
 
 
@@ -225,16 +225,16 @@ def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: byt
         raise BadSignature("updates cannot change lifecycle status")
     if not verify_sig(head.controller_pk, new_doc.canonical_bytes(), controller_sig):
         raise BadSignature("update not authorized by the current controller")
+    new_hex = canonical.to_hex(new_doc.controller_pk)
+    if world.controller_index.get(new_hex, did) != did:
+        raise DuplicateController(f"controller key already bound to {world.controller_index[new_hex]}")
     entry.versions.append(new_doc)
     entry.authorizations.append(("update", controller_sig))
     old_hex = canonical.to_hex(head.controller_pk)
-    new_hex = canonical.to_hex(new_doc.controller_pk)
     if old_hex != new_hex:
         del world.controller_index[old_hex]
         world.controller_index[new_hex] = did
-    world.log_op(
-        _registry_chain(world), "did_update", descriptor={"did": did, "v": new_doc.version}
-    )
+    world.log_op(REGISTRY_CHAIN, "did_update", descriptor={"did": did, "v": new_doc.version})
     return new_doc
 
 
@@ -252,12 +252,20 @@ def did_deactivate(world: World, did: str, controller_sig: bytes) -> None:
     entry.versions[-1] = dataclasses.replace(head, status="Deactivated")
     entry.authorizations.append(("deactivate", controller_sig))
     del world.controller_index[canonical.to_hex(head.controller_pk)]
-    world.log_op(_registry_chain(world), "did_deactivate", descriptor={"did": did})
+    world.log_op(REGISTRY_CHAIN, "did_deactivate", descriptor={"did": did})
 
 
 def check_authorization(world: World) -> None:
     """Audit: replay every head change and confirm it carries a signature
-    verifying under the controller key it replaced (or deactivated)."""
+    verifying under the controller key it replaced (or deactivated), and that
+    `controller_index` maps exactly each active head's key to its DID."""
+    active = sorted(
+        (canonical.to_hex(entry.head.controller_pk), did)
+        for did, entry in world.did_registry.items()
+        if entry.head.status == "Active"
+    )
+    if sorted(world.controller_index.items()) != active:
+        raise XrwaError("controller index differs from the active heads' controller keys")
     for did, entry in world.did_registry.items():
         transitions = len(entry.versions) - 1 + (1 if entry.head.status == "Deactivated" else 0)
         if transitions != len(entry.authorizations):

@@ -1,8 +1,8 @@
 """Deterministic in-process simulation of independent blockchains.
 
-A World holds two or more chains (blocks, pending pool, balances, asset
-holdings, contract states), one logical clock, per-observer relayed header
-views, and an append-only operation log with cost units. Replaying a
+A World holds the two chains of `CHAINS` (blocks, pending pool, balances,
+asset holdings, contract states), one logical clock, per-observer relayed
+header views, and an append-only operation log with cost units. Replaying a
 scenario from the same seed reproduces the op log byte for byte.
 
 There is no consensus layer: a header is valid when it extends a chain by
@@ -35,6 +35,7 @@ from .primitives import KeyPair, digest, keygen, merkle_root, sign, verify_sig
 
 __all__ = [
     "ChainId",
+    "CHAINS",
     "GENESIS_PREV",
     "header_links",
     "Transaction",
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 ChainId = str
+
+# every world has exactly these chains
+CHAINS: tuple[ChainId, ...] = ("C1", "C2")
 
 GENESIS_PREV = b"\x00" * 32
 
@@ -200,7 +204,6 @@ class _ChainState:
 
 @dataclass(frozen=True)
 class WorldConfig:
-    chains: tuple[ChainId, ...] = ("C1", "C2")
     seed: int = 42
     current_date: str = "2025-06-15"
     jurisdictions: dict[ChainId, str] = field(default_factory=dict)
@@ -215,11 +218,9 @@ class World:
 
     def __init__(self, config: WorldConfig | None = None):
         self.config = config or WorldConfig()
-        if len(set(self.config.chains)) != len(self.config.chains):
-            raise UnknownChain("chain labels must be unique within a world")
         self.clock = 0
         self.rng = random.Random(self.config.seed)
-        self.chains: dict[ChainId, _ChainState] = {c: _ChainState() for c in self.config.chains}
+        self.chains: dict[ChainId, _ChainState] = {c: _ChainState() for c in CHAINS}
         self.relayed: dict[tuple[ChainId, ChainId], list[BlockHeader]] = {}
         self.op_log: list[OpRecord] = []
 
@@ -227,7 +228,7 @@ class World:
         self.did_registry: dict[str, Any] = {}
         self.controller_index: dict[str, str] = {}
         self.status_lists: dict[str, Any] = {}
-        self.acceptance_records: dict[ChainId, list[Any]] = {c: [] for c in self.config.chains}
+        self.acceptance_records: dict[ChainId, list[Any]] = {c: [] for c in CHAINS}
         self.asset_origins: dict[str, ChainId] = {}
 
         self.anchor_nonces: set[tuple[str, int, bytes]] = set()
@@ -236,7 +237,7 @@ class World:
         self.verify_counts: dict[str, int] = {}
 
         self.treasury = keygen(digest(b"xrwa/treasury/" + str(self.config.seed).encode()))
-        for chain in self.config.chains:
+        for chain in CHAINS:
             self._seal_genesis(chain)
 
     def fork(self) -> "World":
@@ -373,8 +374,9 @@ class World:
         """Verify and apply `tx`, queue it for the next block and return its
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
-        anchor is refused unless its sender controls an active DID, and a
-        kind the cost table does not weigh is refused before anything moves."""
+        anchor is refused unless its sender controls an active DID, a
+        transfer unless its amount is a non-negative int, and a kind the cost
+        table does not weigh; each before anything moves."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
         if not verify_sig(tx.sender, payload, tx.sig):
@@ -387,9 +389,9 @@ class World:
         if tx.kind == "anchor" and sender not in self.controller_index:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
-            amount = int(tx.body["amount"])
-            if amount < 0:
-                raise InsufficientBalance("negative transfer amount")
+            amount = tx.body["amount"]
+            if type(amount) is not int or amount < 0:
+                raise InsufficientBalance(f"transfer amount {amount!r} is not a non-negative int")
             if state.balances.get(sender, 0) < amount:
                 raise InsufficientBalance(
                     f"sender holds {state.balances.get(sender, 0)} < {amount}"

@@ -58,13 +58,6 @@ def build_actors(world: World, seed: int, key_seeds: dict[str, int] | None = Non
     return actors
 
 
-def _issue_on_source(world: World, actors: Actors, items: dict) -> credential.CompositeCredential:
-    req = credential.request(items, actors.holder)
-    cred = credential.issue(world, req, actors.issuer)
-    world.mint_asset(world.config.chains[0], actors.holder.pk, cred.asset["assetId"])
-    return cred
-
-
 def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None) -> dict:
     """Full trade: issue on the source chain, anchor, relay, authenticate on
     the destination, migrate the asset, then open a channel, negotiate
@@ -74,8 +67,9 @@ def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None
     actors = build_actors(world, seed, actor_seeds)
     world.mint(source, actors.buyer.pk, 1_000_000)
 
-    cred = _issue_on_source(world, actors, fixture_items("RE"))
+    cred = credential.issue(world, credential.request(fixture_items("RE"), actors.holder), actors.issuer)
     asset_id = cred.asset["assetId"]
+    world.mint_asset(source, actors.holder.pk, asset_id)
 
     presentation = credential.prove(cred, actors.holder, TRANSFER_DISCLOSURE)
     epoch = len(world.chains[source].blocks)

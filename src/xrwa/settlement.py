@@ -67,7 +67,6 @@ __all__ = [
     "ChannelState",
     "ChannelLeg",
     "Channel",
-    "CostReport",
     "htlc_lock",
     "htlc_unlock",
     "htlc_refund",
@@ -82,7 +81,7 @@ __all__ = [
     "reveal_on_assets_leg",
     "redeem_on_funds_leg",
     "refund_leg",
-    "cost_report",
+    "route_cost",
 ]
 
 
@@ -559,41 +558,13 @@ def chan_close(world: World, channel: Channel) -> dict:
     }
 
 
-# ------------------------------------------------------------- cost report --
+# -------------------------------------------------------------- route cost --
 
 HTLC_KINDS = ("htlc_lock", "htlc_unlock", "htlc_refund")
 CHANNEL_KINDS = ("chan_open", "chan_lock", "chan_unlock", "chan_refund", "chan_close")
 
 
-@dataclass(frozen=True)
-class CostReport:
-    scenario: str
-    htlc_total: float
-    channel_total: float
-    by_kind: dict[str, float]
-    counts: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "htlcTotal": self.htlc_total,
-            "channelTotal": self.channel_total,
-            "byKind": dict(sorted(self.by_kind.items())),
-            "counts": dict(sorted(self.counts.items())),
-        }
-
-
-def cost_report(world: World, scenario: str = "") -> CostReport:
-    """Per-protocol cost totals summed from the actual op log."""
-    by_kind: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for rec in world.op_log:
-        by_kind[rec.op_kind] = by_kind.get(rec.op_kind, 0) + rec.cost_units
-        counts[rec.op_kind] = counts.get(rec.op_kind, 0) + 1
-    return CostReport(
-        scenario=scenario,
-        htlc_total=sum(by_kind.get(k, 0) for k in HTLC_KINDS),
-        channel_total=sum(by_kind.get(k, 0) for k in CHANNEL_KINDS),
-        by_kind=by_kind,
-        counts=counts,
-    )
+def route_cost(world: World, kinds: tuple[str, ...]) -> tuple[float, int]:
+    """Cost units and count of the op-log entries whose kind is in `kinds`."""
+    units = [rec.cost_units for rec in world.op_log if rec.op_kind in kinds]
+    return sum(units), len(units)

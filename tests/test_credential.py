@@ -181,7 +181,7 @@ def test_partial_disclosure_hides_other_sections(setup):
     blob = pres.serialize()
     assert b"Vault-example-01" not in blob  # custody location stays hidden
     assert b"floorArea" not in blob  # identity attributes stay hidden
-    assert canonical.dumps_bytes(cred.compliance["sellableRegions"]) in blob
+    assert canonical.dumps_bytes(cred.sections["compliance"]["sellableRegions"]) in blob
     assert verify(world, pres).ok
 
 
@@ -355,6 +355,32 @@ def test_revoke_requires_owner(setup):
         revoke(world, rev_list, cred, "asset", keygen(digest(b"nobody")))
 
 
+def test_revoke_refuses_a_credential_not_in_the_list(setup):
+    # unguarded, revoking another issuer's credential set its index in this
+    # issuer's list: the unrelated credential at that index read as revoked
+    world, issuer, holder, cred = setup
+    other = keygen(digest(b"other-issuer"))
+    identity.did_create(world, other)
+    theirs = issue(world, request(fixture_items("Gold"), holder), other)
+    my_rev = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
+    my_susp = world.status_lists[credential.status_list_uri(cred.issuer, "Suspension")]
+    ref = cred.status_ref("asset")
+    assert theirs.status_ref("asset")["statusListIndex"] == ref["statusListIndex"]
+    unallocated_ref = {**ref, "statusListIndex": my_rev.next_index}
+    unallocated = dataclasses.replace(
+        cred, sections={**cred.sections, "asset": {**cred.sections["asset"], "sStatus": unallocated_ref}}
+    )
+    before = (world.world_digest(), len(world.op_log))
+    for target in (theirs, unallocated):
+        for status_list in (my_rev, my_susp):
+            for act in (revoke, reinstate):
+                with pytest.raises(NotOwner):
+                    act(world, status_list, target, "asset", issuer)
+    assert (world.world_digest(), len(world.op_log)) == before
+    assert verify(world, prove(cred, holder, [])).ok
+    assert verify(world, prove(theirs, holder, [])).ok
+
+
 def test_issuer_deactivated_after_issue_fails_verification(setup):
     # lifecycle across modules: issue, deactivate, verify
     world, issuer, holder, cred = setup
@@ -471,6 +497,17 @@ def test_audit_flipped_proof_signature_names_the_proof(setup, name):
     forged = with_proof(cred, name, proof_value=flip_first_byte(proof.proof_value))
     result = audit_credential(world, forged)
     assert (result.reason, result.detail) == ("BadIssuerSignature", name)
+
+
+def test_issuer_signature_covers_the_stated_proof_purpose(setup):
+    world, _, holder, cred = setup
+    pres = prove(cred, holder, ["asset.assetId"])
+    top = dataclasses.replace(pres.top_proof, proof_purpose="authentication")
+    result = verify(world, resign(dataclasses.replace(pres, top_proof=top), holder))
+    assert (result.reason, result.detail) == ("BadIssuerSignature", "top")
+    for name in [*credential.SECTIONS, "top"]:
+        result = audit_credential(world, with_proof(cred, name, proof_purpose="authentication"))
+        assert (result.reason, result.detail) == ("BadIssuerSignature", name)
 
 
 @pytest.mark.parametrize("name", credential.SECTIONS)

@@ -11,6 +11,7 @@ from xrwa.errors import (
     DuplicateController,
     NotFound,
     VersionSkew,
+    XrwaError,
 )
 from xrwa.ledger import World, WorldConfig
 from xrwa.primitives import digest, keygen
@@ -182,6 +183,41 @@ def test_authorization_audit_catches_tampered_registry(world):
     entry.versions.append(bump(new_doc))
     with pytest.raises(Exception):
         identity.check_authorization(world)
+
+
+def test_update_cannot_take_another_dids_controller_key(world):
+    # taken, B's key would issue as A, and read as IssuerDeactivated once A rotated away
+    a, b = kp(b"take-a"), kp(b"take-b")
+    did_a, doc_a = identity.did_create(world, a)
+    did_b, _ = identity.did_create(world, b)
+    before = (world.world_digest(), dict(world.controller_index), len(world.op_log))
+    taking = bump(doc_a, controller=b)
+    with pytest.raises(DuplicateController):
+        identity.did_update(world, did_a.text, taking, identity.update_signature(a, taking))
+    assert (world.world_digest(), dict(world.controller_index), len(world.op_log)) == before
+    assert identity.controlled_did(world, b.pk) == did_b.text
+    keeping = bump(doc_a)
+    identity.did_update(world, did_a.text, keeping, identity.update_signature(a, keeping))
+    assert identity.controlled_did(world, a.pk) == did_a.text
+    identity.check_authorization(world)
+
+
+def test_authorization_audit_catches_injected_controller_index(world):
+    a, b, c = kp(b"inj-a"), kp(b"inj-b"), kp(b"inj-c")
+    did_a, _ = identity.did_create(world, a)
+    identity.did_create(world, b)
+    identity.check_authorization(world)
+    clean = dict(world.controller_index)
+    b_hex = canonical.to_hex(b.pk)
+    injected = [
+        {**clean, b_hex: did_a.text},  # B's key reads as A
+        {**clean, canonical.to_hex(c.pk): did_a.text},  # a second key for A
+        {k: v for k, v in clean.items() if k != b_hex},  # active B controls nothing
+    ]
+    for index in injected:
+        world.controller_index = index
+        with pytest.raises(XrwaError):
+            identity.check_authorization(world)
 
 
 def test_update_cannot_smuggle_deactivation(world):

@@ -79,6 +79,19 @@ def test_overdraft_rejected(world, alice, bob):
         world.submit_tx("C1", transfer(world, alice, bob, 11))
 
 
+@pytest.mark.parametrize("amount", [2.5, True, "3"])
+def test_non_int_amount_refused_before_anything_moves(world, alice, bob, amount):
+    # int() would move 2 for a signed 2.5 and 1 for True, and take "3"
+    world.mint("C1", alice.pk, 10)
+    tx = transfer(world, alice, bob, amount)
+    before = (world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log))
+    with pytest.raises(InsufficientBalance):
+        world.submit_tx("C1", tx)
+    after = (world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log))
+    assert after == before
+    assert (world.balance("C1", alice.pk), world.balance("C1", bob.pk)) == (10, 0)
+
+
 def test_transfer_moves_balance(world, alice, bob):
     world.mint("C1", alice.pk, 100)
     world.submit_tx("C1", transfer(world, alice, bob, 30))

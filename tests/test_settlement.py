@@ -32,11 +32,11 @@ from xrwa.settlement import (
     chan_refund,
     chan_unlock,
     chan_update,
-    cost_report,
     htlc_lock,
     htlc_refund,
     htlc_unlock,
     make_state,
+    route_cost,
     sign_state,
 )
 from xrwa.scenarios import run_channel_route, run_htlc_route
@@ -532,26 +532,25 @@ def test_unknown_op_kind_has_no_cost_weight(world):
     assert world.op_log == before
 
 
-def test_cost_report_full_htlc_interaction(world):
+def test_route_cost_full_htlc_interaction(world):
     # one interaction: both chains lock, both unlock
     l1 = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 100}, H_RHO, timeout=9)
     l2 = htlc_lock(world, "C2", BOB.pk, ALICE.pk, {"asset": "did:xrwa:asset-x"}, H_RHO, timeout=6)
     htlc_unlock(world, l2, RHO, at=2)
     htlc_unlock(world, l1, RHO, at=3)
-    report = cost_report(world, "one-swap")
-    assert report.htlc_total == 465_426
-    assert report.channel_total == 0
+    assert route_cost(world, settlement.HTLC_KINDS)[0] == 465_426
+    assert route_cost(world, settlement.CHANNEL_KINDS)[0] == 0
 
 
-def test_cost_report_full_channel_lifecycle(world):
+def test_route_cost_full_channel_lifecycle(world):
     ch = locked_channel(world, net=100)
     chan_unlock(world, ch, RHO, at=1)
-    report = cost_report(world)
-    assert report.channel_total == 917_253
-    assert report.htlc_total == 0
-    assert report.counts["chan_open"] == 2
-    assert report.counts["chan_lock"] == 2
-    assert report.counts["chan_unlock"] == 2
+    assert route_cost(world, settlement.CHANNEL_KINDS)[0] == 917_253
+    assert route_cost(world, settlement.HTLC_KINDS)[0] == 0
+    kinds = [rec.op_kind for rec in world.op_log]
+    assert kinds.count("chan_open") == 2
+    assert kinds.count("chan_lock") == 2
+    assert kinds.count("chan_unlock") == 2
 
 
 # -------------------------------------------------------------- atomicity ----
