@@ -85,8 +85,8 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
     world = template_world.fork()
     channel = dataclasses.replace(
         template,
-        leg_funds=world.chains[template.chain_funds].contracts[template.leg_funds.contract_id],
-        leg_assets=world.chains[template.chain_assets].contracts[template.leg_assets.contract_id],
+        leg_funds=world.chains[template.leg_funds.chain].contracts[template.leg_funds.contract_id],
+        leg_assets=world.chains[template.leg_assets.chain].contracts[template.leg_assets.contract_id],
         settled_assets=set(template.settled_assets),
         used_hash_conds=set(template.used_hash_conds),
     )

@@ -36,6 +36,7 @@ from .primitives import KeyPair, digest, keygen, merkle_root, sign, verify_sig
 __all__ = [
     "ChainId",
     "CHAINS",
+    "JURISDICTIONS",
     "GENESIS_PREV",
     "header_links",
     "Transaction",
@@ -50,6 +51,9 @@ ChainId = str
 
 # every world has exactly these chains
 CHAINS: tuple[ChainId, ...] = ("C1", "C2")
+
+# the jurisdiction of each chain, checked against an asset's disclosed sellable regions
+JURISDICTIONS: dict[ChainId, str] = {"C1": "US", "C2": "SG"}
 
 GENESIS_PREV = b"\x00" * 32
 
@@ -206,11 +210,9 @@ class _ChainState:
 class WorldConfig:
     seed: int = 42
     current_date: str = "2025-06-15"
-    jurisdictions: dict[ChainId, str] = field(default_factory=dict)
 
     def jurisdiction(self, chain: ChainId) -> str:
-        defaults = {"C1": "US", "C2": "SG"}
-        return self.jurisdictions.get(chain, defaults.get(chain, "US"))
+        return JURISDICTIONS[chain]
 
 
 class World:

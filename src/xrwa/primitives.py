@@ -158,6 +158,17 @@ def _check_leaves(leaves: Sequence[bytes]) -> None:
             raise ValueError("Merkle leaves must be 32-byte digests")
 
 
+def _next_level(level: list[bytes]) -> list[bytes]:
+    """The parents of one tree level. An odd-width level is first padded, in
+    place, by duplicating its last node, so a proof can read the padded
+    sibling from `level` afterwards. Duplicates therefore only ever sit on
+    the right, which `merkle_verify` relies on to refuse the duplicate's
+    position (the CVE-2012-2459 ambiguity)."""
+    if len(level) % 2 == 1:
+        level.append(level[-1])
+    return [node_digest(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+
+
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
     """Root of a binary tree over pre-hashed leaves.
 
@@ -166,9 +177,7 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
     _check_leaves(leaves)
     level = list(leaves)
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [node_digest(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        level = _next_level(level)
     return level[0]
 
 
@@ -181,12 +190,11 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerklePath:
     level = list(leaves)
     pos = index
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
+        parents = _next_level(level)
         sib = pos ^ 1
         side = "left" if sib < pos else "right"
         siblings.append((level[sib], side))
-        level = [node_digest(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        level = parents
         pos //= 2
     return MerklePath(siblings=tuple(siblings), leaf_index=index)
 

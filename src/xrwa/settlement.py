@@ -279,8 +279,6 @@ class Channel:
     channel_id: str
     buyer_pk: bytes
     seller_pk: bytes
-    chain_funds: ChainId
-    chain_assets: ChainId
     leg_funds: ChannelLeg
     leg_assets: ChannelLeg
     deposit_value: int
@@ -378,8 +376,6 @@ def chan_open(
         channel_id=channel_id,
         buyer_pk=buyer.pk,
         seller_pk=seller.pk,
-        chain_funds=chain_funds,
-        chain_assets=chain_assets,
         leg_funds=leg_funds,
         leg_assets=leg_assets,
         deposit_value=deposit_value,
@@ -441,8 +437,8 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
         leg.timeout = timeout
         leg.state = "Locked"
     channel.phase = "Locked"
-    world.log_op(channel.chain_funds, "chan_lock", descriptor={"channel": channel.channel_id})
-    world.log_op(channel.chain_assets, "chan_lock", descriptor={"channel": channel.channel_id})
+    world.log_op(channel.leg_funds.chain, "chan_lock", descriptor={"channel": channel.channel_id})
+    world.log_op(channel.leg_assets.chain, "chan_lock", descriptor={"channel": channel.channel_id})
     return channel
 
 
@@ -457,12 +453,12 @@ def _delta_payment(channel: Channel) -> int:
 def _pay_assets(world: World, channel: Channel, assets: list[str], to: bytes) -> None:
     for asset in assets:
         channel.leg_assets.escrowed_assets.discard(asset)
-        world.give_asset(channel.chain_assets, to, asset)
+        world.give_asset(channel.leg_assets.chain, to, asset)
 
 
 def _pay_value(world: World, channel: Channel, amount: int, to: bytes) -> None:
     channel.leg_funds.escrowed_value -= amount
-    world.credit(channel.chain_funds, to, amount)
+    world.credit(channel.leg_funds.chain, to, amount)
 
 
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
@@ -471,7 +467,7 @@ def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Op
     at = world.clock if at is None else at
     _claim(channel.leg_assets, preimage, at)
     _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
-    world.log_op(channel.chain_assets, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
+    world.log_op(channel.leg_assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
     _maybe_reopen(channel)
 
 
@@ -481,7 +477,7 @@ def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Opt
     at = world.clock if at is None else at
     _claim(channel.leg_funds, preimage, at)
     _pay_value(world, channel, _delta_payment(channel), channel.seller_pk)
-    world.log_op(channel.chain_funds, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
+    world.log_op(channel.leg_funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
     _maybe_reopen(channel)
 
 
@@ -548,8 +544,8 @@ def chan_close(world: World, channel: Channel) -> dict:
     _pay_value(world, channel, residual_value, channel.buyer_pk)
 
     channel.phase = "Closed"
-    world.log_op(channel.chain_funds, "chan_close", descriptor={"channel": channel.channel_id})
-    world.log_op(channel.chain_assets, "chan_close", descriptor={"channel": channel.channel_id})
+    world.log_op(channel.leg_funds.chain, "chan_close", descriptor={"channel": channel.channel_id})
+    world.log_op(channel.leg_assets.chain, "chan_close", descriptor={"channel": channel.channel_id})
     return {
         "buyerAssets": sorted(channel.latest.batch),
         "sellerPayment": channel.settled_payment + payment_out,

@@ -307,13 +307,13 @@ def test_authenticate_revoked_section(flow):
 
 
 def test_authenticate_jurisdiction_blocked():
-    config = WorldConfig(seed=77, jurisdictions={"C2": "BR"})
-    world = World(config)
+    # the Vehicle fixture is sellable in EU, UK and CH; C2 is in SG
+    world = World(WorldConfig(seed=77))
     issuer = keygen(digest(b"fixture-issuer"))
     holder = keygen(digest(b"fixture-holder"))
     identity.did_create(world, issuer)
     identity.did_create(world, holder)
-    cred = credential.issue(world, credential.request(fixture_items("RE"), holder), issuer)
+    cred = credential.issue(world, credential.request(fixture_items("Vehicle"), holder), issuer)
     pres = credential.prove(cred, holder, XFER_DISCLOSURE)
     _, tx, proof = anchored(world, issuer, pres, cred)
     with pytest.raises(JurisdictionBlocked):
