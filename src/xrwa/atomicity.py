@@ -18,14 +18,15 @@ enumerating.
 Only the seed and the two timeouts shape the locked channel a schedule
 starts from, so it is built once per `(seed, t1, t2)`: a template world in
 which the channel is opened, updated under both signatures and locked.
-Each schedule runs on a `World.fork` of that template, with its own copy of
-the channel bound to the forked legs, and drives the real settlement
-functions from there; the template itself is never touched.
+Each schedule runs on a `World.fork` of that template with
+`Channel.in_world`, the channel bound to the forked legs, and drives the
+real settlement functions from there; the template itself is never touched.
+A schedule's outcome is read from what the chains hold at its end: the
+buyer's assets on C2 and the seller's balance on C1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import settlement
-from .errors import Expired, NotYetExpired, WrongPhase, WrongPreimage, XrwaError
+from .errors import Expired, NotYetExpired, WrongPhase, WrongPreimage
 from .ledger import World, WorldConfig
 from .primitives import digest, keygen
 
@@ -83,13 +84,7 @@ def _locked_channel(seed: int, t1: int, t2: int):
 def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0) -> Outcome:
     template_world, template, preimage = _locked_channel(seed, t1, t2)
     world = template_world.fork()
-    channel = dataclasses.replace(
-        template,
-        leg_funds=world.chains[template.leg_funds.chain].contracts[template.leg_funds.contract_id],
-        leg_assets=world.chains[template.leg_assets.chain].contracts[template.leg_assets.contract_id],
-        settled_assets=set(template.settled_assets),
-        used_hash_conds=set(template.used_hash_conds),
-    )
+    channel = template.in_world(world)
     redeem_at: Optional[int] = None
 
     def try_refunds(t: int) -> None:
@@ -99,7 +94,7 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
         ):
             if refund_at == t:
                 try:
-                    settlement.refund_leg(world, channel, leg_name, at=t)
+                    settlement.chan_refund(world, channel, at=t, leg=leg_name)
                 except (NotYetExpired, WrongPhase):
                     pass
 
@@ -120,21 +115,20 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
         if not schedule.refunds_first:
             try_refunds(t)
 
-    # anything still locked is eventually refunded at its timeout
+    # anything still locked is refunded at its timeout; every timeout is at
+    # most `final`, so a leg still Locked here cannot raise NotYetExpired
     final = max(window, t1)
     for leg_name in ("assets", "funds"):
         try:
-            settlement.refund_leg(world, channel, leg_name, at=final)
-        except (WrongPhase, NotYetExpired):
+            settlement.chan_refund(world, channel, at=final, leg=leg_name)
+        except WrongPhase:
             pass
 
     world.check_conservation()
-    if channel.phase == "Locked":
-        raise XrwaError("schedule left the channel unresolved")
     return Outcome(
         schedule=schedule,
-        assets_settled=bool(channel.settled_assets),
-        funds_settled=channel.settled_payment > 0,
+        assets_settled=bool(world.assets_of("C2", _BUYER.pk)),
+        funds_settled=world.balance("C1", _SELLER.pk) > 0,
     )
 
 

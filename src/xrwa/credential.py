@@ -284,13 +284,6 @@ class CredentialRequest:
     def verify(self) -> bool:
         return verify_sig(self.holder_pk, canonical.dumps_bytes(self.items), self.sig)
 
-    def to_json(self) -> dict:
-        return {
-            "items": self.items,
-            "holderPk": canonical.to_hex(self.holder_pk),
-            "sig": canonical.to_hex(self.sig),
-        }
-
 
 @dataclass(frozen=True)
 class CompositeCredential:

@@ -30,7 +30,7 @@ from math import ceil, log2, sqrt
 from typing import Any, Optional, Sequence
 
 from . import canonical, credential, identity, scenarios, settlement
-from .costs import format_units
+from .costs import DEFAULT_WEIGHTS, format_units
 from .errors import ConfigError, InvariantViolation
 from .fixtures import FIXTURE_TYPES, fixture_items, issue_fixture_set
 from .ledger import World, WorldConfig
@@ -379,13 +379,15 @@ def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> Metri
         )
         if crossover is None and htlc_total > chan_total:
             crossover = count
+    w = DEFAULT_WEIGHTS
     return MetricsReport(
         experiment="cost_compare",
         rows=rows,
         derived={
             "crossoverN": crossover,
-            "htlcPerInteraction": 465_426,
-            "channelConstant": 917_253,
+            # the two calibration totals of the cost table
+            "htlcPerInteraction": int(2 * (w["htlc_lock"] + w["htlc_unlock"])),
+            "channelConstant": int(2 * (w["chan_open"] + w["chan_lock"] + w["chan_unlock"])),
         },
         annotations={
             "note": "totals are simulated op counts priced by the calibrated table"

@@ -72,10 +72,6 @@ class Did:
             raise ValueError(f"not a did: {text!r}")
         return cls(method=parts[1], id_string=parts[2])
 
-    @property
-    def is_native(self) -> bool:
-        return self.method == NATIVE_METHOD
-
 
 @dataclass(frozen=True)
 class DidDocument:

@@ -190,7 +190,9 @@ class _ChainState:
     minted_assets: set[str] = field(default_factory=set)
 
     def fork(self) -> "_ChainState":
-        """A copy sharing the sealed blocks and nothing that can change."""
+        """A copy sharing the sealed blocks and nothing that can change.
+        Contracts are copied shallowly: settlement rebinds a contract's
+        fields and never edits a value one holds."""
         return _ChainState(
             blocks=list(self.blocks),
             pending=list(self.pending),
@@ -198,7 +200,7 @@ class _ChainState:
             sender_nonces=set(self.sender_nonces),
             balances=dict(self.balances),
             holdings={k: set(v) for k, v in self.holdings.items()},
-            contracts={cid: copy.deepcopy(c) for cid, c in self.contracts.items()},
+            contracts={cid: copy.copy(c) for cid, c in self.contracts.items()},
             minted_value=self.minted_value,
             minted_assets=set(self.minted_assets),
         )
@@ -255,7 +257,8 @@ class World:
         other.config = self.config
         other.treasury = self.treasury
         other.clock = self.clock
-        other.rng = random.Random()
+        # a constant seed spares drawing one from the OS; setstate replaces it
+        other.rng = random.Random(0)
         other.rng.setstate(self.rng.getstate())
         other.chains = {label: state.fork() for label, state in self.chains.items()}
         other.relayed = {pair: list(view) for pair, view in self.relayed.items()}

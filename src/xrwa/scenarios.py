@@ -86,10 +86,7 @@ def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None
     world.burn_asset(source, actors.holder.pk, asset_id)
     world.mint_asset(dest, actors.holder.pk, asset_id)
 
-    channel = settlement.chan_open(
-        world, actors.buyer, actors.holder, 500_000, [asset_id],
-        chain_funds=source, chain_assets=dest,
-    )
+    channel = settlement.chan_open(world, actors.buyer, actors.holder, 500_000, [asset_id])
     price = 0
     for i in range(n_updates):
         price = 400_000 + i * 100

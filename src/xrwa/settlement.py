@@ -11,26 +11,33 @@ channel callers catch both as WrongPhase.
 An HtlcLock escrows exactly one value or one asset. Escrow leaves a
 contract exactly once.
 
-A Channel pairs two contracts: a funds leg (buyer's deposit) and an assets
-leg (seller's asset set), usually on different chains. A signed off-chain
-state is its batch and its net payment, under the channel id and a strictly
-increasing sequence number: `batch` is every deposited asset the buyer
-should own so far and `net_payment` everything the seller should have been
-paid so far, both cumulative from open. The rest of the allocation follows
-from the deposits, so an update is checked only for a batch of deposited
-assets named once, a payment within the deposit, and no step back from
-what was settled. Locking installs the hash condition and the timeouts on
-the legs themselves, t1 on the funds leg and t2 < t1 on the assets leg
-(funds leg lives longer, giving the seller a reaction window of t1 - t2
-ticks once the preimage is public); the channel keeps no copy. It does keep
-every hash condition its rounds were locked under and refuses to lock
-under one again, since an earlier round may have made its preimage public.
-Both settlement paths and the close pay out through `_pay_assets` and
-`_pay_value`. A settlement executes only the delta between the committed
-state and what previous settlements already moved, then the channel
-re-enters Open with its sequence preserved, so further updates and
+A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
+assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`. A
+signed off-chain state is its batch and its net payment, under the channel
+id and a strictly increasing sequence number: `batch` is every deposited
+asset the buyer should own so far and `net_payment` everything the seller
+should have been paid so far, both cumulative from open. The rest of the
+allocation follows from the deposits, so an update is checked only for a
+batch of deposited assets named once, a payment within the deposit, and no
+step back from what was settled. Locking installs the hash condition and
+the timeouts on the legs themselves, t1 on the funds leg and t2 < t1 on the
+assets leg (funds leg lives longer, giving the seller a reaction window of
+t1 - t2 ticks once the preimage is public); the channel keeps no copy. It
+does keep every hash condition its rounds were locked under and refuses to
+lock under one again, since an earlier round may have made its preimage
+public. Both settlement paths and the close pay out through `_pay_assets`
+and `_pay_value`. A settlement executes only the delta between the
+committed state and what previous settlements already moved, then the
+channel re-enters Open with its sequence preserved, so further updates and
 settlements need no reopening. A refund cancels the lock without moving
 anything; the channel likewise continues.
+
+Settlement state is values: a leg's `escrowed_assets` and a channel's
+`settled_assets` and `used_hash_conds` are frozensets that settlement
+rebinds and never edits, and an HtlcLock's `escrow` is never changed after
+`htlc_lock`. So a shallow copy of a contract shares nothing that can
+change, which is what `World.fork` makes, and `Channel.in_world` binds a
+channel to the copies of its legs in a forked world.
 
 All on-chain steps are logged with the calibrated weights of `costs`;
 state updates are purely off-chain and log nothing.
@@ -39,7 +46,7 @@ state updates are purely off-chain and log nothing.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
@@ -58,7 +65,7 @@ from .errors import (
     WrongPhase,
     WrongPreimage,
 )
-from .ledger import ChainId, World
+from .ledger import CHAINS, ChainId, World
 from .primitives import KeyPair, digest, sign, verify_sig
 from .xauth import has_acceptance
 
@@ -80,7 +87,6 @@ __all__ = [
     "chan_close",
     "reveal_on_assets_leg",
     "redeem_on_funds_leg",
-    "refund_leg",
     "route_cost",
 ]
 
@@ -200,20 +206,16 @@ def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
     lock.state = "Refunded"
 
 
-def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> dict:
-    at = world.clock if at is None else at
-    _claim(lock, preimage, at)
+def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> None:
+    _claim(lock, preimage, world.clock if at is None else at)
     _release_escrow(world, lock.chain, lock.beneficiary, lock.escrow)
     world.log_op(lock.chain, "htlc_unlock", descriptor={"contract": lock.contract_id})
-    return {"to": canonical.to_hex(lock.beneficiary), "escrow": lock.escrow, "at": at}
 
 
-def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> dict:
-    at = world.clock if at is None else at
-    _refund(lock, at)
+def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> None:
+    _refund(lock, world.clock if at is None else at)
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
-    return {"to": canonical.to_hex(lock.depositor), "escrow": lock.escrow, "at": at}
 
 
 # ----------------------------------------------------------------- channel --
@@ -255,7 +257,7 @@ class ChannelLeg:
     contract_id: str
     chain: ChainId
     escrowed_value: int = 0
-    escrowed_assets: set[str] = field(default_factory=set)
+    escrowed_assets: frozenset[str] = frozenset()
     committed_digest: Optional[bytes] = None
     hash_cond: Optional[bytes] = None
     timeout: Optional[int] = None
@@ -284,11 +286,11 @@ class Channel:
     deposit_value: int
     deposit_assets: tuple[str, ...]
     latest: ChannelState
-    settled_assets: set[str] = field(default_factory=set)
+    settled_assets: frozenset[str] = frozenset()
     settled_payment: int = 0
     phase: str = "Open"  # Open | Locked | Closed
     # every hash condition a round of this channel was locked under
-    used_hash_conds: set[bytes] = field(default_factory=set)
+    used_hash_conds: frozenset[bytes] = frozenset()
 
     def leg(self, name: str) -> ChannelLeg:
         if name == "assets":
@@ -297,9 +299,27 @@ class Channel:
             return self.leg_funds
         raise ValueError(f"unknown leg {name!r}; expected 'assets' or 'funds'")
 
+    def in_world(self, world: World) -> "Channel":
+        """This channel bound to the legs `world` holds, such as the copies
+        in a `World.fork` of the world it was opened in."""
+        return dataclasses.replace(
+            self,
+            leg_funds=world.chains[self.leg_funds.chain].contracts[self.leg_funds.contract_id],
+            leg_assets=world.chains[self.leg_assets.chain].contracts[self.leg_assets.contract_id],
+        )
+
 
 def sign_state(party: KeyPair, state: ChannelState) -> bytes:
     return sign(party.sk, state.canonical_bytes())
+
+
+def _cosign(
+    channel_id: str, seq: int, batch: list[str], net_payment: int, buyer: KeyPair, seller: KeyPair
+) -> ChannelState:
+    state = ChannelState(channel_id=channel_id, seq=seq, batch=sorted(batch), net_payment=net_payment)
+    return dataclasses.replace(
+        state, sig_a=sign_state(buyer, state), sig_b=sign_state(seller, state)
+    )
 
 
 def make_state(
@@ -308,16 +328,9 @@ def make_state(
     net_payment: int,
     buyer: KeyPair,
     seller: KeyPair,
-    seq: Optional[int] = None,
 ) -> ChannelState:
     """Construct and co-sign the next cumulative state."""
-    seq = channel.latest.seq + 1 if seq is None else seq
-    state = ChannelState(
-        channel_id=channel.channel_id, seq=seq, batch=sorted(batch), net_payment=net_payment
-    )
-    return dataclasses.replace(
-        state, sig_a=sign_state(buyer, state), sig_b=sign_state(seller, state)
-    )
+    return _cosign(channel.channel_id, channel.latest.seq + 1, batch, net_payment, buyer, seller)
 
 
 def chan_open(
@@ -326,8 +339,6 @@ def chan_open(
     seller: KeyPair,
     deposit_value: int,
     deposit_assets: list[str],
-    chain_funds: ChainId = "C1",
-    chain_assets: ChainId = "C2",
 ) -> Channel:
     """Escrow both deposits and open the channel with a co-signed state 0.
 
@@ -335,6 +346,7 @@ def chan_open(
     authenticated cross-chain (an acceptance record exists) or locally
     issued there.
     """
+    chain_funds, chain_assets = CHAINS
     if deposit_value < 0:
         raise InsufficientBalance("deposit value must be non-negative")
     for asset in deposit_assets:
@@ -367,7 +379,7 @@ def chan_open(
     leg_assets = ChannelLeg(
         contract_id=channel_id + "-assets",
         chain=chain_assets,
-        escrowed_assets=set(deposit_assets),
+        escrowed_assets=frozenset(deposit_assets),
     )
     world.chains[chain_funds].contracts[leg_funds.contract_id] = leg_funds
     world.chains[chain_assets].contracts[leg_assets.contract_id] = leg_assets
@@ -380,9 +392,8 @@ def chan_open(
         leg_assets=leg_assets,
         deposit_value=deposit_value,
         deposit_assets=tuple(sorted(deposit_assets)),
-        latest=ChannelState(channel_id=channel_id, seq=0, batch=[], net_payment=0),
+        latest=_cosign(channel_id, 0, [], 0, buyer, seller),
     )
-    channel.latest = make_state(channel, batch=[], net_payment=0, buyer=buyer, seller=seller, seq=0)
     world.log_op(chain_funds, "chan_open", descriptor={"channel": channel_id})
     world.log_op(chain_assets, "chan_open", descriptor={"channel": channel_id})
     return channel
@@ -400,7 +411,7 @@ def _check_conserves(channel: Channel, state: ChannelState) -> None:
         raise ConservationViolation("proposed payment below what is already settled")
 
 
-def chan_update(channel: Channel, proposed: ChannelState) -> Channel:
+def chan_update(channel: Channel, proposed: ChannelState) -> None:
     """Apply a co-signed off-chain state; zero on-chain operations."""
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
@@ -415,10 +426,9 @@ def chan_update(channel: Channel, proposed: ChannelState) -> Channel:
         raise BadSignature("seller signature invalid")
     _check_conserves(channel, proposed)
     channel.latest = proposed
-    return channel
 
 
-def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int) -> Channel:
+def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int) -> None:
     """Commit the latest state on both contracts under hash-locked conditions."""
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
@@ -429,7 +439,7 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
     if hash_cond in channel.used_hash_conds:
         # an earlier round may have made its preimage public
         raise ReusedHashLock("an earlier round of this channel used this hash condition")
-    channel.used_hash_conds.add(hash_cond)
+    channel.used_hash_conds = channel.used_hash_conds | {hash_cond}
     committed = channel.latest.state_digest()
     for leg, timeout in ((channel.leg_funds, t1), (channel.leg_assets, t2)):
         leg.committed_digest = committed
@@ -439,7 +449,6 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
     channel.phase = "Locked"
     world.log_op(channel.leg_funds.chain, "chan_lock", descriptor={"channel": channel.channel_id})
     world.log_op(channel.leg_assets.chain, "chan_lock", descriptor={"channel": channel.channel_id})
-    return channel
 
 
 def _delta_assets(channel: Channel) -> list[str]:
@@ -451,8 +460,8 @@ def _delta_payment(channel: Channel) -> int:
 
 
 def _pay_assets(world: World, channel: Channel, assets: list[str], to: bytes) -> None:
+    channel.leg_assets.escrowed_assets = channel.leg_assets.escrowed_assets.difference(assets)
     for asset in assets:
-        channel.leg_assets.escrowed_assets.discard(asset)
         world.give_asset(channel.leg_assets.chain, to, asset)
 
 
@@ -481,16 +490,6 @@ def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Opt
     _maybe_reopen(channel)
 
 
-def refund_leg(world: World, channel: Channel, leg_name: str, at: Optional[int] = None) -> None:
-    """Cancel one leg's lock at/after its timeout; escrow stays in the
-    channel and the committed assignment is reverted."""
-    at = world.clock if at is None else at
-    leg = channel.leg(leg_name)
-    _refund(leg, at)
-    world.log_op(leg.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": leg_name})
-    _maybe_reopen(channel)
-
-
 def _maybe_reopen(channel: Channel) -> None:
     """Once both legs resolved, fold the outcome into the cumulative settled
     totals and re-enter Open with the sequence preserved."""
@@ -498,7 +497,7 @@ def _maybe_reopen(channel: Channel) -> None:
     if any(leg.state == "Locked" for leg in legs):
         return
     if channel.leg_assets.state == "Unlocked":
-        channel.settled_assets = set(channel.latest.batch)
+        channel.settled_assets = frozenset(channel.latest.batch)
     if channel.leg_funds.state == "Unlocked":
         channel.settled_payment = channel.latest.net_payment
     for leg in legs:
@@ -509,25 +508,27 @@ def _maybe_reopen(channel: Channel) -> None:
     channel.phase = "Open"
 
 
-def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> Channel:
+def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Cooperative settlement: reveal on the asset chain, then redeem the
     payment on the funds chain, both at the same tick."""
     at = world.clock if at is None else at
     reveal_on_assets_leg(world, channel, preimage, at)
     redeem_on_funds_leg(world, channel, preimage, at)
-    return channel
 
 
-def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: Optional[str] = None) -> Channel:
-    """Refund one leg (leg="assets" or "funds") or, with no leg named, both;
-    every named leg is checked before any is refunded."""
+def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: Optional[str] = None) -> None:
+    """Refund one leg (leg="assets" or "funds") or, with no leg named, both,
+    at or after each one's timeout; every named leg is checked before any is
+    refunded. Escrow stays in the channel and the committed assignment is
+    reverted."""
     at = world.clock if at is None else at
-    legs = [leg] if leg else ["assets", "funds"]
-    for name in legs:
-        _check_refund(channel.leg(name), at)
-    for name in legs:
-        refund_leg(world, channel, name, at)
-    return channel
+    legs = {name: channel.leg(name) for name in ([leg] if leg else ["assets", "funds"])}
+    for lock in legs.values():
+        _check_refund(lock, at)
+    for name, lock in legs.items():
+        _refund(lock, at)
+        world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
+    _maybe_reopen(channel)
 
 
 def chan_close(world: World, channel: Channel) -> dict:

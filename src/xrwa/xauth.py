@@ -367,14 +367,20 @@ def check_acceptance_soundness(world: World) -> None:
     controller_keys = {
         doc.controller_pk for entry in world.did_registry.values() for doc in entry.versions
     }
+    sources = {rec.source_chain for records in world.acceptance_records.values() for rec in records}
+    # one pass over the source chains; a later anchor of the same commitment
+    # replaces an earlier one
+    carriers = {
+        (chain, tx.body.get("commitmentDigest")): (block, tx)
+        for chain in sources
+        for block in world.chains[chain].blocks
+        for tx in block.txs
+        if tx.kind == "anchor"
+    }
     for dest, records in world.acceptance_records.items():
         for rec in records:
             wanted = canonical.to_hex(rec.commitment_digest)
-            carrier = None
-            for block in world.chains[rec.source_chain].blocks:
-                for tx in block.txs:
-                    if tx.kind == "anchor" and tx.body.get("commitmentDigest") == wanted:
-                        carrier = (block, tx)
+            carrier = carriers.get((rec.source_chain, wanted))
             if carrier is None:
                 raise InvariantViolation(
                     f"acceptance {wanted} has no anchor tx on {rec.source_chain}"
@@ -384,8 +390,7 @@ def check_acceptance_soundness(world: World) -> None:
                 raise InvariantViolation(f"anchor tx {wanted} missing from op log")
             if tx.sender not in controller_keys:
                 raise InvariantViolation(f"anchor tx {wanted} was sent by no DID controller")
-            view = world.relayed.get((dest, rec.source_chain), [])
-            if block.header not in view:
+            if world.relayed_header_at(dest, rec.source_chain, block.header.height) != block.header:
                 raise InvariantViolation(
                     f"anchor block for {wanted} was never relayed to {dest}"
                 )

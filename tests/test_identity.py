@@ -155,7 +155,7 @@ def test_update_after_deactivate_rejected(world):
 def test_foreign_methods_parse_as_opaque():
     ion = identity.Did.parse("did:ion:EiAaxyzcredential123")
     web = identity.Did.parse("did:web:issuer.example.org:class:RE-RESIDENCE")
-    assert not ion.is_native
+    assert ion.method == "ion"
     assert web.method == "web"
     assert web.text == "did:web:issuer.example.org:class:RE-RESIDENCE"
     with pytest.raises(ValueError):

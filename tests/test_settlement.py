@@ -207,8 +207,8 @@ def test_hundred_updates_cost_nothing_onchain(world):
 def test_stale_seq_rejected(world):
     ch = open_channel(world)
     state = make_state(ch, batch=[], net_payment=1, buyer=ALICE, seller=BOB)
+    stale = make_state(ch, batch=[], net_payment=2, buyer=ALICE, seller=BOB)
     chan_update(ch, state)
-    stale = make_state(ch, batch=[], net_payment=2, buyer=ALICE, seller=BOB, seq=1)
     with pytest.raises(StaleSeq):
         chan_update(ch, stale)
 
@@ -618,6 +618,28 @@ def test_sweep_outcomes_pinned_and_templates_untouched():
     world, channel, _ = atomicity._locked_channel(0, 4, 2)
     assert channel.phase == "Locked" and channel.leg_funds.state == "Locked"
     world.check_all()
+
+
+def test_two_rounds_on_a_fork_leave_the_template_untouched():
+    """Round 1 settles and round 2 refunds on a fork of the sweep's template;
+    the template's world and channel read as they did before."""
+    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    before = (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template))
+    fork = world.fork()
+    ch = template.in_world(fork)
+    buyer, seller = atomicity._BUYER, atomicity._SELLER
+    settlement.reveal_on_assets_leg(fork, ch, preimage, at=1)
+    settlement.redeem_on_funds_leg(fork, ch, preimage, at=1)
+    assert ch.phase == "Open" and ch.settled_payment == 600
+    chan_update(ch, make_state(ch, batch=list(ch.deposit_assets), net_payment=900, buyer=buyer, seller=seller))
+    with pytest.raises(ReusedHashLock):
+        chan_lock(fork, ch, digest(preimage), 8, 6)
+    chan_lock(fork, ch, digest(b"round-two-on-a-fork"), 8, 6)
+    chan_refund(fork, ch, at=8)
+    assert ch.phase == "Open" and ch.latest.seq == 2
+    assert (ch.settled_assets, ch.settled_payment) == ({ch.deposit_assets[0]}, 600)
+    fork.check_all()
+    assert (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template)) == before
 
 
 def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
