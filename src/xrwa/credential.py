@@ -21,7 +21,9 @@ Selective disclosure is a hash-commitment scheme, not zero knowledge:
 
 Revocation and suspension live in issuer-owned status lists held by the
 world. Each section is allocated one index, valid in both of the issuer's
-lists (revocation flips one way; suspension is reversible). The asset
+lists (revocation flips one way; suspension is reversible). `revoke`,
+`suspend` and `reinstate` name a section and act on the lists its status
+entry names, which must be the acting issuer's own. The asset
 section is always consulted during verification regardless of disclosure,
 since it carries the token binding that gives the credential meaning.
 
@@ -39,7 +41,6 @@ from typing import Any, Iterable, Mapping, Optional
 from . import canonical
 from .errors import (
     BadSignature,
-    Expired,
     IssuerDeactivated,
     MissingField,
     NotFound,
@@ -67,6 +68,7 @@ __all__ = [
     "status_clear",
     "consulted_status",
     "revoke",
+    "suspend",
     "reinstate",
     "audit_credential",
     "canonical_serialize",
@@ -539,34 +541,25 @@ class Presentation:
         return canonical.dumps_bytes(self.to_json())
 
 
-def prove(
-    cred: CompositeCredential,
-    holder: KeyPair,
-    disclosure: Iterable[str],
-    current_date: Optional[str] = None,
-) -> Presentation:
-    """Build a presentation disclosing exactly the selected fields.
+def _consulted_sections(selectors: Iterable[str]) -> set[str]:
+    """The sections whose sStatus a presentation carries and a verifier
+    consults: asset, and every section with a disclosed field."""
+    return {sel.split(".", 1)[0] for sel in selectors} | {"asset"}
 
-    Status metadata rides along: the asset section's sStatus is always
-    disclosed (verifiers always consult it), as is the sStatus of any
-    section with at least one disclosed field.
-    """
+
+def prove(cred: CompositeCredential, holder: KeyPair, disclosure: Iterable[str]) -> Presentation:
+    """Build a presentation disclosing exactly the selected fields, plus the
+    sStatus of every consulted section (`_consulted_sections`)."""
     known = set(selectors_of(cred))
     requested = set(disclosure)
     unknown = requested - known
     if unknown:
         raise UnknownSelector(f"no such fields: {sorted(unknown)}")
-    if current_date is not None and current_date + "T00:00:00Z" > cred.top_proof.expires:
-        raise Expired(f"credential expired {cred.top_proof.expires}")
 
-    effective = set(requested)
-    effective.add("asset.sStatus")
-    for sel in requested:
-        effective.add(sel.split(".", 1)[0] + ".sStatus")
-
+    touched = _consulted_sections(requested)
+    effective = requested | {f"{section}.sStatus" for section in touched}
     nonce = cred.disclosure_nonce
     all_digests, hashes = section_commitments(cred.sections, nonce)
-    touched = {sel.split(".", 1)[0] for sel in effective}
     disclosed: dict[str, Any] = {}
     salts: dict[str, bytes] = {}
     for sel in sorted(effective):
@@ -626,11 +619,9 @@ def status_clear(world: World, status_ref: Mapping[str, Any], section: str) -> O
 
 
 def consulted_status(world: World, presentation: Presentation) -> Optional[VerifyResult]:
-    """First status failure among the consulted sections (every section with
-    a disclosed field, plus asset), or None when all of them are clear."""
-    consulted = {sel.split(".", 1)[0] for sel in presentation.disclosed}
-    consulted.add("asset")
-    for section in sorted(consulted):
+    """First status failure among the consulted sections
+    (`_consulted_sections`), or None when all of them are clear."""
+    for section in sorted(_consulted_sections(presentation.disclosed)):
         ref = presentation.disclosed.get(f"{section}.sStatus")
         if ref is None:
             return _fail("StatusListMissing", section)
@@ -662,12 +653,7 @@ def _proof_failure(
     return None
 
 
-def verify(
-    world: World,
-    presentation: Presentation,
-    issuer_did: Optional[str] = None,
-    chain: Optional[str] = None,
-) -> VerifyResult:
+def verify(world: World, presentation: Presentation, chain: Optional[str] = None) -> VerifyResult:
     """Full presentation verification; False results carry a structured reason.
 
     Checks, in order: hash consistency of every disclosed field and section,
@@ -699,8 +685,6 @@ def verify(
     if top_hash(presentation.section_hashes) != presentation.top_proof.section_hash:
         return _fail("HashMismatch", "top")
 
-    if issuer_did is not None and issuer_did != presentation.issuer:
-        return _fail("IssuerMismatch", presentation.issuer)
     failure = _proof_failure(
         world, presentation.top_proof, presentation.credential_id, "top", presentation.holder_pk
     )
@@ -732,11 +716,11 @@ def verify(
     return VerifyResult(ok=True)
 
 
-def audit_credential(world: World, cred: CompositeCredential, chain: Optional[str] = None) -> VerifyResult:
+def audit_credential(world: World, cred: CompositeCredential) -> VerifyResult:
     """Verify the full credential in place: all four section proofs, then the
     top proof, each against its recomputed hash, the credential's issuer and
-    the issuer's key. Counts as one full verification."""
-    world.count_verification(chain)
+    the issuer's key. Counts as one full local verification."""
+    world.count_verification(None)
     hashes = cred.section_hashes()
     hashes["top"] = top_hash(hashes)
     proofs = {**cred.section_proofs, "top": cred.top_proof}
@@ -757,29 +741,24 @@ def audit_credential(world: World, cred: CompositeCredential, chain: Optional[st
 # -------------------------------------------------------------- revocation --
 
 def _status_change(
-    world: World,
-    status_list: StatusList,
-    cred: CompositeCredential,
-    section: str,
-    issuer: KeyPair,
-    op: str,
+    world: World, cred: CompositeCredential, section: str, issuer: KeyPair, purpose: str, op: str
 ) -> StatusList:
-    """Flip the section's bit in `status_list` ("revoke" sets it, "reinstate"
-    clears it) once `issuer` is shown to control the list's owner and the
-    section's status entry to name an allocated index of that issuer's
-    lists; a refusal moves nothing."""
+    """Flip the section's bit in the issuer's list of `purpose` ("revoke"
+    sets it, "reinstate" clears it) once `issuer` is shown to control an
+    active DID and the section's status entry to name an allocated index of
+    that DID's revocation list; a refusal moves nothing."""
     try:
         owner_did = controlled_did(world, issuer.pk)
     except (NotFound, IssuerDeactivated):
         raise BadSignature("key controls no active did") from None
-    if owner_did != status_list.issuer:
-        raise NotOwner(f"{owner_did} does not own {status_list.uri}")
     ref = cred.status_ref(section)
     index = ref["statusListIndex"]
-    if ref["statusListCredential"] != status_list_uri(status_list.issuer, "Revocation"):
-        raise NotOwner(f"{section} status entry is not in {status_list.uri}")
-    if not isinstance(index, int) or not 0 <= index < status_list.next_index:
-        raise NotOwner(f"{section} status index {index!r} was never allocated in {status_list.uri}")
+    revocation = world.status_lists.get(status_list_uri(owner_did, "Revocation"))
+    if revocation is None or ref["statusListCredential"] != revocation.uri:
+        raise NotOwner(f"{section} status entry names no list of {owner_did}")
+    if not isinstance(index, int) or not 0 <= index < revocation.next_index:
+        raise NotOwner(f"{section} status index {index!r} was never allocated in {revocation.uri}")
+    status_list = world.status_lists[status_list_uri(owner_did, purpose)]
     if op == "revoke":
         status_list.set_bit(index)
     else:
@@ -791,24 +770,17 @@ def _status_change(
     return status_list
 
 
-def revoke(
-    world: World,
-    status_list: StatusList,
-    cred: CompositeCredential,
-    section: str,
-    issuer: KeyPair,
-) -> StatusList:
-    """Set the targeted section's bit in the given list (idempotent on the
-    bit; the list version still increments)."""
-    return _status_change(world, status_list, cred, section, issuer, "revoke")
+def revoke(world: World, cred: CompositeCredential, section: str, issuer: KeyPair) -> StatusList:
+    """Set the section's revocation bit, which nothing clears (idempotent on
+    the bit; the list version still increments)."""
+    return _status_change(world, cred, section, issuer, "Revocation", "revoke")
 
 
-def reinstate(
-    world: World,
-    status_list: StatusList,
-    cred: CompositeCredential,
-    section: str,
-    issuer: KeyPair,
-) -> StatusList:
-    """Clear a suspension bit; rejected for revocation lists."""
-    return _status_change(world, status_list, cred, section, issuer, "reinstate")
+def suspend(world: World, cred: CompositeCredential, section: str, issuer: KeyPair) -> StatusList:
+    """Set the section's suspension bit; `reinstate` clears it."""
+    return _status_change(world, cred, section, issuer, "Suspension", "revoke")
+
+
+def reinstate(world: World, cred: CompositeCredential, section: str, issuer: KeyPair) -> StatusList:
+    """Clear the section's suspension bit."""
+    return _status_change(world, cred, section, issuer, "Suspension", "reinstate")

@@ -287,8 +287,9 @@ def bench_spv(
 
     # batches interleave across sizes so ambient load drift hits every point
     # alike; the per-point floor (best batch) is the low-noise estimator used
-    # for the growth ratio, timeit-style
-    batches = 10
+    # for the growth ratio, timeit-style; more, shorter batches give the floor
+    # more chances to land in a quiet stretch of a loaded host
+    batches = min(50, reps)
     per_batch = reps // batches
     batch_means: dict[int, list[float]] = {n: [] for n in sizes}
     for _ in range(batches):

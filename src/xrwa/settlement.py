@@ -206,14 +206,24 @@ def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
     lock.state = "Refunded"
 
 
+def _dated(world: World, at: Optional[int]) -> int:
+    """The tick a settlement step acts at: the world's clock, or `at`, which
+    may not be before the clock."""
+    if at is None:
+        return world.clock
+    if at < world.clock:
+        raise PastTimeout(f"step dated {at} is before clock {world.clock}")
+    return at
+
+
 def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> None:
-    _claim(lock, preimage, world.clock if at is None else at)
+    _claim(lock, preimage, _dated(world, at))
     _release_escrow(world, lock.chain, lock.beneficiary, lock.escrow)
     world.log_op(lock.chain, "htlc_unlock", descriptor={"contract": lock.contract_id})
 
 
 def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> None:
-    _refund(lock, world.clock if at is None else at)
+    _refund(lock, _dated(world, at))
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
 
@@ -473,7 +483,7 @@ def _pay_value(world: World, channel: Channel, amount: int, to: bytes) -> None:
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Buyer reveals the preimage on the asset contract, taking the committed
     batch delta. The preimage becomes public knowledge on-chain."""
-    at = world.clock if at is None else at
+    at = _dated(world, at)
     _claim(channel.leg_assets, preimage, at)
     _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
     world.log_op(channel.leg_assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
@@ -483,7 +493,7 @@ def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Op
 def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Seller redeems the aggregated payment on the funds contract with the
     now-public preimage; allowed strictly before t1."""
-    at = world.clock if at is None else at
+    at = _dated(world, at)
     _claim(channel.leg_funds, preimage, at)
     _pay_value(world, channel, _delta_payment(channel), channel.seller_pk)
     world.log_op(channel.leg_funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
@@ -511,7 +521,7 @@ def _maybe_reopen(channel: Channel) -> None:
 def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Cooperative settlement: reveal on the asset chain, then redeem the
     payment on the funds chain, both at the same tick."""
-    at = world.clock if at is None else at
+    at = _dated(world, at)
     reveal_on_assets_leg(world, channel, preimage, at)
     redeem_on_funds_leg(world, channel, preimage, at)
 
@@ -521,7 +531,7 @@ def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: O
     at or after each one's timeout; every named leg is checked before any is
     refunded. Escrow stays in the channel and the committed assignment is
     reverted."""
-    at = world.clock if at is None else at
+    at = _dated(world, at)
     legs = {name: channel.leg(name) for name in ([leg] if leg else ["assets", "funds"])}
     for lock in legs.values():
         _check_refund(lock, at)

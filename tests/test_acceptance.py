@@ -114,8 +114,7 @@ def test_criterion_disclosure_revocation_matrix():
         for revoked, disclosed in itertools.product(credential.SECTIONS, repeat=2):
             world, issuer, holder = fixture_world()
             cred = issue(world, request(fixture_items("RE"), holder), issuer)
-            rev = world.status_lists[cred.status_ref(revoked)["statusListCredential"]]
-            revoke(world, rev, cred, revoked, issuer)
+            revoke(world, cred, revoked, issuer)
             pres = prove(cred, holder, [DISCLOSURE_BY_SECTION[disclosed]])
             result = verify(world, pres)
             expect_fail = revoked == disclosed or revoked == "asset"

@@ -18,11 +18,11 @@ from xrwa.credential import (
     request,
     revoke,
     selectors_of,
+    suspend,
     verify,
 )
 from xrwa.errors import (
     BadSignature,
-    Expired,
     IssuerDeactivated,
     MissingField,
     NotFound,
@@ -199,20 +199,12 @@ def test_unknown_selector_rejected(setup):
         prove(cred, holder, ["custody.safeWord"])
 
 
-def test_prove_expired_credential_rejected(setup):
-    _, _, holder, cred = setup
-    with pytest.raises(Expired):
-        prove(cred, holder, [], current_date="2030-01-01")
-    # still fine at a date inside the validity window
-    prove(cred, holder, [], current_date="2025-12-01")
-
-
 # ---------------------------------------------------------------- verify ----
 
 def test_verify_post_issue_true(setup):
     world, _, holder, cred = setup
     pres = prove(cred, holder, ["asset.assetType"])
-    result = verify(world, pres, issuer_did=cred.issuer)
+    result = verify(world, pres)
     assert result.ok
 
 
@@ -223,7 +215,7 @@ def test_presentation_json_states_issuer_once(setup):
     assert "issuer" not in doc and doc["proof"]["issuer"] == cred.issuer
     again = Presentation.from_json(canonical.loads(canonical.dumps(doc)))
     assert again == pres and again.issuer == cred.issuer
-    assert verify(world, again, issuer_did=cred.issuer).ok
+    assert verify(world, again).ok
 
 
 def test_verify_mutated_disclosed_value_hash_mismatch(setup):
@@ -272,6 +264,17 @@ def test_verify_outside_effective_window(setup):
     assert not late.ok and late.reason in ("OutsideEffectiveWindow", "Expired")
 
 
+def test_verify_expired_credential_rejected(setup):
+    # no compliance window disclosed, so the top proof's expiry alone refuses
+    world, _, holder, cred = setup
+    pres = prove(cred, holder, ["asset.assetType"])
+    world.config = dataclasses.replace(world.config, current_date="2026-06-14")
+    assert verify(world, pres).ok
+    world.config = dataclasses.replace(world.config, current_date="2026-06-16")
+    assert cred.top_proof.expires < "2026-06-16T00:00:00Z"
+    assert verify(world, pres).reason == "Expired"
+
+
 # ------------------------------------------------------------- revocation ----
 
 DISCLOSURE_BY_SECTION = {
@@ -288,8 +291,7 @@ def test_revocation_matrix_4x4():
     for revoked, disclosed in itertools.product(credential.SECTIONS, repeat=2):
         world, issuer, holder = fixture_world()
         cred = issue(world, request(fixture_items("RE"), holder), issuer)
-        rev_list = world.status_lists[cred.status_ref(revoked)["statusListCredential"]]
-        revoke(world, rev_list, cred, revoked, issuer)
+        revoke(world, cred, revoked, issuer)
         pres = prove(cred, holder, [DISCLOSURE_BY_SECTION[disclosed]])
         result = verify(world, pres)
         expect_fail = revoked == disclosed or revoked == "asset"
@@ -301,8 +303,7 @@ def test_revocation_matrix_4x4():
 
 def test_revoke_4x2_disclosed_vs_other(setup):
     world, issuer, holder, cred = setup
-    rev_list = world.status_lists[cred.status_ref("compliance")["statusListCredential"]]
-    revoke(world, rev_list, cred, "compliance", issuer)
+    revoke(world, cred, "compliance", issuer)
     only_identity = prove(cred, holder, ["identity.identifiers"])
     assert verify(world, only_identity).ok
     with_compliance = prove(cred, holder, ["compliance.sellableRegions"])
@@ -315,9 +316,9 @@ def test_revoke_idempotent_version_still_increments(setup):
     world, issuer, _, cred = setup
     rev_list = world.status_lists[cred.status_ref("custody")["statusListCredential"]]
     v0 = rev_list.version
-    revoke(world, rev_list, cred, "custody", issuer)
+    assert revoke(world, cred, "custody", issuer) is rev_list
     v1 = rev_list.version
-    revoke(world, rev_list, cred, "custody", issuer)
+    revoke(world, cred, "custody", issuer)
     assert rev_list.version > v1 > v0
     index = cred.status_ref("custody")["statusListIndex"]
     assert rev_list.bit(index) == 1
@@ -325,34 +326,30 @@ def test_revoke_idempotent_version_still_increments(setup):
 
 def test_suspension_set_then_cleared(setup):
     world, issuer, holder, cred = setup
-    susp_uri = cred.status_ref("asset")["statusListCredential"].rsplit(":", 1)[0] + ":suspension"
-    susp = world.status_lists[susp_uri]
     pres = prove(cred, holder, [])
-    revoke(world, susp, cred, "asset", issuer)
-    assert not verify(world, pres).ok
+    susp = suspend(world, cred, "asset", issuer)
+    assert susp.uri == credential.status_list_uri(cred.issuer, "Suspension")
     assert verify(world, pres).reason == "SectionSuspended"
-    reinstate(world, susp, cred, "asset", issuer)
+    assert reinstate(world, cred, "asset", issuer) is susp
     assert verify(world, pres).ok
 
 
 def test_revocation_bits_one_directional(setup):
     world, issuer, _, cred = setup
-    rev_list = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
-    revoke(world, rev_list, cred, "asset", issuer)
+    rev_list = revoke(world, cred, "asset", issuer)
     with pytest.raises(ValueError):
-        reinstate(world, rev_list, cred, "asset", issuer)
+        rev_list.clear_bit(cred.status_ref("asset")["statusListIndex"])
 
 
 def test_revoke_requires_owner(setup):
     world, _, holder, cred = setup
     outsider = keygen(digest(b"outsider"))
     identity.did_create(world, outsider)
-    rev_list = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
     with pytest.raises(NotOwner):
-        revoke(world, rev_list, cred, "asset", outsider)
+        revoke(world, cred, "asset", outsider)
     with pytest.raises(BadSignature):
         # a key with no registered did at all
-        revoke(world, rev_list, cred, "asset", keygen(digest(b"nobody")))
+        revoke(world, cred, "asset", keygen(digest(b"nobody")))
 
 
 def test_revoke_refuses_a_credential_not_in_the_list(setup):
@@ -362,20 +359,17 @@ def test_revoke_refuses_a_credential_not_in_the_list(setup):
     other = keygen(digest(b"other-issuer"))
     identity.did_create(world, other)
     theirs = issue(world, request(fixture_items("Gold"), holder), other)
-    my_rev = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
-    my_susp = world.status_lists[credential.status_list_uri(cred.issuer, "Suspension")]
     ref = cred.status_ref("asset")
     assert theirs.status_ref("asset")["statusListIndex"] == ref["statusListIndex"]
-    unallocated_ref = {**ref, "statusListIndex": my_rev.next_index}
+    unallocated_ref = {**ref, "statusListIndex": world.status_lists[ref["statusListCredential"]].next_index}
     unallocated = dataclasses.replace(
         cred, sections={**cred.sections, "asset": {**cred.sections["asset"], "sStatus": unallocated_ref}}
     )
     before = (world.world_digest(), len(world.op_log))
     for target in (theirs, unallocated):
-        for status_list in (my_rev, my_susp):
-            for act in (revoke, reinstate):
-                with pytest.raises(NotOwner):
-                    act(world, status_list, target, "asset", issuer)
+        for act in (revoke, suspend, reinstate):
+            with pytest.raises(NotOwner):
+                act(world, target, "asset", issuer)
     assert (world.world_digest(), len(world.op_log)) == before
     assert verify(world, prove(cred, holder, [])).ok
     assert verify(world, prove(theirs, holder, [])).ok

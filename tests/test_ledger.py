@@ -547,8 +547,7 @@ def test_fork_is_independent_of_its_origin():
     fork.relay_chain("C2", "C1")
     tx = fork.chains["C1"].blocks[header.height].txs[-1]
     xauth.authenticate(fork, "C2", tx, xauth.spv_prove(fork, tx_id, ("C1", header.height)), pres)
-    rev = fork.status_lists[cred.status_ref("compliance")["statusListCredential"]]
-    credential.revoke(fork, rev, cred, "compliance", issuer)
+    credential.revoke(fork, cred, "compliance", issuer)
     holder_did = fork.controller_index[canonical.to_hex(holder.pk)]
     identity.did_deactivate(fork, holder_did, identity.deactivate_signature(
         holder, holder_did, identity.did_resolve(fork, holder_did).version

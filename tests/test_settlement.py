@@ -394,6 +394,31 @@ def test_refund_both_legs_refused_before_t1_moves_nothing(world):
     assert ch.phase == "Open"
 
 
+def test_step_dated_before_the_clock_refused(world):
+    # unguarded, a reveal dated 0 after the clock passed both timeouts took
+    # the assets, the honest seller's redeem then expired and the buyer
+    # refunded the funds leg: a mixed round that check_all passed
+    ch = locked_channel(world, t1=4, t2=2)
+    world.advance_clock(10)
+    before = (world.world_digest(), world.op_log_csv())
+    with pytest.raises(PastTimeout):
+        settlement.reveal_on_assets_leg(world, ch, RHO, at=0)
+    assert (world.world_digest(), world.op_log_csv()) == before
+    chan_refund(world, ch)
+    assert ch.phase == "Open" and ch.settled_assets == frozenset()
+
+    # each dated step below would pass its lock's timeout check
+    lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 300}, H_RHO, timeout=world.clock + 2)
+    world.advance_clock(5)
+    with pytest.raises(PastTimeout):
+        htlc_unlock(world, lock, RHO, at=lock.timeout - 1)
+    with pytest.raises(PastTimeout):
+        htlc_refund(world, lock, at=lock.timeout)
+    assert lock.state == "Locked"
+    htlc_refund(world, lock)
+    assert lock.state == "Refunded"
+
+
 def test_refund_unknown_leg_name_rejected(world):
     ch = locked_channel(world, t1=8, t2=5)
     with pytest.raises(ValueError):

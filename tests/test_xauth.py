@@ -300,8 +300,7 @@ def test_authenticate_spv_failure(flow):
 def test_authenticate_revoked_section(flow):
     world, issuer, _, cred, pres = flow
     _, tx, proof = anchored(world, issuer, pres, cred)
-    rev = world.status_lists[cred.status_ref("compliance")["statusListCredential"]]
-    credential.revoke(world, rev, cred, "compliance", issuer)
+    credential.revoke(world, cred, "compliance", issuer)
     with pytest.raises(Revoked):
         xauth.authenticate(world, "C2", tx, proof, pres)
 
@@ -378,22 +377,20 @@ def test_key_rotated_away_refused_by_issue_anchor_and_revoke(flow):
         verification_methods=(("key-1", successor.pk),),
     )
     identity.did_update(world, cred.issuer, rotated, identity.update_signature(issuer, rotated))
-    rev = world.status_lists[cred.status_ref("asset")["statusListCredential"]]
-    susp = world.status_lists[rev.uri.rsplit(":", 1)[0] + ":suspension"]
     with pytest.raises(NotFound):
         credential.issue(world, credential.request(fixture_items("Gold"), holder), issuer)
     with pytest.raises(IssuerDeactivated):
         xauth.anchor(world, "C1", commitment, issuer)
-    with pytest.raises(BadSignature):
-        credential.revoke(world, rev, cred, "asset", issuer)
-    with pytest.raises(BadSignature):
-        credential.reinstate(world, susp, cred, "asset", issuer)
-    assert not rev.bit(cred.status_ref("asset")["statusListIndex"])
+    before = world.world_digest()
+    for act in (credential.revoke, credential.suspend, credential.reinstate):
+        with pytest.raises(BadSignature):
+            act(world, cred, "asset", issuer)
+    assert world.world_digest() == before
     # the successor key holds the same authority at the new key version
     again = credential.issue(world, credential.request(fixture_items("Gold"), holder), successor)
     assert again.issuer == cred.issuer and again.top_proof.issuer_key_version == rotated.version
     xauth.anchor(world, "C1", commitment, successor)
-    credential.revoke(world, rev, cred, "asset", successor)
+    credential.revoke(world, cred, "asset", successor)
 
 
 # ------------------------------------------------------- anchor sender ----
@@ -498,19 +495,21 @@ def test_proven_transfer_refused_before_its_body_is_read(flow):
     assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
 
 
-def test_injected_anchor_from_key_without_did_fails_audit(flow):
-    world, _, _, _, pres = flow
-    forged, commitment = forged_commitment(world, pres)
-    forger = keygen(digest(b"forger"))
-    tx = Transaction.make("anchor", commitment.to_body(), forger, "forged-0")
-    # what submit_tx would record, minus its sender check
+def inject_anchor(world, commitment, sender, logged=True):
+    """Seal an anchor of `commitment` on C1 the way submit_tx would, minus
+    its sender check, and log it only when `logged`."""
+    tx = Transaction.make("anchor", commitment.to_body(), sender, "injected-0")
     world.chains["C1"].pending.append(tx)
     world.chains["C1"].pending_ids.append(tx.tx_id)
-    world.log_op("C1", "anchor", tx_id=tx.tx_id)
+    if logged:
+        world.log_op("C1", "anchor", tx_id=tx.tx_id)
     world.seal_block("C1")
-    world.relay_chain("C2", "C1")
+
+
+def inject_acceptance(world, pres, commitment):
+    """Append the record authenticate would write on C2, minus its checks."""
     world.acceptance_records["C2"].append(xauth.AcceptanceRecord(
-        credential_id=forged.credential_id,
+        credential_id=pres.credential_id,
         asset_id=commitment.asset_id,
         source_chain="C1",
         dest_chain="C2",
@@ -518,8 +517,46 @@ def test_injected_anchor_from_key_without_did_fails_audit(flow):
         commitment_digest=commitment.commitment_digest(),
         checks_passed=("spv", "commitment", "issuer_active", "status_clear", "jurisdiction"),
     ))
+
+
+def test_injected_anchor_from_key_without_did_fails_audit(flow):
+    world, _, _, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    inject_anchor(world, commitment, keygen(digest(b"forger")))
+    world.relay_chain("C2", "C1")
+    inject_acceptance(world, forged, commitment)
     world.check_all()  # the ledger alone cannot tell
     with pytest.raises(InvariantViolation, match="sent by no DID controller"):
+        xauth.check_acceptance_soundness(world)
+
+
+def test_injected_acceptance_without_anchor_fails_audit(flow):
+    world, _, _, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    inject_acceptance(world, forged, commitment)
+    world.check_all()
+    with pytest.raises(InvariantViolation, match="has no anchor tx on C1"):
+        xauth.check_acceptance_soundness(world)
+
+
+def test_injected_unlogged_anchor_fails_audit(flow):
+    world, issuer, _, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    inject_anchor(world, commitment, issuer, logged=False)
+    world.relay_chain("C2", "C1")
+    inject_acceptance(world, forged, commitment)
+    world.check_all()
+    with pytest.raises(InvariantViolation, match="missing from op log"):
+        xauth.check_acceptance_soundness(world)
+
+
+def test_injected_acceptance_of_unrelayed_anchor_fails_audit(flow):
+    world, issuer, _, _, pres = flow
+    forged, commitment = forged_commitment(world, pres)
+    xauth.anchor(world, "C1", commitment, issuer)  # logged and sealed, never relayed
+    inject_acceptance(world, forged, commitment)
+    world.check_all()
+    with pytest.raises(InvariantViolation, match="never relayed to C2"):
         xauth.check_acceptance_soundness(world)
 
 
