@@ -19,8 +19,9 @@ Only the seed and the two timeouts shape the locked channel a schedule
 starts from, so it is built once per `(seed, t1, t2)`: a template world in
 which the channel is opened, updated under both signatures and locked.
 Each schedule runs on a `World.fork` of that template with
-`Channel.in_world`, the channel bound to the forked legs, and drives the
-real settlement functions from there; the template itself is never touched.
+`Channel.in_world`, the channel bound to the forked legs, ticks the fork's
+clock once per step and drives the real settlement functions undated; the
+template itself is never touched.
 A schedule's outcome is read from what the chains hold at its end: the
 buyer's assets on C2 and the seller's balance on C1.
 """
@@ -94,33 +95,35 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
         ):
             if refund_at == t:
                 try:
-                    settlement.chan_refund(world, channel, at=t, leg=leg_name)
+                    settlement.chan_refund(world, channel, leg=leg_name)
                 except (NotYetExpired, WrongPhase):
                     pass
 
     for t in range(window):
+        if t:
+            world.advance_clock(1)
         if schedule.refunds_first:
             try_refunds(t)
         if schedule.reveal_tick == t:
             try:
-                settlement.reveal_on_assets_leg(world, channel, preimage, at=t)
+                settlement.reveal_on_assets_leg(world, channel, preimage)
                 redeem_at = t + schedule.seller_delay
             except (Expired, WrongPhase, WrongPreimage):
                 pass
         if redeem_at == t:
             try:
-                settlement.redeem_on_funds_leg(world, channel, preimage, at=t)
+                settlement.redeem_on_funds_leg(world, channel, preimage)
             except (Expired, WrongPhase):
                 pass
         if not schedule.refunds_first:
             try_refunds(t)
 
     # anything still locked is refunded at its timeout; every timeout is at
-    # most `final`, so a leg still Locked here cannot raise NotYetExpired
-    final = max(window, t1)
+    # most `max(window, t1)`, so a leg still Locked cannot raise NotYetExpired
+    world.advance_clock(max(window, t1) - world.clock)
     for leg_name in ("assets", "funds"):
         try:
-            settlement.chan_refund(world, channel, at=final, leg=leg_name)
+            settlement.chan_refund(world, channel, leg=leg_name)
         except WrongPhase:
             pass
 

@@ -29,10 +29,10 @@ from .errors import (
     BadSignature,
     Deactivated,
     DuplicateController,
+    InvariantViolation,
     IssuerDeactivated,
     NotFound,
     VersionSkew,
-    XrwaError,
 )
 from .ledger import CHAINS, World
 from .primitives import KeyPair, digest, sign, verify_sig
@@ -165,8 +165,8 @@ def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
     return did, doc
 
 
-def did_resolve(world: World, did: str | Did) -> DidDocument:
-    return _entry(world, did.text if isinstance(did, Did) else did).head
+def did_resolve(world: World, did: str) -> DidDocument:
+    return _entry(world, did).head
 
 
 def resolve_version(world: World, did: str, version: int) -> DidDocument:
@@ -261,21 +261,21 @@ def check_authorization(world: World) -> None:
         if entry.head.status == "Active"
     )
     if sorted(world.controller_index.items()) != active:
-        raise XrwaError("controller index differs from the active heads' controller keys")
+        raise InvariantViolation("controller index differs from the active heads' controller keys")
     for did, entry in world.did_registry.items():
         transitions = len(entry.versions) - 1 + (1 if entry.head.status == "Deactivated" else 0)
         if transitions != len(entry.authorizations):
-            raise XrwaError(f"{did}: {transitions} head changes, {len(entry.authorizations)} authorizations")
+            raise InvariantViolation(f"{did}: {transitions} head changes, {len(entry.authorizations)} authorizations")
         idx = 0
         for prev, cur in zip(entry.versions, entry.versions[1:]):
             action, sig = entry.authorizations[idx]
             live = cur if cur.status == "Active" else dataclasses.replace(cur, status="Active")
             if action != "update" or not verify_sig(prev.controller_pk, live.canonical_bytes(), sig):
-                raise XrwaError(f"{did}: unauthorized update to version {cur.version}")
+                raise InvariantViolation(f"{did}: unauthorized update to version {cur.version}")
             idx += 1
         if entry.head.status == "Deactivated":
             action, sig = entry.authorizations[idx]
             head_active = dataclasses.replace(entry.head, status="Active")
             message = _deactivate_message(did, entry.head.version)
             if action != "deactivate" or not verify_sig(head_active.controller_pk, message, sig):
-                raise XrwaError(f"{did}: unauthorized deactivation")
+                raise InvariantViolation(f"{did}: unauthorized deactivation")

@@ -563,8 +563,8 @@ class World:
             for held in state.holdings.values():
                 assets.extend(held)
             for contract in state.contracts.values():
-                total += getattr(contract, "escrowed_value", 0)
-                assets.extend(getattr(contract, "escrowed_assets", ()))
+                total += contract.escrowed_value
+                assets.extend(contract.escrowed_assets)
             if total != state.minted_value:
                 raise InvariantViolation(
                     f"value not conserved on {label}: {total} != {state.minted_value}"

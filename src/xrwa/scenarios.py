@@ -99,7 +99,7 @@ def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None
     preimage = digest(b"e2e-settlement-" + seed.to_bytes(8, "big"))
     t2, t1 = world.clock + 2, world.clock + 4
     settlement.chan_lock(world, channel, digest(preimage), t1, t2)
-    settlement.chan_unlock(world, channel, preimage, at=world.clock + 1)
+    settlement.chan_unlock(world, channel, preimage)
 
     world.check_all()
     xauth.check_acceptance_soundness(world)
@@ -158,8 +158,8 @@ def run_htlc_route(seed: int, n: int) -> World:
         asset = settlement.htlc_lock(
             world, "C2", actors.holder.pk, actors.buyer.pk, {"asset": asset_id}, cond, t2
         )
-        settlement.htlc_unlock(world, asset, rho, at=world.clock + 1)
-        settlement.htlc_unlock(world, funds, rho, at=world.clock + 1)
+        settlement.htlc_unlock(world, asset, rho)
+        settlement.htlc_unlock(world, funds, rho)
     world.check_all()
     return world
 
@@ -183,6 +183,6 @@ def run_channel_route(seed: int, n: int) -> World:
     rho = digest(b"channel-rho-" + seed.to_bytes(8, "big"))
     t2, t1 = world.clock + 2, world.clock + 4
     settlement.chan_lock(world, channel, digest(rho), t1, t2)
-    settlement.chan_unlock(world, channel, rho, at=world.clock + 1)
+    settlement.chan_unlock(world, channel, rho)
     world.check_all()
     return world

@@ -5,6 +5,9 @@ leg alike: a Locked lock is claimed with a preimage whose digest is its
 hash condition strictly before its timeout (`_claim`), or refunded at or
 after the timeout (`_check_refund`, which `_refund` applies; `chan_refund`
 applies it to every named leg before refunding any).
+No step lets a party assert that time has passed: a refund is judged at
+the world's clock, and a date `at` can only narrow a claim (`_dated`
+needs clock <= at, and `_claim` needs at < timeout).
 A lock that is not Locked raises NotLocked, which is a WrongPhase, so
 channel callers catch both as WrongPhase.
 
@@ -192,23 +195,23 @@ def _claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
     lock.state = "Unlocked"
 
 
-def _check_refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
-    """Raise unless the lock is Locked and `at` is at or after its timeout."""
+def _check_refund(lock: HtlcLock | ChannelLeg, clock: int) -> None:
+    """Raise unless the lock is Locked and `clock` is at or after its timeout."""
     if lock.state != "Locked":
         raise NotLocked(f"{lock.contract_id} is {lock.state}")
-    if at < lock.timeout:
-        raise NotYetExpired(f"refund at {at} before timeout {lock.timeout}")
+    if clock < lock.timeout:
+        raise NotYetExpired(f"refund at {clock} before timeout {lock.timeout}")
 
 
-def _refund(lock: HtlcLock | ChannelLeg, at: int) -> None:
+def _refund(lock: HtlcLock | ChannelLeg, clock: int) -> None:
     """Refund a Locked lock at or after its timeout."""
-    _check_refund(lock, at)
+    _check_refund(lock, clock)
     lock.state = "Refunded"
 
 
 def _dated(world: World, at: Optional[int]) -> int:
-    """The tick a settlement step acts at: the world's clock, or `at`, which
-    may not be before the clock."""
+    """The tick a claim acts at: the world's clock, or `at`, which may not be
+    before the clock. A later date only brings the claim's timeout nearer."""
     if at is None:
         return world.clock
     if at < world.clock:
@@ -222,8 +225,8 @@ def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int]
     world.log_op(lock.chain, "htlc_unlock", descriptor={"contract": lock.contract_id})
 
 
-def htlc_refund(world: World, lock: HtlcLock, at: Optional[int] = None) -> None:
-    _refund(lock, _dated(world, at))
+def htlc_refund(world: World, lock: HtlcLock) -> None:
+    _refund(lock, world.clock)
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
 
@@ -254,12 +257,6 @@ class ChannelState:
 
     def state_digest(self) -> bytes:
         return digest(self.canonical_bytes())
-
-    def to_json(self) -> dict:
-        out = self.body_json()
-        out["sigA"] = canonical.to_hex(self.sig_a)
-        out["sigB"] = canonical.to_hex(self.sig_b)
-        return out
 
 
 @dataclass
@@ -526,17 +523,16 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
     redeem_on_funds_leg(world, channel, preimage, at)
 
 
-def chan_refund(world: World, channel: Channel, at: Optional[int] = None, leg: Optional[str] = None) -> None:
+def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> None:
     """Refund one leg (leg="assets" or "funds") or, with no leg named, both,
-    at or after each one's timeout; every named leg is checked before any is
-    refunded. Escrow stays in the channel and the committed assignment is
-    reverted."""
-    at = _dated(world, at)
+    once the world's clock is at or after each one's timeout; every named
+    leg is checked before any is refunded. Escrow stays in the channel and
+    the committed assignment is reverted."""
     legs = {name: channel.leg(name) for name in ([leg] if leg else ["assets", "funds"])}
     for lock in legs.values():
-        _check_refund(lock, at)
+        _check_refund(lock, world.clock)
     for name, lock in legs.items():
-        _refund(lock, at)
+        _refund(lock, world.clock)
         world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
     _maybe_reopen(channel)
 

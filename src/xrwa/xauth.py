@@ -359,8 +359,8 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
 def check_acceptance_soundness(world: World) -> None:
     """Audit: every acceptance record must trace back to an anchor tx in a
     source-chain block whose header the destination accepted via relay, with
-    a matching anchor entry in the op log, sent by a key that controlled
-    some version of a registered DID."""
+    its id as stored in `Block.tx_ids` (which `check_all` checks) in the op
+    log, sent by a key that controlled some version of a registered DID."""
     anchor_log_ids = {
         rec.tx_id for rec in world.op_log if rec.op_kind == "anchor"
     }
@@ -371,10 +371,10 @@ def check_acceptance_soundness(world: World) -> None:
     # one pass over the source chains; a later anchor of the same commitment
     # replaces an earlier one
     carriers = {
-        (chain, tx.body.get("commitmentDigest")): (block, tx)
+        (chain, tx.body.get("commitmentDigest")): (block, index)
         for chain in sources
         for block in world.chains[chain].blocks
-        for tx in block.txs
+        for index, tx in enumerate(block.txs)
         if tx.kind == "anchor"
     }
     for dest, records in world.acceptance_records.items():
@@ -385,10 +385,10 @@ def check_acceptance_soundness(world: World) -> None:
                 raise InvariantViolation(
                     f"acceptance {wanted} has no anchor tx on {rec.source_chain}"
                 )
-            block, tx = carrier
-            if canonical.to_hex(tx.tx_id) not in anchor_log_ids:
+            block, index = carrier
+            if canonical.to_hex(block.tx_ids[index]) not in anchor_log_ids:
                 raise InvariantViolation(f"anchor tx {wanted} missing from op log")
-            if tx.sender not in controller_keys:
+            if block.txs[index].sender not in controller_keys:
                 raise InvariantViolation(f"anchor tx {wanted} was sent by no DID controller")
             if world.relayed_header_at(dest, rec.source_chain, block.header.height) != block.header:
                 raise InvariantViolation(

@@ -9,6 +9,7 @@ from xrwa.errors import (
     BadSignature,
     Deactivated,
     DuplicateController,
+    InvariantViolation,
     NotFound,
     VersionSkew,
     XrwaError,
@@ -182,6 +183,32 @@ def test_authorization_audit_catches_tampered_registry(world):
     entry = world.did_registry[did.text]
     entry.versions.append(bump(new_doc))
     with pytest.raises(Exception):
+        identity.check_authorization(world)
+
+
+@pytest.mark.parametrize("forged, message", [
+    (0, "unauthorized update to version 2"),
+    (1, "unauthorized deactivation"),
+])
+def test_authorization_audit_catches_a_forged_authorization(world, forged, message):
+    controller, successor, forger = kp(b"forge-a"), kp(b"forge-b"), kp(b"forge-c")
+    did, doc = identity.did_create(world, controller)
+    rotated = bump(doc, controller=successor)
+    identity.did_update(world, did.text, rotated, identity.update_signature(controller, rotated))
+    identity.did_deactivate(
+        world, did.text, identity.deactivate_signature(successor, did.text, rotated.version)
+    )
+    identity.check_authorization(world)
+    # each change keeps its action but carries the forger's signature
+    entry = world.did_registry[did.text]
+    action, _ = entry.authorizations[forged]
+    sig = (
+        identity.update_signature(forger, rotated)
+        if action == "update"
+        else identity.deactivate_signature(forger, did.text, rotated.version)
+    )
+    entry.authorizations[forged] = (action, sig)
+    with pytest.raises(InvariantViolation, match=message):
         identity.check_authorization(world)
 
 

@@ -322,6 +322,22 @@ def test_conservation_audit(world, alice, bob):
     world.check_conservation()
 
 
+def test_conservation_audit_catches_value_made_outside_mint(world, alice, bob):
+    world.mint("C1", alice.pk, 1000)
+    world.check_conservation()
+    world.chains["C1"].balances[canonical.to_hex(bob.pk)] = 1
+    with pytest.raises(InvariantViolation, match="value not conserved on C1: 1001 != 1000"):
+        world.check_all()
+
+
+def test_conservation_audit_catches_an_asset_held_twice(world, alice, bob):
+    world.mint_asset("C2", alice.pk, "did:xrwa:held-once")
+    world.check_conservation()
+    world.chains["C2"].holdings[canonical.to_hex(bob.pk)] = {"did:xrwa:held-once"}
+    with pytest.raises(InvariantViolation, match="asset multiset not conserved on C2"):
+        world.check_all()
+
+
 def test_oplog_csv_shape(world, alice):
     world.mint("C1", alice.pk, 10)
     world.submit_tx("C1", transfer(world, alice, alice, 0))
@@ -408,6 +424,28 @@ def test_check_all_catches_body_edited_after_seal(world, alice):
     world.check_all()
     block.txs[1].body["amount"] = 5
     with pytest.raises(InvariantViolation, match="stored tx ids"):
+        world.check_all()
+
+
+def test_check_all_catches_a_header_root_edited_after_seal(world, alice):
+    block = sealed_block(world, alice, 3)
+    world.check_all()
+    # the last header links no later one, so only its root can tell
+    block.header = dataclasses.replace(block.header, merkle_root=digest(b"another root"))
+    with pytest.raises(InvariantViolation, match="header root mismatch on C1 at 1"):
+        world.check_all()
+
+
+def test_check_all_catches_a_linking_header_the_chain_never_sealed(world, alice):
+    world.mint("C1", alice.pk, 10)
+    seal_n(world, alice, "C1", 2)
+    for height in (0, 1):
+        assert world.relay_header("C2", "C1", world.header_at("C1", height))
+    world.check_all()
+    # same chain, next height, right link, another root: relay cannot tell
+    forged = dataclasses.replace(world.header_at("C1", 2), merkle_root=digest(b"another root"))
+    assert world.relay_header("C2", "C1", forged)
+    with pytest.raises(InvariantViolation, match="relayed view C2<-C1 is not a prefix"):
         world.check_all()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -100,13 +101,15 @@ def test_htlc_unlock_wrong_preimage(world):
 
 def test_htlc_refund_boundaries(world):
     lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 300}, H_RHO, timeout=5)
+    world.advance_clock(4)
     with pytest.raises(NotYetExpired):
-        htlc_refund(world, lock, at=4)
-    htlc_refund(world, lock, at=5)
+        htlc_refund(world, lock)
+    world.advance_clock(1)
+    htlc_refund(world, lock)
     assert lock.state == "Refunded"
     assert world.balance("C1", ALICE.pk) == 1_000
     with pytest.raises(NotLocked):
-        htlc_unlock(world, lock, RHO, at=1)
+        htlc_unlock(world, lock, RHO)
 
 
 def test_htlc_asset_escrow_roundtrip(world):
@@ -357,7 +360,8 @@ def test_unlock_after_t2_expired(world):
     ch = locked_channel(world, t1=8, t2=5)
     with pytest.raises(Expired):
         chan_unlock(world, ch, RHO, at=5)
-    chan_refund(world, ch, at=8)
+    world.advance_clock(8)
+    chan_refund(world, ch)
     assert ch.phase == "Open"
 
 
@@ -376,21 +380,25 @@ def test_unlock_wrong_preimage(world):
 
 def test_refund_c2_at_t2_then_c1_before_t1_rejected(world):
     ch = locked_channel(world, t1=8, t2=5)
-    chan_refund(world, ch, at=5, leg="assets")
+    world.advance_clock(5)
+    chan_refund(world, ch, leg="assets")
     with pytest.raises(NotYetExpired):
-        chan_refund(world, ch, at=5, leg="funds")
-    chan_refund(world, ch, at=8, leg="funds")
+        chan_refund(world, ch, leg="funds")
+    world.advance_clock(3)
+    chan_refund(world, ch, leg="funds")
     assert ch.phase == "Open"
 
 
 def test_refund_both_legs_refused_before_t1_moves_nothing(world):
     # past t2 but before t1: the assets leg could refund, the funds leg cannot
     ch = locked_channel(world, t1=8, t2=5)
+    world.advance_clock(6)
     with pytest.raises(NotYetExpired):
-        chan_refund(world, ch, at=6)
+        chan_refund(world, ch)
     assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
-    chan_refund(world, ch, at=8)
+    world.advance_clock(2)
+    chan_refund(world, ch)
     assert ch.phase == "Open"
 
 
@@ -407,22 +415,63 @@ def test_step_dated_before_the_clock_refused(world):
     chan_refund(world, ch)
     assert ch.phase == "Open" and ch.settled_assets == frozenset()
 
-    # each dated step below would pass its lock's timeout check
+    # the dated claim below would pass its lock's timeout check
     lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 300}, H_RHO, timeout=world.clock + 2)
     world.advance_clock(5)
     with pytest.raises(PastTimeout):
         htlc_unlock(world, lock, RHO, at=lock.timeout - 1)
-    with pytest.raises(PastTimeout):
-        htlc_refund(world, lock, at=lock.timeout)
     assert lock.state == "Locked"
     htlc_refund(world, lock)
     assert lock.state == "Refunded"
 
 
+def test_htlc_refund_refused_at_every_clock_before_timeout(world):
+    # a refund dated at the timeout with the clock at 0 would take the
+    # escrow back and leave the beneficiary's claim to raise NotLocked
+    assert "at" not in inspect.signature(htlc_refund).parameters
+    assert "at" not in inspect.signature(chan_refund).parameters
+    lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 300}, H_RHO, timeout=5)
+    for clock in range(5):
+        if clock:
+            world.advance_clock(1)
+        assert world.clock == clock
+        before = (world.world_digest(), world.op_log_csv())
+        with pytest.raises(NotYetExpired):
+            htlc_refund(world, lock)
+        assert (world.world_digest(), world.op_log_csv()) == before
+    htlc_unlock(world, lock, RHO)
+    assert lock.state == "Unlocked" and world.balance("C1", BOB.pk) == 300
+    world.check_all()
+
+
+def test_funds_leg_refund_refused_inside_the_sellers_window():
+    # a funds-leg refund dated t1 with the clock at 0 would leave the buyer
+    # with the assets and the seller's redeem at 2 to raise NotLocked
+    template_world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    world = template_world.fork()
+    ch = template.in_world(world)
+    world.advance_clock(1)
+    settlement.reveal_on_assets_leg(world, ch, preimage)
+    with pytest.raises(TypeError):
+        chan_refund(world, ch, at=4, leg="funds")
+    for clock in (1, 2, 3):
+        if clock > 1:
+            world.advance_clock(1)
+        assert world.clock == clock
+        with pytest.raises(NotYetExpired):
+            chan_refund(world, ch, leg="funds")
+    settlement.redeem_on_funds_leg(world, ch, preimage)
+    assert ch.phase == "Open" and ch.settled_payment == 600
+    assert world.assets_of("C2", atomicity._BUYER.pk) == {ch.deposit_assets[0]}
+    assert world.balance("C1", atomicity._SELLER.pk) == 600
+    world.check_all()
+
+
 def test_refund_unknown_leg_name_rejected(world):
     ch = locked_channel(world, t1=8, t2=5)
+    world.advance_clock(8)
     with pytest.raises(ValueError):
-        chan_refund(world, ch, at=8, leg="asset")
+        chan_refund(world, ch, leg="asset")
     assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
 
@@ -434,7 +483,8 @@ def test_refund_restores_pre_lock_assignment(world):
         "seller": world.assets_of("C2", BOB.pk),
         "escrow": set(ch.leg_assets.escrowed_assets),
     }
-    chan_refund(world, ch, at=8)
+    world.advance_clock(8)
+    chan_refund(world, ch)
     assert world.assets_of("C2", ALICE.pk) == holdings_before["buyer"]
     assert world.assets_of("C2", BOB.pk) == holdings_before["seller"]
     assert set(ch.leg_assets.escrowed_assets) == holdings_before["escrow"]
@@ -444,7 +494,8 @@ def test_refund_restores_pre_lock_assignment(world):
 
 def test_refund_then_three_more_update_rounds(world):
     ch = locked_channel(world, t1=8, t2=5)
-    chan_refund(world, ch, at=8)
+    world.advance_clock(8)
+    chan_refund(world, ch)
     for i in range(3):
         state = make_state(ch, batch=["did:xrwa:asset-y"], net_payment=100 + i, buyer=ALICE, seller=BOB)
         chan_update(ch, state)
@@ -660,7 +711,8 @@ def test_two_rounds_on_a_fork_leave_the_template_untouched():
     with pytest.raises(ReusedHashLock):
         chan_lock(fork, ch, digest(preimage), 8, 6)
     chan_lock(fork, ch, digest(b"round-two-on-a-fork"), 8, 6)
-    chan_refund(fork, ch, at=8)
+    fork.advance_clock(8)
+    chan_refund(fork, ch)
     assert ch.phase == "Open" and ch.latest.seq == 2
     assert (ch.settled_assets, ch.settled_payment) == ({ch.deposit_assets[0]}, 600)
     fork.check_all()
