@@ -139,7 +139,15 @@ class BlockHeader:
         )
 
     def header_digest(self) -> bytes:
-        return digest(canonical.dumps_bytes(self.to_json()))
+        """The digest of the header's canonical encoding, computed on the
+        first call and kept on the instance outside the dataclass fields,
+        so `==`, `to_json` and `asdict` ignore it. The fields are frozen,
+        so the kept digest cannot go stale."""
+        kept = self.__dict__.get("_digest")
+        if kept is None:
+            kept = digest(canonical.dumps_bytes(self.to_json()))
+            object.__setattr__(self, "_digest", kept)
+        return kept
 
 
 def header_links(prev: BlockHeader | None, header: BlockHeader) -> bool:
@@ -223,7 +231,8 @@ class World:
     def __init__(self, config: WorldConfig | None = None):
         self.config = config or WorldConfig()
         self.clock = 0
-        self.rng = random.Random(self.config.seed)
+        self._rng = random.Random(self.config.seed)
+        self._rng_shared = False
         self.chains: dict[ChainId, _ChainState] = {c: _ChainState() for c in CHAINS}
         self.relayed: dict[tuple[ChainId, ChainId], list[BlockHeader]] = {}
         self.op_log: list[OpRecord] = []
@@ -251,15 +260,15 @@ class World:
         The sealed `Block` objects are shared, with `config` and `treasury`.
         A chain only ever appends sealed blocks and never edits one, so
         sharing them is safe and makes a fork cost the mutable state alone:
-        balances, holdings, contracts, pending pool, registries, op log and
-        the rng state are copied."""
+        balances, holdings, contracts, pending pool, registries and op log
+        are copied. The generator is shared until either world draws (see
+        `rng`), so a fork that never draws never copies it."""
         other = object.__new__(World)
         other.config = self.config
         other.treasury = self.treasury
         other.clock = self.clock
-        # a constant seed spares drawing one from the OS; setstate replaces it
-        other.rng = random.Random(0)
-        other.rng.setstate(self.rng.getstate())
+        other._rng = self._rng
+        other._rng_shared = self._rng_shared = True
         other.chains = {label: state.fork() for label, state in self.chains.items()}
         other.relayed = {pair: list(view) for pair, view in self.relayed.items()}
         other.op_log = list(self.op_log)
@@ -279,6 +288,20 @@ class World:
             return self.chains[chain]
         except KeyError:
             raise UnknownChain(f"unknown chain {chain!r}") from None
+
+    @property
+    def rng(self) -> random.Random:
+        """The world's generator. Draw through `world.rng` (or `next_nonce`)
+        and do not keep the generator object across a fork: a world and its
+        forks share one generator until one of them draws, and the first
+        access of a sharing world gives it a private copy here, so each world
+        draws the stream it would have drawn had the fork copied it."""
+        if self._rng_shared:
+            # a constant seed spares drawing one from the OS; setstate replaces it
+            private = random.Random(0)
+            private.setstate(self._rng.getstate())
+            self._rng, self._rng_shared = private, False
+        return self._rng
 
     def next_nonce(self) -> str:
         return self.rng.randbytes(8).hex()

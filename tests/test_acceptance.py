@@ -3,11 +3,12 @@ pass/fail line (run with `pytest tests/test_acceptance.py -s` to see them,
 or execute this file directly)."""
 
 import itertools
+import random
 import sys
 import time
 from contextlib import contextmanager
 
-from xrwa import credential
+from xrwa import credential, primitives
 from xrwa.atomicity import explore_schedules, fuzz_schedules
 from xrwa.credential import issue, measured_size_kb, prove, request, revoke, verify
 from xrwa.experiments import ScenarioConfig, bench_spv, cost_compare, run
@@ -54,6 +55,28 @@ def test_criterion_spv_logarithmic_scaling():
             f"fit {fit['slopeUsPerLevel']}*log2(n)+{fit['interceptUs']} us, "
             f"rms residual {fit['rmsResidualUs']} us"
         )
+
+
+def test_spv_verify_hashes_one_node_per_level(monkeypatch):
+    """The timing gate above reads the host's load as well as the code; the
+    node digests one verification computes cannot drift."""
+    calls = []
+    node_digest = primitives.node_digest
+
+    def counting(left, right):
+        calls.append(1)
+        return node_digest(left, right)
+
+    monkeypatch.setattr(primitives, "node_digest", counting)
+    rng = random.Random(42)
+    for n in (32, 8192):
+        leaves = [primitives.digest(rng.randbytes(16)) for _ in range(n)]
+        root = primitives.merkle_root(leaves)
+        for index in (0, rng.randrange(n), n - 1):
+            path = primitives.merkle_prove(leaves, index)
+            calls.clear()
+            assert primitives.merkle_verify(leaves[index], path, root)
+            assert len(calls) == primitives.path_length(n)
 
 
 def test_criterion_cost_comparison():

@@ -182,7 +182,7 @@ def test_authorization_audit_catches_tampered_registry(world):
     # forge a head change behind the registry's back
     entry = world.did_registry[did.text]
     entry.versions.append(bump(new_doc))
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantViolation, match="2 head changes, 1 authorizations"):
         identity.check_authorization(world)
 
 

@@ -288,6 +288,23 @@ def test_bad_header_link_rejected_everywhere(alice, case):
         world.check_header_chains()
 
 
+def test_kept_header_digest_is_the_digest_of_its_fields(world, alice):
+    seal_n(world, alice, "C1", 2)
+    world.relay_chain("C2", "C1")
+    sealed = world.header_at("C1", 2)
+    relayed = world.relayed[("C2", "C1")][-1]
+    decoded = BlockHeader.from_json(sealed.to_json())
+    replaced = dataclasses.replace(sealed, merkle_root=digest(b"another root"))
+    for header in (sealed, relayed, decoded, replaced):
+        fields = dataclasses.asdict(header)
+        first = header.header_digest()
+        assert first == digest(canonical.dumps_bytes(header.to_json()))
+        assert header.header_digest() is first
+        assert dataclasses.asdict(header) == fields
+    assert decoded == sealed
+    assert replaced.header_digest() != sealed.header_digest()
+
+
 # ----------------------------------------------------------- determinism ----
 
 def build_scenario(seed):
@@ -604,3 +621,39 @@ def test_fork_is_independent_of_its_origin():
     # the original goes on as if the fork never happened
     assert world.seal_block("C1").height == 1
     assert len(fork.chains["C1"].blocks) == 3
+
+
+def _draws(world):
+    return world.rng.randbytes(16) + world.next_nonce().encode()
+
+
+@pytest.mark.parametrize("fork_first", [False, True])
+def test_fork_and_origin_draw_the_same_stream_in_either_order(world, fork_first):
+    fork = world.fork()
+    if fork_first:
+        fork_bytes, world_bytes = _draws(fork), _draws(world)
+    else:
+        world_bytes, fork_bytes = _draws(world), _draws(fork)
+    assert fork_bytes == world_bytes
+    # each then goes on from where it stopped, not from the other's draws
+    assert _draws(world) == _draws(fork)
+
+
+def test_forks_of_forks_and_many_forks_draw_the_origins_next_bytes(world, alice):
+    world.mint("C1", alice.pk, 10)
+    seal_n(world, alice, "C1", 2)
+    digest_before, csv_before = world.world_digest(), world.op_log_csv()
+    state_before = world.rng.getstate()
+    expected = World(WorldConfig(seed=7))
+    expected.rng.setstate(state_before)
+    next_bytes = _draws(expected)
+
+    grandchild = world.fork().fork()
+    forks = [world.fork() for _ in range(100)]
+    assert _draws(grandchild) == next_bytes
+    assert all(_draws(f) == next_bytes for f in forks)
+
+    assert world.world_digest() == digest_before
+    assert world.op_log_csv() == csv_before
+    assert world.rng.getstate() == state_before
+    assert _draws(world) == next_bytes

@@ -2,10 +2,11 @@ import dataclasses
 import hashlib
 import inspect
 import random
+import types
 
 import pytest
 
-from xrwa import atomicity, canonical, primitives, settlement
+from xrwa import atomicity, canonical, ledger, primitives, settlement
 from xrwa.atomicity import explore_schedules, fuzz_schedules, run_schedule, Schedule
 from xrwa.costs import DEFAULT_WEIGHTS
 from xrwa.errors import (
@@ -739,3 +740,19 @@ def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
     world = atomicity._locked_channel(0, 4, 2)[0]
     assert len(built) <= 3
     assert set(built) <= {atomicity._BUYER.sk, atomicity._SELLER.sk, world.treasury.sk}
+
+
+def test_sweep_builds_one_generator_and_no_fork_copies_it(monkeypatch):
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(ledger, "random", types.SimpleNamespace(Random=Counting))
+    atomicity._locked_channel.cache_clear()
+    outcomes = explore_schedules()
+    assert len(outcomes) == 1296
+    # the template's own: no schedule draws, so no fork takes a private copy
+    assert built == [atomicity._locked_channel(0, 4, 2)[0].config.seed]
