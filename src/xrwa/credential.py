@@ -134,6 +134,10 @@ class StatusList:
     def uri(self) -> str:
         return status_list_uri(self.issuer, self.purpose)
 
+    def fork(self) -> "StatusList":
+        """The copy `World.fork` keeps: the same list with its own bits."""
+        return StatusList(self.issuer, self.purpose, bytearray(self.bits), self.version, self.next_index)
+
     def bit(self, index: int) -> int:
         if not 0 <= index < STATUS_LIST_CAPACITY:
             raise IndexError(f"status index {index} outside list")

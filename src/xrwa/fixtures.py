@@ -8,6 +8,8 @@ footprint, a 120 sqm floor area and a 30-day audit cycle.
 
 from __future__ import annotations
 
+import functools
+
 from . import canonical, credential, identity
 from .ledger import World, WorldConfig
 from .primitives import KeyPair, digest, keygen
@@ -17,17 +19,14 @@ __all__ = ["FIXTURE_TYPES", "fixture_items", "issue_fixture_set", "fixture_world
 FIXTURE_SEED = 20_250_101
 
 
-def _asset_did(name: str) -> str:
-    return "did:xrwa:" + digest(b"asset:" + name.encode()).hex()
+@functools.cache
+def _name_hash(domain: str, name: str) -> str:
+    """The 0x-hex digest of `domain:name`, a constant computed once per name."""
+    return canonical.to_hex(digest(f"{domain}:{name}".encode()))
 
 
 def _doc(name: str, media: str, issued_by: str) -> dict:
-    return {
-        "name": name,
-        "hash": canonical.to_hex(digest(b"document:" + name.encode())),
-        "mediaType": media,
-        "issuedBy": issued_by,
-    }
+    return {"name": name, "hash": _name_hash("document", name), "mediaType": media, "issuedBy": issued_by}
 
 
 def _identifier(scheme: str, value: str, jurisdiction: str, authority: str) -> dict:
@@ -69,7 +68,7 @@ def _items(
     custodian, location, policy, audit_days = custody
     return {
         "asset": {
-            "assetId": _asset_did(name),
+            "assetId": "did:xrwa:" + _name_hash("asset", name)[2:],
             "assetType": asset_type,
             "category": category,
             "classDid": class_did,
@@ -99,7 +98,7 @@ def _items(
             "location": location,
             "policy": policy,
             "auditCycleDays": audit_days,
-            "insurancePolicyRef": {"hash": canonical.to_hex(digest(b"insurance:" + name.encode()))},
+            "insurancePolicyRef": {"hash": _name_hash("insurance", name)},
         },
     }
 

@@ -118,6 +118,11 @@ class DidEntry:
     def head(self) -> DidDocument:
         return self.versions[-1]
 
+    def fork(self) -> "DidEntry":
+        """The copy `World.fork` keeps: new lists of the same immutable
+        documents and authorizations."""
+        return DidEntry(list(self.versions), list(self.authorizations))
+
     def to_json(self) -> dict:
         return {
             "versions": [doc.to_json() for doc in self.versions],

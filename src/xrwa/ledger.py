@@ -15,7 +15,6 @@ scenario; snapshots are plain data and safe to share across threads.
 
 from __future__ import annotations
 
-import copy
 import io
 import random
 from dataclasses import dataclass, field
@@ -199,8 +198,9 @@ class _ChainState:
 
     def fork(self) -> "_ChainState":
         """A copy sharing the sealed blocks and nothing that can change.
-        Contracts are copied shallowly: settlement rebinds a contract's
-        fields and never edits a value one holds."""
+        Each contract is rebuilt from its own fields, a shallow copy without
+        the `copy` module: settlement rebinds a contract's fields and never
+        edits a value one holds."""
         return _ChainState(
             blocks=list(self.blocks),
             pending=list(self.pending),
@@ -208,7 +208,7 @@ class _ChainState:
             sender_nonces=set(self.sender_nonces),
             balances=dict(self.balances),
             holdings={k: set(v) for k, v in self.holdings.items()},
-            contracts={cid: copy.copy(c) for cid, c in self.contracts.items()},
+            contracts={cid: type(c)(**vars(c)) for cid, c in self.contracts.items()},
             minted_value=self.minted_value,
             minted_assets=set(self.minted_assets),
         )
@@ -262,7 +262,13 @@ class World:
         sharing them is safe and makes a fork cost the mutable state alone:
         balances, holdings, contracts, pending pool, registries and op log
         are copied. The generator is shared until either world draws (see
-        `rng`), so a fork that never draws never copies it."""
+        `rng`), so a fork that never draws never copies it.
+
+        Nothing here goes through the `copy` module: each chain rebuilds its
+        contracts from their fields (`_ChainState.fork`), and each registry
+        entry copies itself with its own `fork()`, which gives a `DidEntry`
+        new lists and a `StatusList` a new bytearray; an empty registry
+        costs nothing."""
         other = object.__new__(World)
         other.config = self.config
         other.treasury = self.treasury
@@ -272,9 +278,9 @@ class World:
         other.chains = {label: state.fork() for label, state in self.chains.items()}
         other.relayed = {pair: list(view) for pair, view in self.relayed.items()}
         other.op_log = list(self.op_log)
-        other.did_registry = copy.deepcopy(self.did_registry)
+        other.did_registry = {did: entry.fork() for did, entry in self.did_registry.items()}
         other.controller_index = dict(self.controller_index)
-        other.status_lists = copy.deepcopy(self.status_lists)
+        other.status_lists = {uri: sl.fork() for uri, sl in self.status_lists.items()}
         other.acceptance_records = {c: list(recs) for c, recs in self.acceptance_records.items()}
         other.asset_origins = dict(self.asset_origins)
         other.anchor_nonces = set(self.anchor_nonces)

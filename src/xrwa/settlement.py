@@ -39,8 +39,10 @@ Settlement state is values: a leg's `escrowed_assets` and a channel's
 `settled_assets` and `used_hash_conds` are frozensets that settlement
 rebinds and never edits, and an HtlcLock's `escrow` is never changed after
 `htlc_lock`. So a shallow copy of a contract shares nothing that can
-change, which is what `World.fork` makes, and `Channel.in_world` binds a
-channel to the copies of its legs in a forked world.
+change. `World.fork` makes that copy by calling the contract's class on its
+own fields (`type(c)(**vars(c))`), so every field a contract holds is an
+`__init__` field; `Channel.in_world` builds the channel anew around the
+copies of its legs in a forked world.
 
 All on-chain steps are logged with the calibrated weights of `costs`;
 state updates are purely off-chain and log nothing.
@@ -308,12 +310,17 @@ class Channel:
 
     def in_world(self, world: World) -> "Channel":
         """This channel bound to the legs `world` holds, such as the copies
-        in a `World.fork` of the world it was opened in."""
-        return dataclasses.replace(
-            self,
-            leg_funds=world.chains[self.leg_funds.chain].contracts[self.leg_funds.contract_id],
-            leg_assets=world.chains[self.leg_assets.chain].contracts[self.leg_assets.contract_id],
-        )
+        in a `World.fork` of the world it was opened in, built from its own
+        fields as `World.fork` builds a contract (`dataclasses.replace`
+        costs more than the rest of the binding). Every other field is a
+        value settlement rebinds, so the two channels share nothing that
+        can change."""
+        funds, assets = self.leg_funds, self.leg_assets
+        return Channel(**{
+            **vars(self),
+            "leg_funds": world.chains[funds.chain].contracts[funds.contract_id],
+            "leg_assets": world.chains[assets.chain].contracts[assets.contract_id],
+        })
 
 
 def sign_state(party: KeyPair, state: ChannelState) -> bytes:

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import inspect
+import json
 import random
 import types
 
@@ -756,3 +758,22 @@ def test_sweep_builds_one_generator_and_no_fork_copies_it(monkeypatch):
     assert len(outcomes) == 1296
     # the template's own: no schedule draws, so no fork takes a private copy
     assert built == [atomicity._locked_channel(0, 4, 2)[0].config.seed]
+
+
+def test_sweep_builds_no_json_encoder_and_calls_no_copy_function(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(json.JSONEncoder, "__init__", counting("JSONEncoder", json.JSONEncoder.__init__))
+    monkeypatch.setattr(copy, "copy", counting("copy", copy.copy))
+    monkeypatch.setattr(copy, "deepcopy", counting("deepcopy", copy.deepcopy))
+    atomicity._locked_channel.cache_clear()
+    outcomes = explore_schedules()
+    assert len(outcomes) == 1296
+    # the template's mints, open, update and lock included
+    assert calls == []
