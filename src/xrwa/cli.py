@@ -1,7 +1,7 @@
 """Command-line scenario runner and benchmark harness.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a world
-invariant is found broken.
+Exit codes: 0 on success, 2 for configuration problems (a malformed bundle
+among them), 3 when a world invariant is found broken or a proof is rejected.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .credential import canonical_serialize
 from .errors import ConfigError, InvariantViolation, XrwaError
 from .experiments import EXPERIMENTS, MetricsReport, ScenarioConfig, run as run_experiment
 from .fixtures import FIXTURE_TYPES, issue_fixture_set
+from .primitives import read_field
 
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
@@ -156,13 +157,15 @@ def verify_proof_cmd(bundle: str) -> None:
     def body():
         try:
             data = json.loads(Path(bundle).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read bundle {bundle}: {exc}") from None
-        artifacts = data.get("derived", {}).get("artifacts", data)
-        for key in ("proof", "tx", "headers"):
-            if key not in artifacts:
-                raise ConfigError(f"bundle is missing {key!r}")
-        ok = xauth.offline_verify(artifacts["proof"], artifacts["tx"], artifacts["headers"])
+        derived = data.get("derived") if isinstance(data, dict) else None
+        artifacts = derived.get("artifacts", data) if isinstance(derived, dict) else data
+        ok = xauth.offline_verify(
+            read_field(artifacts, "proof", dict),
+            read_field(artifacts, "tx", dict),
+            read_field(artifacts, "headers", list),
+        )
         click.echo("proof verifies" if ok else "proof REJECTED")
         if not ok:
             sys.exit(EXIT_INVARIANT)

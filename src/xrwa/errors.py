@@ -166,5 +166,10 @@ class ConfigError(XrwaError):
     pass
 
 
+class MalformedArtifact(ConfigError):
+    """A serialized artifact lacks a field, or holds one of the wrong type,
+    bad hex or a string with no UTF-8 form."""
+
+
 class InvariantViolation(XrwaError):
     """A cross-cutting world invariant was found broken at audit time."""

@@ -107,7 +107,7 @@ class ScenarioConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(data)
 

@@ -30,7 +30,7 @@ from .errors import (
     ReplayedTransaction,
     UnknownChain,
 )
-from .primitives import KeyPair, digest, keygen, merkle_root, sign, verify_sig
+from .primitives import KeyPair, digest, keygen, merkle_root, read_field, sign, verify_sig
 
 __all__ = [
     "ChainId",
@@ -99,12 +99,13 @@ class Transaction:
 
     @classmethod
     def from_json(cls, data: dict) -> "Transaction":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
         return cls(
-            kind=data["kind"],
-            body=data["body"],
-            sender=canonical.from_hex(data["sender"]),
-            nonce=data["nonce"],
-            sig=canonical.from_hex(data["sig"]),
+            kind=read_field(data, "kind", str),
+            body=read_field(data, "body", dict),
+            sender=read_field(data, "sender", bytes),
+            nonce=read_field(data, "nonce", str),
+            sig=read_field(data, "sig", bytes),
         )
 
 
@@ -129,12 +130,13 @@ class BlockHeader:
 
     @classmethod
     def from_json(cls, data: dict) -> "BlockHeader":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
         return cls(
-            chain=data["chain"],
-            height=data["height"],
-            prev=canonical.from_hex(data["prev"]),
-            merkle_root=canonical.from_hex(data["merkleRoot"]),
-            timestamp=data["timestamp"],
+            chain=read_field(data, "chain", str),
+            height=read_field(data, "height", int),
+            prev=read_field(data, "prev", bytes),
+            merkle_root=read_field(data, "merkleRoot", bytes),
+            timestamp=read_field(data, "timestamp", int),
         )
 
     def header_digest(self) -> bytes:
@@ -171,13 +173,38 @@ class Block:
     tx_ids: list[bytes]
 
 
-@dataclass(frozen=True)
 class OpRecord:
-    tick: int
-    chain: ChainId
-    op_kind: str
-    cost_units: float
-    tx_id: str  # 0x-hex, possibly of a synthetic descriptor
+    """One op-log entry. `tx_id` is 0x-hex: of the transaction's id, or of
+    the digest of the canonical encoding of the op-tagged descriptor
+    `{"op": op_kind, **descriptor}`.
+
+    The id is computed when `tx_id` is first read and kept; until then the
+    entry holds the raw 32-byte id or its own op-tagged dict, which that
+    read drops. So a world nobody reports on, such as a schedule's fork,
+    never encodes or hashes its entries. A fork shares its origin's entries,
+    and the id is the same whichever world reads it first. Descriptors hold
+    only str, int and list values built by this package; an unencodable one
+    would raise when the entry is read, not when it is logged."""
+
+    __slots__ = ("tick", "chain", "op_kind", "cost_units", "_id")
+
+    def __init__(self, tick: int, chain: ChainId, op_kind: str, cost_units: float,
+                 source: bytes | dict):
+        self.tick = tick
+        self.chain = chain
+        self.op_kind = op_kind
+        self.cost_units = cost_units
+        self._id: bytes | dict | str = source
+
+    @property
+    def tx_id(self) -> str:
+        source = self._id
+        if type(source) is str:
+            return source
+        if type(source) is dict:
+            source = digest(canonical.dumps_bytes(source))
+        self._id = canonical.to_hex(source)
+        return self._id
 
     def csv_row(self) -> str:
         return f"{self.tick},{self.chain},{self.op_kind},{costs.format_units(self.cost_units)},{self.tx_id}"
@@ -261,8 +288,10 @@ class World:
         A chain only ever appends sealed blocks and never edits one, so
         sharing them is safe and makes a fork cost the mutable state alone:
         balances, holdings, contracts, pending pool, registries and op log
-        are copied. The generator is shared until either world draws (see
-        `rng`), so a fork that never draws never copies it.
+        are copied. The op log's entries are shared; each computes its id
+        once, whichever world reads it first (`OpRecord`). The generator is
+        shared until either world draws (see `rng`), so a fork that never
+        draws never copies it.
 
         Nothing here goes through the `copy` module: each chain rebuilds its
         contracts from their fields (`_ChainState.fork`), and each registry
@@ -314,17 +343,13 @@ class World:
 
     def log_op(self, chain: ChainId, op_kind: str, tx_id: bytes | None = None,
                descriptor: dict | None = None) -> OpRecord:
-        """Append one op-log entry, costing it from the calibration table."""
-        if tx_id is None:
-            descriptor = descriptor or {}
-            tx_id = digest(canonical.dumps_bytes({"op": op_kind, **descriptor}))
-        rec = OpRecord(
-            tick=self.clock,
-            chain=chain,
-            op_kind=op_kind,
-            cost_units=costs.weight(op_kind),
-            tx_id=canonical.to_hex(tx_id),
-        )
+        """Append one op-log entry, costing it from the calibration table;
+        a kind the table does not weigh is refused before anything is
+        appended. Without `tx_id`, the entry keeps its own op-tagged copy of
+        `descriptor` and hashes it when its `tx_id` is first read (see
+        `OpRecord`)."""
+        source = tx_id if tx_id is not None else {"op": op_kind, **(descriptor or {})}
+        rec = OpRecord(self.clock, chain, op_kind, costs.weight(op_kind), source)
         self.op_log.append(rec)
         return rec
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -32,7 +32,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .errors import EmptyTreeError, SeedError
+from . import canonical
+from .errors import EmptyTreeError, MalformedArtifact, SeedError
 
 __all__ = [
     "DIGEST_ALGORITHM",
@@ -52,6 +53,7 @@ __all__ = [
     "merkle_prove",
     "merkle_verify",
     "path_length",
+    "read_field",
 ]
 
 DIGEST_ALGORITHM = "sha256"
@@ -136,18 +138,37 @@ class MerklePath:
     leaf_index: int
 
     def to_json(self) -> list[dict[str, str]]:
-        from . import canonical
-
         return [{"hash": canonical.to_hex(h), "side": side} for h, side in self.siblings]
 
     @classmethod
     def from_json(cls, items: list[dict[str, str]], leaf_index: int) -> "MerklePath":
-        from . import canonical
-
         return cls(
-            siblings=tuple((canonical.from_hex(e["hash"]), e["side"]) for e in items),
+            siblings=tuple((read_field(e, "hash", bytes), read_field(e, "side", str)) for e in items),
             leaf_index=leaf_index,
         )
+
+
+def read_field(data: Any, key: str, kind: type) -> Any:
+    """`data[key]` of a decoded JSON artifact, checked to be a `kind`;
+    for `bytes`, the field is 0x-hex and its bytes are returned. Raises
+    `MalformedArtifact` on a missing key, a wrong type (a bool is not an
+    int), bad hex or a value holding a string with no UTF-8 form, which
+    canonical encoding could not hash."""
+    if not isinstance(data, dict) or key not in data:
+        raise MalformedArtifact(f"missing field {key!r}")
+    value = data[key]
+    if kind is bytes:
+        try:
+            return canonical.from_hex(value)
+        except ValueError:
+            raise MalformedArtifact(f"field {key!r} is not 0x-prefixed hex") from None
+    if type(value) is not kind:
+        raise MalformedArtifact(f"field {key!r} is {type(value).__name__}, not {kind.__name__}")
+    try:
+        canonical.dumps_bytes(value)
+    except UnicodeEncodeError:
+        raise MalformedArtifact(f"field {key!r} holds a string with no UTF-8 form") from None
+    return value
 
 
 def _check_leaves(leaves: Sequence[bytes]) -> None:

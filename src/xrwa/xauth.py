@@ -42,6 +42,7 @@ from .primitives import (
     length_prefixed,
     merkle_prove,
     merkle_verify,
+    read_field,
 )
 
 __all__ = [
@@ -145,11 +146,12 @@ class SpvProof:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpvProof":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
         return cls(
-            path=MerklePath.from_json(data["path"], data["leafIndex"]),
-            root=canonical.from_hex(data["root"]),
-            chain=data["chain"],
-            height=data["height"],
+            path=MerklePath.from_json(read_field(data, "path", list), read_field(data, "leafIndex", int)),
+            root=read_field(data, "root", bytes),
+            chain=read_field(data, "chain", str),
+            height=read_field(data, "height", int),
         )
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from xrwa.cli import main
@@ -67,6 +68,14 @@ def test_run_malformed_config_exit_two(tmp_path):
     cfg.write_text("{not json")
     result = invoke("run", "--config", str(cfg))
     assert result.exit_code == 2
+
+
+def test_run_config_nesting_too_deep_to_decode_exit_two(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke("run", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: cannot read config")
 
 
 def test_run_twice_identical_nontiming_rows(tmp_path):
@@ -164,3 +173,38 @@ def test_verify_proof_missing_keys_exit_two(tmp_path):
     bundle = tmp_path / "empty.json"
     bundle.write_text("{}")
     assert invoke("verify-proof", "--bundle", str(bundle)).exit_code == 2
+
+
+def test_verify_proof_nesting_too_deep_to_decode_exit_two(tmp_path):
+    bundle = tmp_path / "deep.json"
+    bundle.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke("verify-proof", "--bundle", str(bundle))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("config error: cannot read bundle")
+
+
+def _drop_prev(report):
+    del report["derived"]["artifacts"]["headers"][0]["prev"]
+
+
+def _surrogate_nonce(report):
+    report["derived"]["artifacts"]["tx"]["nonce"] += "\ud800"
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_drop_prev, "missing field 'prev'"),
+    (_surrogate_nonce, "field 'tx' holds a string with no UTF-8 form"),
+    (lambda report: report.update(derived=[report["derived"]]), "missing field 'proof'"),
+], ids=["header-without-prev", "nonce-with-lone-surrogate", "derived-not-an-object"])
+def test_verify_proof_malformed_bundle_exit_two_without_traceback(tmp_path, mangle, message):
+    out = tmp_path / "report.json"
+    assert invoke("run", "--seed", "7", "--out", str(out)).exit_code == 0
+    report = json.loads(out.read_text())
+    mangle(report)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(report))
+    result = invoke("verify-proof", "--bundle", str(bad))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"config error: {message}\n"

@@ -10,6 +10,7 @@ from xrwa.errors import (
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
+    MalformedArtifact,
     ReplayedTransaction,
     UnknownChain,
 )
@@ -288,6 +289,57 @@ def test_bad_header_link_rejected_everywhere(alice, case):
         world.check_header_chains()
 
 
+_MISSING = object()
+
+# field -> a value from_json refuses (_MISSING: the key is deleted)
+MALFORMED_HEADERS = {
+    "no-prev": ("prev", _MISSING),
+    "height-as-text": ("height", "1"),
+    "height-as-bool": ("height", True),
+    "root-not-hex": ("merkleRoot", "0xzz"),
+    "prev-without-0x": ("prev", "00" * 32),
+    "chain-lone-surrogate": ("chain", "C1\ud800"),
+}
+MALFORMED_TXS = {
+    "no-nonce": ("nonce", _MISSING),
+    "nonce-lone-surrogate": ("nonce", "n-1\ud800"),
+    "body-lone-surrogate": ("body", {"to": "\ud800", "amount": 1}),
+    "body-as-list": ("body", []),
+    "sig-as-int": ("sig", 7),
+}
+
+
+def _mangled(data, key, value):
+    if value is _MISSING:
+        del data[key]
+    else:
+        data[key] = value
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_refused_by_from_json(alice, case):
+    world = three_header_world(alice)
+    headers = [b.header.to_json() for b in world.chains["C1"].blocks]
+    proof, tx, _ = offline_bundle(world, [])
+    _mangled(headers[1], *MALFORMED_HEADERS[case])
+    with pytest.raises(MalformedArtifact):
+        BlockHeader.from_json(headers[1])
+    with pytest.raises(MalformedArtifact):
+        xauth.offline_verify(proof, tx, headers)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TXS))
+def test_malformed_tx_refused_by_from_json(alice, case):
+    world = three_header_world(alice)
+    headers = [b.header.to_json() for b in world.chains["C1"].blocks]
+    proof, tx, _ = offline_bundle(world, [])
+    _mangled(tx, *MALFORMED_TXS[case])
+    with pytest.raises(MalformedArtifact):
+        Transaction.from_json(tx)
+    with pytest.raises(MalformedArtifact):
+        xauth.offline_verify(proof, tx, headers)
+
+
 def test_kept_header_digest_is_the_digest_of_its_fields(world, alice):
     seal_n(world, alice, "C1", 2)
     world.relay_chain("C2", "C1")
@@ -361,6 +413,42 @@ def test_oplog_csv_shape(world, alice):
     lines = world.op_log_csv().strip().splitlines()
     assert lines[0] == "tick,chain,op_kind,cost_units,tx_id"
     assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def test_descriptor_edited_after_logging_leaves_the_entry_id(world):
+    descriptor = {"channel": "ch-1", "leg": "funds"}
+    rec = world.log_op("C1", "chan_unlock", descriptor=descriptor)
+    descriptor["leg"] = "assets"
+    descriptor["extra"] = [1]
+    tagged = {"op": "chan_unlock", "channel": "ch-1", "leg": "funds"}
+    assert rec.tx_id == canonical.to_hex(digest(canonical.dumps_bytes(tagged)))
+    assert rec.tx_id is rec.tx_id
+    raw = digest(b"a transaction id")
+    assert world.log_op("C1", "anchor", tx_id=raw).tx_id == canonical.to_hex(raw)
+
+
+@pytest.mark.parametrize("origin_first", [False, True])
+def test_entries_shared_by_a_fork_read_the_same_whichever_world_reads_first(alice, origin_first):
+    def logged_world():
+        world = World(WorldConfig(seed=7))
+        world.mint("C1", alice.pk, 10)
+        world.mint_asset("C2", alice.pk, "did:xrwa:shared")
+        world.submit_tx("C1", transfer(world, alice, alice, 1))
+        world.seal_block("C1")
+        world.relay_chain("C2", "C1")
+        return world
+
+    expected = logged_world().op_log_csv()
+    world = logged_world()
+    fork = world.fork()
+    assert all(a is b for a, b in zip(fork.op_log, world.op_log, strict=True))
+    first, second = (world, fork) if origin_first else (fork, world)
+    assert first.op_log_csv() == expected
+    assert second.op_log_csv() == expected
+    # entries either world appends later are its own
+    fork.burn_asset("C2", alice.pk, "did:xrwa:shared")
+    assert world.op_log_csv() == expected
+    assert fork.op_log_csv().startswith(expected)
 
 
 def test_snapshot_is_canonical_json_stable(world, alice):

@@ -760,20 +760,32 @@ def test_sweep_builds_one_generator_and_no_fork_copies_it(monkeypatch):
     assert built == [atomicity._locked_channel(0, 4, 2)[0].config.seed]
 
 
+def _counting(calls, name, real):
+    """`real`, appending `name` to `calls` on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapper
+
+
 def test_sweep_builds_no_json_encoder_and_calls_no_copy_function(monkeypatch):
     calls = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(json.JSONEncoder, "__init__", counting("JSONEncoder", json.JSONEncoder.__init__))
-    monkeypatch.setattr(copy, "copy", counting("copy", copy.copy))
-    monkeypatch.setattr(copy, "deepcopy", counting("deepcopy", copy.deepcopy))
+    monkeypatch.setattr(json.JSONEncoder, "__init__", _counting(calls, "JSONEncoder", json.JSONEncoder.__init__))
+    monkeypatch.setattr(copy, "copy", _counting(calls, "copy", copy.copy))
+    monkeypatch.setattr(copy, "deepcopy", _counting(calls, "deepcopy", copy.deepcopy))
     atomicity._locked_channel.cache_clear()
     outcomes = explore_schedules()
     assert len(outcomes) == 1296
     # the template's mints, open, update and lock included
+    assert calls == []
+
+
+def test_warm_sweep_encodes_and_hashes_no_op_log_entry(monkeypatch):
+    # the op-log entries of a thrown-away schedule world are never read, so
+    # their descriptors are neither encoded nor hashed
+    explore_schedules()
+    calls = []
+    monkeypatch.setattr(canonical, "dumps_bytes", _counting(calls, "dumps_bytes", canonical.dumps_bytes))
+    monkeypatch.setattr(ledger, "digest", _counting(calls, "digest", ledger.digest))
+    assert len(explore_schedules()) == 1296
     assert calls == []

@@ -14,6 +14,7 @@ from xrwa.errors import (
     InvariantViolation,
     IssuerDeactivated,
     JurisdictionBlocked,
+    MalformedArtifact,
     NotFound,
     Revoked,
     SpvFailed,
@@ -623,3 +624,36 @@ def test_padding_position_proof_rejected():
     assert [e["side"] for e in padded["path"]] == ["left", "left"]
     assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(padded))
     assert not xauth.offline_verify(padded, target.to_json(), headers)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda p: p.pop("leafIndex"),
+    lambda p: p.update(height="1"),
+    lambda p: p.update(root="0xnothex"),
+    lambda p: p.update(path={}),
+    lambda p: p["path"][0].pop("hash"),
+    lambda p: p["path"][0].update(hash=1),
+    lambda p: p["path"][0].update(side="left\ud800"),
+    lambda p: p["path"].append("0x00"),
+], ids=[
+    "no-leaf-index", "height-text", "root-not-hex", "path-dict", "sibling-no-hash",
+    "sibling-hash-int", "side-lone-surrogate", "sibling-not-object",
+])
+def test_malformed_spv_proof_refused_by_from_json(mangle):
+    world = World(WorldConfig(seed=9))
+    key = keygen(digest(b"malformed"))
+    world.mint("C1", key.pk, 1)
+    for i in range(3):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(key.pk), "amount": 0}, key, f"m{i}"),
+        )
+    header = world.seal_block("C1")
+    target = world.chains["C1"].blocks[header.height].txs[0]
+    proof = xauth.spv_prove(world, target.tx_id, ("C1", header.height)).to_json()
+    headers = [b.header.to_json() for b in world.chains["C1"].blocks]
+    mangle(proof)
+    with pytest.raises(MalformedArtifact):
+        xauth.SpvProof.from_json(proof)
+    with pytest.raises(MalformedArtifact):
+        xauth.offline_verify(proof, target.to_json(), headers)
