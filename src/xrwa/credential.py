@@ -19,6 +19,11 @@ Selective disclosure is a hash-commitment scheme, not zero knowledge:
 - a presentation reveals (salt, value) for chosen selectors and bare field
   digests for the rest, so undisclosed values never appear in its bytes.
 
+`issue` keeps the salts, field digests and section hashes it computed on the
+credential it returns, and `prove` reads them instead of re-encoding every
+field; only the verifier recomputes (`verify`, and `audit_credential`, which
+recomputes from the sections).
+
 Revocation and suspension live in issuer-owned status lists held by the
 world. Each section is allocated one index, valid in both of the issuer's
 lists (revocation flips one way; suspension is reversible). `revoke`,
@@ -33,10 +38,11 @@ validation; there is no timezone arithmetic anywhere in this module.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from . import canonical
 from .errors import (
@@ -50,7 +56,7 @@ from .errors import (
 )
 from .identity import REGISTRY_CHAIN, Did, controlled_did, did_resolve, issuer_status, resolve_version
 from .ledger import World
-from .primitives import KeyPair, digest, length_prefixed, sign, verify_sig
+from .primitives import KeyPair, digest, length_prefixed, read_field, sign, verify_sig
 
 __all__ = [
     "SECTIONS",
@@ -113,9 +119,11 @@ STATUS_LIST_CAPACITY = 4096
 
 # ------------------------------------------------------------ status lists --
 
+@functools.lru_cache(maxsize=256)
 def status_list_uri(issuer_did: str, purpose: str) -> str:
     """Where the issuer's status list of `purpose` ("Revocation" or
-    "Suspension") lives in `World.status_lists`."""
+    "Suspension") lives in `World.status_lists`; a pure function of its two
+    strings, so recent answers are kept."""
     suffix = Did.parse(issuer_did).id_string[:16]
     return f"urn:xrwa:status:{suffix}:{purpose.lower()}"
 
@@ -183,42 +191,49 @@ def _issuer_lists(world: World, issuer_did: str) -> tuple[StatusList, StatusList
 
 # ------------------------------------------------- commitments and hashing --
 
-def field_salt(nonce: bytes, selector: str) -> bytes:
-    return digest(_SALT_DOMAIN + nonce + selector.encode("utf-8"))[:16]
+class Commitments(NamedTuple):
+    """What a credential commits to: each selector's salt, each section's
+    field digests (selector to digest) and each section's hash."""
+
+    salts: dict[str, bytes]
+    digests: dict[str, dict[str, bytes]]
+    hashes: dict[str, bytes]
 
 
 def field_digest(selector: str, value: Any, salt: bytes) -> bytes:
-    return digest(
-        _FIELD_DOMAIN
-        + length_prefixed(salt)
-        + length_prefixed(selector.encode("utf-8"))
-        + length_prefixed(canonical.dumps_bytes(value))
-    )
+    h = hashlib.sha256(_FIELD_DOMAIN)
+    h.update(length_prefixed(salt))
+    h.update(length_prefixed(selector.encode("utf-8")))
+    h.update(length_prefixed(canonical.dumps_bytes(value)))
+    return h.digest()
 
 
 def section_hash_from_digests(digests: Mapping[str, bytes]) -> bytes:
-    acc = _SECTION_DOMAIN
+    h = hashlib.sha256(_SECTION_DOMAIN)
     for selector in sorted(digests):
-        acc += length_prefixed(selector.encode("utf-8")) + digests[selector]
-    return digest(acc)
+        h.update(length_prefixed(selector.encode("utf-8")))
+        h.update(digests[selector])
+    return h.digest()
 
 
-def section_field_digests(section: str, body: Mapping[str, Any], nonce: bytes) -> dict[str, bytes]:
-    out = {}
-    for key, value in body.items():
-        if key == "sProof":
-            continue
-        selector = f"{section}.{key}"
-        out[selector] = field_digest(selector, value, field_salt(nonce, selector))
-    return out
-
-
-def section_commitments(
-    sections: Mapping[str, Mapping[str, Any]], nonce: bytes
-) -> tuple[dict[str, dict[str, bytes]], dict[str, bytes]]:
-    """Field digests and section hash of every section."""
-    digests = {name: section_field_digests(name, sections[name], nonce) for name in SECTIONS}
-    return digests, {name: section_hash_from_digests(d) for name, d in digests.items()}
+def section_commitments(sections: Mapping[str, Mapping[str, Any]], nonce: bytes) -> Commitments:
+    """Salt, field digest and section hash of every field of every section;
+    a salt is digest(_SALT_DOMAIN | nonce | selector)[:16]."""
+    salter = hashlib.sha256(_SALT_DOMAIN + nonce)
+    salts: dict[str, bytes] = {}
+    digests: dict[str, dict[str, bytes]] = {}
+    for name in SECTIONS:
+        field_digests = digests[name] = {}
+        for key, value in sections[name].items():
+            if key == "sProof":
+                continue
+            selector = f"{name}.{key}"
+            h = salter.copy()
+            h.update(selector.encode("utf-8"))
+            salt = salts[selector] = h.digest()[:16]
+            field_digests[selector] = field_digest(selector, value, salt)
+    hashes = {name: section_hash_from_digests(d) for name, d in digests.items()}
+    return Commitments(salts, digests, hashes)
 
 
 def top_hash(section_hashes: Mapping[str, bytes]) -> bytes:
@@ -250,14 +265,15 @@ class SectionProof:
 
     @classmethod
     def from_json(cls, data: dict) -> "SectionProof":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
         return cls(
-            issuer=data["issuer"],
-            issued=data["issued"],
-            expires=data["expires"],
-            section_hash=canonical.from_hex(data["sectionHash"]),
-            proof_value=canonical.from_hex(data["proofValue"]),
-            issuer_key_version=data["issuerKeyVersion"],
-            proof_purpose=data["proofPurpose"],
+            issuer=read_field(data, "issuer", str),
+            issued=read_field(data, "issued", str),
+            expires=read_field(data, "expires", str),
+            section_hash=read_field(data, "sectionHash", bytes),
+            proof_value=read_field(data, "proofValue", bytes),
+            issuer_key_version=read_field(data, "issuerKeyVersion", int),
+            proof_purpose=read_field(data, "proofPurpose", str),
         )
 
     def message(self, credential_id: str, section: str, holder_pk: Optional[bytes] = None) -> bytes:
@@ -311,8 +327,22 @@ class CompositeCredential:
     def issuer(self) -> str:
         return self.top_proof.issuer
 
+    def commitments(self) -> Commitments:
+        """The salts, field digests and section hashes `issue` computed, kept
+        on the instance outside the dataclass fields, so `==`, `to_json` and
+        `dataclasses.replace` ignore them; a credential built another way
+        computes them from its sections on first use and keeps them. An
+        in-place edit of `sections` leaves them as issued: `verify` refuses
+        an edited value disclosed under its issued digest."""
+        kept = self.__dict__.get("_commitments")
+        if kept is None:
+            kept = section_commitments(self.sections, self.disclosure_nonce)
+            object.__setattr__(self, "_commitments", kept)
+        return kept
+
     def section_hashes(self) -> dict[str, bytes]:
-        return section_commitments(self.sections, self.disclosure_nonce)[1]
+        """Recomputed from the sections on every call."""
+        return section_commitments(self.sections, self.disclosure_nonce).hashes
 
     def status_ref(self, section: str) -> dict:
         return self.sections[section]["sStatus"]
@@ -330,19 +360,21 @@ class CompositeCredential:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CompositeCredential":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
         sections = {}
         proofs = {}
         for name in SECTIONS:
-            body = dict(doc[name])
-            proofs[name] = SectionProof.from_json(body.pop("sProof"))
+            body = dict(read_field(doc, name, dict))
+            proofs[name] = SectionProof.from_json(read_field(body, "sProof", dict))
+            del body["sProof"]
             sections[name] = body
         return cls(
-            id=doc["id"],
-            holder_pk=canonical.from_hex(doc["holderPk"]),
-            disclosure_nonce=canonical.from_hex(doc["disclosureNonce"]),
+            id=read_field(doc, "id", str),
+            holder_pk=read_field(doc, "holderPk", bytes),
+            disclosure_nonce=read_field(doc, "disclosureNonce", bytes),
             sections=sections,
             section_proofs=proofs,
-            top_proof=SectionProof.from_json(doc["proof"]),
+            top_proof=SectionProof.from_json(read_field(doc, "proof", dict)),
         )
 
 
@@ -435,7 +467,8 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     """Issue a four-section credential against a holder request.
 
     Allocates one status-list index per section, computes per-field
-    commitments, and signs four section proofs plus the top proof.
+    commitments, keeps them on the credential (`commitments`), and signs
+    four section proofs plus the top proof.
     """
     issuer_did = controlled_did(world, issuer.pk)
     key_version = did_resolve(world, issuer_did).version
@@ -464,11 +497,11 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     year = int(world.config.current_date[:4])
     expires = f"{year + 1}{world.config.current_date[4:]}T00:00:00Z"
 
-    hashes = section_commitments(sections, nonce)[1]
-    hashes["top"] = top_hash(hashes)
+    commitments = section_commitments(sections, nonce)
+    hashes = {**commitments.hashes, "top": top_hash(commitments.hashes)}
     proofs = {}
     for name, section_hash in hashes.items():
-        unsigned = SectionProof(
+        proof = SectionProof(
             issuer=issuer_did,
             issued=issued,
             expires=expires,
@@ -476,10 +509,12 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
             proof_value=b"",
             issuer_key_version=key_version,
         )
-        message = unsigned.message(cred_id, name, req.holder_pk if name == "top" else None)
-        proofs[name] = dataclasses.replace(unsigned, proof_value=sign(issuer.sk, message))
+        message = proof.message(cred_id, name, req.holder_pk if name == "top" else None)
+        # the proof has not escaped, so filling in its frozen field is safe
+        object.__setattr__(proof, "proof_value", sign(issuer.sk, message))
+        proofs[name] = proof
     top_proof = proofs.pop("top")
-    return CompositeCredential(
+    cred = CompositeCredential(
         id=cred_id,
         holder_pk=req.holder_pk,
         disclosure_nonce=nonce,
@@ -487,9 +522,16 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
         section_proofs=proofs,
         top_proof=top_proof,
     )
+    object.__setattr__(cred, "_commitments", commitments)
+    return cred
 
 
 # ------------------------------------------------------------ presentation --
+
+def _hex_map(data: dict) -> dict[str, bytes]:
+    """The bytes of every 0x-hex value of a decoded JSON object."""
+    return {key: read_field(data, key, bytes) for key in data}
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -527,22 +569,30 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
+        """Raises `MalformedArtifact` on a field `read_field` refuses."""
+        digests = read_field(data, "sectionDigests", dict)
         return cls(
-            credential_id=data["credentialId"],
-            holder_pk=canonical.from_hex(data["holderPk"]),
-            disclosed=data["disclosed"],
-            field_salts={k: canonical.from_hex(v) for k, v in data["fieldSalts"].items()},
-            section_digests={
-                sec: {k: canonical.from_hex(v) for k, v in digests.items()}
-                for sec, digests in data["sectionDigests"].items()
-            },
-            section_hashes={k: canonical.from_hex(v) for k, v in data["sectionHashes"].items()},
-            top_proof=SectionProof.from_json(data["proof"]),
-            holder_sig=canonical.from_hex(data["holderSignature"]),
+            credential_id=read_field(data, "credentialId", str),
+            holder_pk=read_field(data, "holderPk", bytes),
+            disclosed=read_field(data, "disclosed", dict),
+            field_salts=_hex_map(read_field(data, "fieldSalts", dict)),
+            section_digests={sec: _hex_map(read_field(digests, sec, dict)) for sec in digests},
+            section_hashes=_hex_map(read_field(data, "sectionHashes", dict)),
+            top_proof=SectionProof.from_json(read_field(data, "proof", dict)),
+            holder_sig=read_field(data, "holderSignature", bytes),
         )
 
     def serialize(self) -> bytes:
         return canonical.dumps_bytes(self.to_json())
+
+
+def _json_copy(value: Any) -> Any:
+    """A copy of a decoded JSON value that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {key: _json_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(item) for item in value]
+    return value
 
 
 def _consulted_sections(selectors: Iterable[str]) -> set[str]:
@@ -553,36 +603,39 @@ def _consulted_sections(selectors: Iterable[str]) -> set[str]:
 
 def prove(cred: CompositeCredential, holder: KeyPair, disclosure: Iterable[str]) -> Presentation:
     """Build a presentation disclosing exactly the selected fields, plus the
-    sStatus of every consulted section (`_consulted_sections`)."""
-    known = set(selectors_of(cred))
+    sStatus of every consulted section (`_consulted_sections`), from the
+    credential's kept commitments (`CompositeCredential.commitments`)."""
+    kept = cred.commitments()
     requested = set(disclosure)
-    unknown = requested - known
+    unknown = requested.difference(kept.salts)
     if unknown:
         raise UnknownSelector(f"no such fields: {sorted(unknown)}")
 
     touched = _consulted_sections(requested)
     effective = requested | {f"{section}.sStatus" for section in touched}
-    nonce = cred.disclosure_nonce
-    all_digests, hashes = section_commitments(cred.sections, nonce)
     disclosed: dict[str, Any] = {}
     salts: dict[str, bytes] = {}
     for sel in sorted(effective):
         section, key = sel.split(".", 1)
-        disclosed[sel] = cred.sections[section][key]
-        salts[sel] = field_salt(nonce, sel)
+        disclosed[sel] = _json_copy(cred.sections[section][key])
+        salts[sel] = kept.salts[sel]
 
+    # fresh dicts and lists throughout, so the presentation never aliases the
+    # credential or its kept commitments
     presentation = Presentation(
         credential_id=cred.id,
         holder_pk=cred.holder_pk,
         disclosed=disclosed,
         field_salts=salts,
-        section_digests={sec: all_digests[sec] for sec in sorted(touched)},
-        section_hashes=hashes,
+        section_digests={sec: dict(kept.digests[sec]) for sec in sorted(touched)},
+        section_hashes=dict(kept.hashes),
         top_proof=cred.top_proof,
         holder_sig=b"",
     )
+    # the presentation has not escaped, so filling in its frozen field is safe
     sig = sign(holder.sk, canonical.dumps_bytes(presentation.body_json()))
-    return dataclasses.replace(presentation, holder_sig=sig)
+    object.__setattr__(presentation, "holder_sig", sig)
+    return presentation
 
 
 # ------------------------------------------------------------ verification --

@@ -29,6 +29,7 @@ from .errors import (
     InvariantViolation,
     IssuerDeactivated,
     JurisdictionBlocked,
+    MalformedArtifact,
     Revoked,
     SpvFailed,
     TxNotInBlock,
@@ -114,14 +115,19 @@ class Commitment:
 
     @classmethod
     def from_body(cls, body: dict) -> "Commitment":
+        """Raises `MalformedArtifact` on a field `read_field` refuses or an
+        epoch outside 8 unsigned bytes, `CommitmentMismatch` when the stored
+        digest does not recompute."""
         c = cls(
-            asset_id=body["assetId"],
-            cred_digest=canonical.from_hex(body["credDigest"]),
-            token_binding_digest=canonical.from_hex(body["tokenBindingDigest"]),
-            epoch=body["epoch"],
-            nonce=canonical.from_hex(body["nonce"]),
+            asset_id=read_field(body, "assetId", str),
+            cred_digest=read_field(body, "credDigest", bytes),
+            token_binding_digest=read_field(body, "tokenBindingDigest", bytes),
+            epoch=read_field(body, "epoch", int),
+            nonce=read_field(body, "nonce", bytes),
         )
-        if canonical.to_hex(c.commitment_digest()) != body["commitmentDigest"]:
+        if not 0 <= c.epoch < 1 << 64:
+            raise MalformedArtifact(f"field 'epoch' {c.epoch} does not fit 8 unsigned bytes")
+        if canonical.to_hex(c.commitment_digest()) != read_field(body, "commitmentDigest", str):
             raise CommitmentMismatch("stored commitment digest does not recompute")
         return c
 

@@ -24,13 +24,15 @@ from xrwa.credential import (
 from xrwa.errors import (
     BadSignature,
     IssuerDeactivated,
+    MalformedArtifact,
     MissingField,
     NotFound,
     NotOwner,
     UnknownSelector,
 )
-from xrwa.fixtures import fixture_items, fixture_world, issue_fixture_set
-from xrwa.primitives import digest, keygen, sign, verify_sig
+from xrwa.fixtures import FIXTURE_TYPES, fixture_items, fixture_world, issue_fixture_set
+from xrwa.primitives import digest, keygen, length_prefixed, sign, verify_sig
+from xrwa.scenarios import TRANSFER_DISCLOSURE
 
 
 @pytest.fixture
@@ -547,3 +549,181 @@ def test_issue_from_unregistered_key_not_found(setup):
     world, _, holder, _ = setup
     with pytest.raises(NotFound):
         issue(world, request(fixture_items("Gold"), holder), keygen(digest(b"nobody")))
+
+
+# ------------------------------------------------------ kept commitments ----
+
+def _counting(calls, name, real):
+    """`real`, appending `name` to `calls` on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def test_stage_encodings_pinned_and_prove_recomputes_no_commitment(setup, monkeypatch):
+    # one canonical encoding per field is made once, by issue; prove encodes
+    # only the body its holder signs
+    world, issuer, holder, _ = setup
+    items = fixture_items("RE")
+    calls = []
+    monkeypatch.setattr(canonical, "dumps_bytes", _counting(calls, "dumps_bytes", canonical.dumps_bytes))
+    for name in ("field_digest", "section_hash_from_digests", "section_commitments"):
+        monkeypatch.setattr(credential, name, _counting(calls, name, getattr(credential, name)))
+    stages = {}
+
+    def stage(name, fn, *args):
+        calls.clear()
+        out = fn(*args)
+        stages[name] = calls.count("dumps_bytes")
+        return out
+
+    req = stage("request", request, items, holder)
+    cred = stage("issue", issue, world, req, issuer)
+    pres = stage("prove", prove, cred, holder, TRANSFER_DISCLOSURE)
+    assert calls == ["dumps_bytes"]
+    assert stage("verify", verify, world, pres).ok
+    assert stages == {"request": 1, "issue": 35, "prove": 1, "verify": 10}
+
+
+@pytest.mark.parametrize("disclosure", [TRANSFER_DISCLOSURE, []], ids=["transfer", "none"])
+@pytest.mark.parametrize("asset_type", FIXTURE_TYPES)
+def test_prove_from_kept_commitments_equals_prove_from_json(asset_type, disclosure):
+    world, issuer, holder = fixture_world()
+    cred = issue(world, request(fixture_items(asset_type), holder), issuer)
+    rebuilt = CompositeCredential.from_json(canonical.loads(canonical_serialize(cred)))
+    assert "_commitments" not in vars(rebuilt)
+    assert rebuilt == cred
+    kept = prove(cred, holder, disclosure).serialize()
+    assert prove(rebuilt, holder, disclosure).serialize() == kept
+    assert verify(world, Presentation.from_json(canonical.loads(kept))).ok
+
+
+def test_commitments_follow_the_docstring_formula(setup):
+    _, _, _, cred = setup
+    kept = cred.commitments()
+    nonce = cred.disclosure_nonce
+    assert sorted(kept.salts) == selectors_of(cred)
+    for name in credential.SECTIONS:
+        fds = kept.digests[name]
+        for sel, fd in fds.items():
+            salt = digest(b"xrwa/salt/v1" + nonce + sel.encode())[:16]
+            value = cred.sections[name][sel.split(".", 1)[1]]
+            encoded = canonical.dumps_bytes(value)
+            expected = digest(
+                b"xrwa/field/v1"
+                + length_prefixed(salt)
+                + length_prefixed(sel.encode())
+                + length_prefixed(encoded)
+            )
+            assert kept.salts[sel] == salt
+            assert fd == expected == credential.field_digest(sel, value, salt)
+        acc = b"xrwa/section/v1" + b"".join(
+            length_prefixed(sel.encode()) + fds[sel] for sel in sorted(fds)
+        )
+        assert kept.hashes[name] == digest(acc) == credential.section_hash_from_digests(fds)
+    assert kept.hashes == cred.section_hashes()
+
+
+def test_mutating_a_presentation_leaves_the_next_prove(setup):
+    world, _, holder, cred = setup
+    first = prove(cred, holder, TRANSFER_DISCLOSURE)
+    expected = first.serialize()
+    first.disclosed["asset.assetId"] = "did:xrwa:ffff"
+    first.disclosed["asset.tokenBinding"]["tokenId"] = "9999"
+    first.disclosed["identity.attributes"][0]["value"] = "1"
+    first.disclosed["compliance.sellableRegions"].append("XX")
+    first.field_salts["asset.assetId"] = b"\x00" * 16
+    for digests in first.section_digests.values():
+        for sel in digests:
+            digests[sel] = b"\x00" * 32
+    first.section_digests["asset"]["asset.extra"] = b"\x01" * 32
+    first.section_hashes["custody"] = b"\x00" * 32
+    again = prove(cred, holder, TRANSFER_DISCLOSURE)
+    assert again.serialize() == expected
+    assert verify(world, again).ok
+    assert audit_credential(world, cred).ok
+
+
+@pytest.mark.parametrize("sel", TRANSFER_DISCLOSURE)
+def test_in_place_edit_of_a_disclosed_field_fails_verify(setup, sel):
+    world, _, holder, cred = setup
+    section, key = sel.split(".", 1)
+    cred.sections[section][key] = mutate_value(cred.sections[section][key])
+    result = verify(world, prove(cred, holder, TRANSFER_DISCLOSURE))
+    assert (result.reason, result.detail) == ("HashMismatch", sel)
+
+
+def test_in_place_edit_of_any_field_fails_audit():
+    world, issuer, holder = fixture_world()
+    for sel in selectors_of(issue(world, request(fixture_items("RE"), holder), issuer)):
+        cred = issue(world, request(fixture_items("RE"), holder), issuer)
+        section, key = sel.split(".", 1)
+        cred.sections[section][key] = mutate_value(cred.sections[section][key])
+        result = audit_credential(world, cred)
+        assert (result.reason, result.detail) == ("HashMismatch", section), sel
+
+
+# ---------------------------------------------------- malformed artifacts ----
+
+_MISSING = object()
+
+
+def _mangled(doc, path, value):
+    *parents, key = path
+    for p in parents:
+        doc = doc[p]
+    if value is _MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+MALFORMED_PROOFS = {
+    "no-issuer": (("issuer",), _MISSING),
+    "key-version-as-text": (("issuerKeyVersion",), "1"),
+    "key-version-as-bool": (("issuerKeyVersion",), True),
+    "section-hash-not-hex": (("sectionHash",), "0xzz"),
+    "proof-value-without-0x": (("proofValue",), "00" * 64),
+}
+MALFORMED_CREDENTIALS = {
+    "no-holder-pk": (("holderPk",), _MISSING),
+    "no-section-proof": (("custody", "sProof"), _MISSING),
+    "section-as-list": (("asset",), []),
+    "id-as-int": (("id",), 7),
+    "nonce-not-hex": (("disclosureNonce",), "0xq0"),
+    "top-proof-hash-not-hex": (("proof", "sectionHash"), "0x0"),
+}
+MALFORMED_PRESENTATIONS = {
+    "no-holder-signature": (("holderSignature",), _MISSING),
+    "disclosed-as-list": (("disclosed",), []),
+    "section-digests-as-text": (("sectionDigests", "asset"), "0x00"),
+    "salt-not-hex": (("fieldSalts", "asset.assetId"), "salt"),
+    "section-hash-as-int": (("sectionHashes", "custody"), 7),
+    "proof-no-expiry": (("proof", "expires"), _MISSING),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROOFS))
+def test_malformed_section_proof_refused_by_from_json(setup, case):
+    data = setup[3].section_proofs["asset"].to_json()
+    _mangled(data, *MALFORMED_PROOFS[case])
+    with pytest.raises(MalformedArtifact):
+        credential.SectionProof.from_json(data)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CREDENTIALS))
+def test_malformed_credential_refused_by_from_json(setup, case):
+    doc = canonical.loads(canonical_serialize(setup[3]))
+    _mangled(doc, *MALFORMED_CREDENTIALS[case])
+    with pytest.raises(MalformedArtifact):
+        CompositeCredential.from_json(doc)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESENTATIONS))
+def test_malformed_presentation_refused_by_from_json(setup, case):
+    _, _, holder, cred = setup
+    data = canonical.loads(prove(cred, holder, TRANSFER_DISCLOSURE).serialize())
+    _mangled(data, *MALFORMED_PRESENTATIONS[case])
+    with pytest.raises(MalformedArtifact):
+        Presentation.from_json(data)

@@ -496,6 +496,35 @@ def test_proven_transfer_refused_before_its_body_is_read(flow):
     assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
 
 
+def _bare_asset_id(body):
+    return {"assetId": 5}
+
+
+def _negative_epoch(body):
+    return {**body, "epoch": -1}
+
+
+def _digest_not_hex(body):
+    return {**body, "credDigest": "0xzz"}
+
+
+@pytest.mark.parametrize("mangle", [_bare_asset_id, _negative_epoch, _digest_not_hex])
+def test_anchor_body_not_a_commitment_refused_before_anything_is_logged(flow, mangle):
+    world, issuer, _, cred, pres = flow
+    commitment = xauth.make_commitment(
+        world, "C1", pres, cred.asset["tokenBinding"], 1, b"\x11" * 16
+    )
+    tx = Transaction.make("anchor", mangle(commitment.to_body()), issuer, world.next_nonce())
+    tx_id = world.submit_tx("C1", tx)
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    ops_before = len(world.op_log)
+    with pytest.raises(MalformedArtifact):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
+
+
 def inject_anchor(world, commitment, sender, logged=True):
     """Seal an anchor of `commitment` on C1 the way submit_tx would, minus
     its sender check, and log it only when `logged`."""
