@@ -30,7 +30,7 @@ from .errors import (
     ReplayedTransaction,
     UnknownChain,
 )
-from .primitives import KeyPair, digest, keygen, merkle_root, read_field, sign, verify_sig
+from .primitives import KeyPair, digest, keygen, merkle_levels, read_field, sign, verify_sig
 
 __all__ = [
     "ChainId",
@@ -165,12 +165,20 @@ def header_links(prev: BlockHeader | None, header: BlockHeader) -> bool:
 
 @dataclass
 class Block:
-    """Sealed transactions with the ids the ledger verified at submit;
-    `tx_ids[i]` is the id of `txs[i]` and the Merkle leaf at index i."""
+    """Sealed transactions and the Merkle tree over the ids the ledger
+    verified at submit. `levels` is `merkle_levels(tx_ids)`, kept from
+    sealing so a proof reads its path instead of rehashing the block; its
+    first level is `tx_ids`, where `tx_ids[i]` is the id of `txs[i]` and
+    the leaf at index i, and its last holds the header's root. The tree
+    stays out of `World.snapshot()`; `check_header_chains` rebuilds it."""
 
     header: BlockHeader
     txs: list[Transaction]
-    tx_ids: list[bytes]
+    levels: list[list[bytes]]
+
+    @property
+    def tx_ids(self) -> list[bytes]:
+        return self.levels[0]
 
 
 class OpRecord:
@@ -418,15 +426,15 @@ class World:
             "genesis", {"chain": chain}, self.treasury, nonce=f"genesis-{chain}"
         )
         state = self._chain(chain)
-        tx_id = tx.tx_id
+        levels = merkle_levels([tx.tx_id])
         header = BlockHeader(
             chain=chain,
             height=0,
             prev=GENESIS_PREV,
-            merkle_root=merkle_root([tx_id]),
+            merkle_root=levels[-1][0],
             timestamp=self.clock,
         )
-        state.blocks.append(Block(header=header, txs=[tx], tx_ids=[tx_id]))
+        state.blocks.append(Block(header=header, txs=[tx], levels=levels))
         state.sender_nonces.add((tx.sender, tx.nonce))
 
     def submit_tx(self, chain: ChainId, tx: Transaction) -> bytes:
@@ -471,14 +479,15 @@ class World:
             raise EmptyPool(f"no pending transactions on {chain}")
         self.clock += 1
         prev = state.blocks[-1].header.header_digest()
+        levels = merkle_levels(state.pending_ids)
         header = BlockHeader(
             chain=chain,
             height=len(state.blocks),
             prev=prev,
-            merkle_root=merkle_root(state.pending_ids),
+            merkle_root=levels[-1][0],
             timestamp=self.clock,
         )
-        state.blocks.append(Block(header=header, txs=state.pending, tx_ids=state.pending_ids))
+        state.blocks.append(Block(header=header, txs=state.pending, levels=levels))
         state.pending, state.pending_ids = [], []
         return header
 
@@ -580,8 +589,9 @@ class World:
 
     def check_header_chains(self) -> None:
         """Audit every chain: header linkage from genesis, each block's stored
-        ids and Merkle root against ids recomputed from its transactions, and
-        no (sender, nonce) pair in more than one sealed transaction."""
+        ids, kept Merkle tree and header root against the tree rebuilt from
+        ids recomputed from its transactions, and no (sender, nonce) pair in
+        more than one sealed transaction."""
         for label, state in self.chains.items():
             prev = None
             pairs: set[tuple[bytes, str]] = set()
@@ -592,7 +602,10 @@ class World:
                 ids = [tx.tx_id for tx in block.txs]
                 if block.tx_ids != ids:
                     raise InvariantViolation(f"stored tx ids disagree on {label} at {k}")
-                if block.header.merkle_root != merkle_root(ids):
+                levels = merkle_levels(ids)
+                if block.levels != levels:
+                    raise InvariantViolation(f"kept Merkle tree disagrees on {label} at {k}")
+                if block.header.merkle_root != levels[-1][0]:
                     raise InvariantViolation(
                         f"header root mismatch on {label} at {block.header.height}"
                     )

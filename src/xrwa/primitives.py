@@ -9,13 +9,17 @@ attributable):
 - digest: SHA-256, 32 bytes.
 - signatures: Ed25519; key generation is deterministic from a 32-byte seed
   so fixtures are reproducible. Production entropy handling is out of scope.
-  Private-key objects are kept in a bounded cache keyed by the secret, so a
-  key is expanded once rather than per signature; signatures and
-  verifications are never cached.
+  Private-key objects are kept in a bounded cache keyed by the secret, and
+  public-key objects in one keyed by the key's bytes, so a key is expanded
+  or parsed once rather than per signature or verification; signatures and
+  verification results are never cached.
 - Merkle tree: odd level widths duplicate the final node; interior nodes
   hash a one-byte 0x01 prefix before their children. Leaves are transaction
   ids, the SHA-256 of a transaction's canonical JSON, which starts with
-  ``{`` and so never collides with the node prefix.
+  ``{`` and so never collides with the node prefix. One builder,
+  `merkle_levels`, makes every level; `merkle_root` and `merkle_prove` read
+  theirs from it, and `merkle_path` reads a proof from levels already built,
+  so a sealed block that keeps its levels proves without hashing.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ __all__ = [
     "keygen",
     "sign",
     "verify_sig",
+    "merkle_levels",
+    "merkle_path",
     "merkle_root",
     "merkle_prove",
     "merkle_verify",
@@ -116,10 +122,20 @@ def sign(sk: bytes, message: bytes) -> bytes:
     return _private_key(sk).sign(message)
 
 
+@functools.lru_cache(maxsize=1024)
+def _public_key(pk: bytes) -> Ed25519PublicKey:
+    """The key object for a 32-byte public key, parsed once while it stays
+    cached; a key of the wrong length raises ValueError and is not kept."""
+    return Ed25519PublicKey.from_public_bytes(pk)
+
+
 def verify_sig(pk: bytes, message: bytes, sig: bytes) -> bool:
-    """True iff sig was produced by the matching sk over these exact bytes."""
+    """True iff sig was produced by the matching sk over these exact bytes.
+    A key that is not `bytes` (a bytearray, say) cannot key the cache and is
+    parsed on each call, so it gets the answer the library gives it."""
     try:
-        Ed25519PublicKey.from_public_bytes(pk).verify(sig, message)
+        key = _public_key(pk) if type(pk) is bytes else Ed25519PublicKey.from_public_bytes(pk)
+        key.verify(sig, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -179,15 +195,39 @@ def _check_leaves(leaves: Sequence[bytes]) -> None:
             raise ValueError("Merkle leaves must be 32-byte digests")
 
 
-def _next_level(level: list[bytes]) -> list[bytes]:
-    """The parents of one tree level. An odd-width level is first padded, in
-    place, by duplicating its last node, so a proof can read the padded
-    sibling from `level` afterwards. Duplicates therefore only ever sit on
-    the right, which `merkle_verify` relies on to refuse the duplicate's
-    position (the CVE-2012-2459 ambiguity)."""
-    if len(level) % 2 == 1:
-        level.append(level[-1])
-    return [node_digest(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+def merkle_levels(leaves: Sequence[bytes]) -> list[Sequence[bytes]]:
+    """Every level of the tree, bottom-up: `leaves` itself (not a copy)
+    first and the root's one-node level last.
+
+    An odd-width level is paired as if its last node were duplicated; the
+    duplicate is added to a copy and never stored, so each level keeps its
+    own width and `leaves` is not changed. Duplicates therefore only ever
+    sit on the right, which `merkle_verify` relies on to refuse the
+    duplicate's position (the CVE-2012-2459 ambiguity)."""
+    _check_leaves(leaves)
+    levels = [leaves]
+    level = leaves
+    while len(level) > 1:
+        pairs = iter(level if len(level) % 2 == 0 else [*level, level[-1]])
+        level = [node_digest(left, right) for left, right in zip(pairs, pairs)]
+        levels.append(level)
+    return levels
+
+
+def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> MerklePath:
+    """Inclusion path for leaf `index`, read from levels `merkle_levels`
+    built: one sibling per level below the root and no hashing. The last
+    node of an odd-width level is its own sibling. Raises IndexError when
+    the index is out of range."""
+    if not 0 <= index < len(levels[0]):
+        raise IndexError(f"leaf index {index} out of range for {len(levels[0])} leaves")
+    siblings: list[tuple[bytes, str]] = []
+    pos = index
+    for level in levels[:-1]:
+        sib = pos ^ 1
+        siblings.append((level[min(sib, len(level) - 1)], "left" if sib < pos else "right"))
+        pos >>= 1
+    return MerklePath(siblings=tuple(siblings), leaf_index=index)
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
@@ -195,29 +235,12 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
 
     Odd level widths duplicate the final node. A single leaf is its own root.
     """
-    _check_leaves(leaves)
-    level = list(leaves)
-    while len(level) > 1:
-        level = _next_level(level)
-    return level[0]
+    return merkle_levels(leaves)[-1][0]
 
 
 def merkle_prove(leaves: Sequence[bytes], index: int) -> MerklePath:
     """Inclusion path for leaves[index]; raises IndexError when out of range."""
-    _check_leaves(leaves)
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    siblings: list[tuple[bytes, str]] = []
-    level = list(leaves)
-    pos = index
-    while len(level) > 1:
-        parents = _next_level(level)
-        sib = pos ^ 1
-        side = "left" if sib < pos else "right"
-        siblings.append((level[sib], side))
-        level = parents
-        pos //= 2
-    return MerklePath(siblings=tuple(siblings), leaf_index=index)
+    return merkle_path(merkle_levels(leaves), index)
 
 
 def merkle_verify(leaf: bytes, path: MerklePath, root: bytes) -> bool:

@@ -41,7 +41,7 @@ from .primitives import (
     MerklePath,
     digest,
     length_prefixed,
-    merkle_prove,
+    merkle_path,
     merkle_verify,
     read_field,
 )
@@ -242,15 +242,19 @@ def anchor(
 
 
 def spv_prove(world: World, tx_id: bytes, header_ref: tuple[ChainId, int]) -> SpvProof:
+    """Inclusion proof of `tx_id` in a sealed block. The path is read from
+    the tree the block kept when it was sealed, so proving hashes nothing;
+    the root is the header's, so a proof read from an edited tree fails
+    `spv_verify`."""
     chain, height = header_ref
     header = world.header_at(chain, height)
-    leaves = world.chains[chain].blocks[height].tx_ids
+    block = world.chains[chain].blocks[height]
     try:
-        index = leaves.index(tx_id)
+        index = block.tx_ids.index(tx_id)
     except ValueError:
         raise TxNotInBlock(f"tx not in {chain} block {height}") from None
     return SpvProof(
-        path=merkle_prove(leaves, index),
+        path=merkle_path(block.levels, index),
         root=header.merkle_root,
         chain=chain,
         height=height,

@@ -1,10 +1,17 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from xrwa import canonical, xauth
 from xrwa.cli import main
+from xrwa.errors import MalformedArtifact
+from xrwa.ledger import Transaction, World, WorldConfig
+from xrwa.primitives import digest, keygen, read_field
 
 
 def invoke(*args):
@@ -208,3 +215,108 @@ def test_verify_proof_malformed_bundle_exit_two_without_traceback(tmp_path, mang
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"config error: {message}\n"
+
+
+# ------------------------------------------------------- bundle mutations ----
+
+@functools.cache
+def seed_7_report():
+    """`xrwa run --seed 7`: its proof is of a one-transaction block, so the path is empty."""
+    result = invoke("run", "--seed", "7")
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+@functools.cache
+def multi_tx_bundle():
+    """A bare bundle proving the last of seven transactions, which is its own
+    sibling at the bottom level, so siblings, sides and leafIndex are there
+    to mutate."""
+    world = World(WorldConfig(seed=11))
+    key = keygen(digest(b"bundle"))
+    for i in range(7):
+        world.submit_tx("C1", Transaction.make(
+            "transfer", {"to": canonical.to_hex(key.pk), "amount": 0}, key, f"b{i}"))
+    header = world.seal_block("C1")
+    tx = world.chains["C1"].blocks[header.height].txs[6]
+    proof = xauth.spv_prove(world, tx.tx_id, ("C1", header.height))
+    assert len(proof.path.siblings) == 3
+    headers = [b.header.to_json() for b in world.chains["C1"].blocks]
+    return json.dumps({"proof": proof.to_json(), "tx": tx.to_json(), "headers": headers})
+
+
+def artifacts_of(document):
+    return document["derived"]["artifacts"] if "derived" in document else document
+
+
+def locations(value, at=()):
+    """The path of every value inside `value`, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield (*at, key)
+        yield from locations(child, (*at, key))
+
+
+OTHER_TYPE = {str: 0, int: "1", list: {}, dict: []}
+
+
+def mutate(artifacts, where, how, offset):
+    """Apply one mutation at `where`; False when `how` does not apply there."""
+    *up, last = where
+    parent = artifacts
+    for key in up:
+        parent = parent[key]
+    value = parent[last]
+    if how == "delete":
+        del parent[last]
+        return True
+    if how == "retype":
+        parent[last] = OTHER_TYPE[type(value)]
+        return True
+    if not isinstance(value, str):
+        return False
+    if how == "flip-hex":
+        if not value.startswith("0x") or len(value) < 3:
+            return False
+        k = 2 + offset % (len(value) - 2)
+        parent[last] = value[:k] + "0123456789abcdef"[int(value[k], 16) ^ 1] + value[k + 1:]
+        return True
+    k = offset % (len(value) + 1)
+    parent[last] = value[:k] + "\ud800" + value[k:]
+    return True
+
+
+# The transaction id hashes the signed payload, not the signature, so a
+# changed signature still names the transaction the block includes.
+NOT_PROVEN = {("tx", "sig")}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_mutated_bundle_refused_without_traceback(tmp_path_factory, data):
+    text = data.draw(st.sampled_from([seed_7_report(), multi_tx_bundle()]), label="bundle")
+    document = json.loads(text)
+    where = data.draw(st.sampled_from(list(locations(artifacts_of(document)))), label="where")
+    how = data.draw(st.sampled_from(["delete", "retype", "flip-hex", "surrogate"]), label="how")
+    assume(mutate(artifacts_of(document), where, how, data.draw(st.integers(0, 200), label="offset")))
+    artifacts = artifacts_of(document)
+
+    try:
+        outcome = xauth.offline_verify(*(read_field(artifacts, key, kind) for key, kind in (
+            ("proof", dict), ("tx", dict), ("headers", list))))
+    except MalformedArtifact:
+        outcome = "malformed"
+    if where not in NOT_PROVEN:
+        assert outcome in (False, "malformed")
+
+    bundle = tmp_path_factory.getbasetemp() / "mutated-bundle.json"
+    bundle.write_text(json.dumps(document))
+    result = invoke("verify-proof", "--bundle", str(bundle))
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.exit_code == {True: 0, False: 3, "malformed": 2}[outcome]

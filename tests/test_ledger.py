@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from xrwa import canonical, credential, identity, settlement, xauth
+from xrwa import canonical, credential, identity, primitives, settlement, xauth
 from xrwa.errors import (
     BadSignature,
     CostTableError,
@@ -16,7 +19,7 @@ from xrwa.errors import (
 )
 from xrwa.fixtures import fixture_items, fixture_world
 from xrwa.ledger import BlockHeader, Transaction, World, WorldConfig
-from xrwa.primitives import digest, keygen, merkle_prove, merkle_root
+from xrwa.primitives import digest, keygen, merkle_prove, merkle_root, merkle_verify
 from xrwa.scenarios import TRANSFER_DISCLOSURE
 
 
@@ -609,6 +612,87 @@ def test_each_tx_encoded_once_at_submit_and_never_after(world, alice, monkeypatc
         world.find_tx("C1", tx_id)
         xauth.spv_prove(world, tx_id, ("C1", header.height))
     assert encoded == []
+
+
+# ------------------------------------------------------------- kept tree ----
+
+def count_node_digests(monkeypatch):
+    calls = []
+    node_digest = primitives.node_digest
+
+    def counting(left, right):
+        calls.append(1)
+        return node_digest(left, right)
+
+    monkeypatch.setattr(primitives, "node_digest", counting)
+    return calls
+
+
+def test_seal_hashes_the_tree_once_and_spv_prove_hashes_nothing(world, alice, monkeypatch):
+    for i in range(1025):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(alice.pk), "amount": 0}, alice, f"n{i}"),
+        )
+    calls = count_node_digests(monkeypatch)
+    header = world.seal_block("C1")
+    # 513 + 257 + 129 + 65 + 33 + 17 + 9 + 5 + 3 + 2 + 1 interior nodes
+    assert len(calls) == 1034
+    calls.clear()
+    block = world.chains["C1"].blocks[-1]
+    for i in (0, 511, 1023, 1024):
+        proof = xauth.spv_prove(world, block.tx_ids[i], ("C1", header.height))
+        assert len(proof.path.siblings) == 11
+    assert calls == []
+
+
+def test_check_all_catches_an_interior_node_edited_in_place(world, alice):
+    block = sealed_block(world, alice, 8)
+    world.check_all()
+    block.levels[1][1] = digest(b"not a node")
+    with pytest.raises(InvariantViolation, match="kept Merkle tree disagrees on C1 at 1"):
+        world.check_all()
+
+
+@pytest.mark.parametrize("level", [1, -1], ids=["interior", "root"])
+def test_check_all_catches_a_dropped_level(world, alice, level):
+    block = sealed_block(world, alice, 8)
+    del block.levels[level]
+    with pytest.raises(InvariantViolation, match="kept Merkle tree disagrees on C1 at 1"):
+        world.check_all()
+
+
+def test_proof_read_from_an_edited_tree_fails_spv_verify(world, alice):
+    block = sealed_block(world, alice, 8)
+    height = block.header.height
+    world.relay_chain("C2", "C1")
+    good = xauth.spv_prove(world, block.tx_ids[0], ("C1", height))
+    assert xauth.spv_verify(world, "C2", block.txs[0], good)
+    block.levels[1][1] = digest(b"not a node")
+    bad = xauth.spv_prove(world, block.tx_ids[0], ("C1", height))
+    assert bad.path != good.path and bad.root == good.root
+    assert not xauth.spv_verify(world, "C2", block.txs[0], bad)
+
+
+@functools.cache
+def presigned_transfers(n=300):
+    kp = keygen(b"\x33" * 32)
+    to = canonical.to_hex(kp.pk)
+    return [Transaction.make("transfer", {"to": to, "amount": 0}, kp, f"k{i}") for i in range(n)]
+
+
+@given(st.integers(min_value=1, max_value=300))
+def test_paths_read_from_the_kept_tree_equal_merkle_prove(n):
+    world = World(WorldConfig(seed=7))
+    for tx in presigned_transfers()[:n]:
+        world.submit_tx("C1", tx)
+    header = world.seal_block("C1")
+    block = world.chains["C1"].blocks[header.height]
+    leaves = [tx.tx_id for tx in block.txs]
+    for i, leaf in enumerate(leaves):
+        path = xauth.spv_prove(world, leaf, ("C1", header.height)).path
+        assert path == merkle_prove(leaves, i)
+        assert merkle_verify(leaf, path, header.merkle_root)
 
 
 def test_unweighed_kind_refused_before_anything_moves(world, alice, bob):

@@ -3,7 +3,8 @@ import subprocess
 import sys
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,51 @@ def test_cross_key_verification_all_false():
     assert all(prim.verify_sig(kp.pk, msg, sig) for kp, msg, sig in sample)
 
 
+def test_verify_with_wrong_length_key_false_and_not_cached():
+    kp = prim.keygen(b"\x0b" * 32)
+    sig = prim.sign(kp.sk, b"m")
+    for pk in (kp.pk[:31], kp.pk + b"\x00", b""):
+        for _ in range(2):
+            assert prim.verify_sig(pk, b"m", sig) is False
+    assert prim.verify_sig(kp.pk, b"m", sig)
+
+
+def library_answer(pk, message, sig):
+    """What the uncached library call gives: a bool, or the TypeError's text."""
+    try:
+        Ed25519PublicKey.from_public_bytes(pk).verify(sig, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def test_bytearray_key_gets_the_library_answer_not_an_unhashable_error():
+    kp = prim.keygen(b"\x0c" * 32)
+    sig = prim.sign(kp.sk, b"m")
+    key = bytearray(kp.pk)
+    try:
+        answer = prim.verify_sig(key, b"m", sig)
+    except TypeError as exc:
+        answer = f"TypeError: {exc}"
+    assert "unhashable" not in str(answer)
+    assert answer == library_answer(key, b"m", sig)
+
+
+def test_cached_key_with_bad_signature_still_false():
+    kp = prim.keygen(b"\x0d" * 32)
+    sig = prim.sign(kp.sk, b"m")
+    assert prim.verify_sig(kp.pk, b"m", sig)
+    hits = prim._public_key.cache_info().hits
+    bad = bytes([sig[0] ^ 0x01]) + sig[1:]
+    assert not prim.verify_sig(kp.pk, b"m", bad)
+    assert not prim.verify_sig(kp.pk, b"other", sig)
+    assert prim.verify_sig(kp.pk, b"m", sig)
+    # the key object was reused; each answer was computed again
+    assert prim._public_key.cache_info().hits == hits + 3
+
+
 def test_keypair_repr_hides_secret():
     kp = prim.keygen(b"\x0a" * 32)
     assert kp.sk.hex() not in repr(kp)
@@ -146,6 +192,36 @@ def oracle_levels(leaves):
             [prim.digest(b"\x01" + cur[i] + cur[i + 1]) for i in range(0, len(cur), 2)]
         )
     return levels
+
+
+def test_levels_are_the_oracle_levels_without_padding():
+    rng = random.Random(0xDE)
+    for n in [1, 2, 3, 5, 7, 8, 13, 32, 100]:
+        leaves = rand_digests(rng, n)
+        levels = prim.merkle_levels(leaves)
+        assert levels[0] is leaves and len(leaves) == n
+        widths = [n]
+        while widths[-1] > 1:
+            widths.append((widths[-1] + 1) // 2)
+        assert [len(level) for level in levels] == widths
+        assert levels == [lvl[:w] for lvl, w in zip(oracle_levels(leaves), widths)]
+
+
+def test_path_read_from_levels_equals_oracle_path():
+    rng = random.Random(0xDF)
+    for n in range(1, 40):
+        leaves = rand_digests(rng, n)
+        tree = oracle_levels(leaves)
+        levels = prim.merkle_levels(leaves)
+        for i in range(n):
+            want = tuple(
+                (tree[k][(i >> k) ^ 1], "left" if (i >> k) & 1 else "right")
+                for k in range(len(tree) - 1)
+            )
+            assert prim.merkle_path(levels, i) == prim.MerklePath(want, i)
+        for bad in (-1, n):
+            with pytest.raises(IndexError):
+                prim.merkle_path(levels, bad)
 
 
 def test_single_leaf_root_is_leaf():
