@@ -18,9 +18,9 @@ enumerating.
 Only the seed and the two timeouts shape the locked channel a schedule
 starts from, so it is built once per `(seed, t1, t2)`: a template world in
 which the channel is opened, updated under both signatures and locked.
-Each schedule runs on a `World.fork` of that template with
-`Channel.in_world`, the channel bound to the forked legs, ticks the fork's
-clock once per step and drives the real settlement functions undated; the
+Each schedule runs on a `World.fork` of that template, whose copy of the
+channel it reads from the fork's channel registry, ticks the fork's clock
+once per step and drives the real settlement functions undated; the
 template itself is never touched.
 A schedule's outcome is read from what the chains hold at its end: the
 buyer's assets on C2 and the seller's balance on C1.
@@ -85,7 +85,7 @@ def _locked_channel(seed: int, t1: int, t2: int):
 def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0) -> Outcome:
     template_world, template, preimage = _locked_channel(seed, t1, t2)
     world = template_world.fork()
-    channel = template.in_world(world)
+    channel = world.channels[template.channel_id]
     redeem_at: Optional[int] = None
 
     def try_refunds(t: int) -> None:

@@ -458,7 +458,7 @@ def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
         raise MissingField("request must carry asset.assetType")
     if not asset_items.get("assetId"):
         raise MissingField("request must carry asset.assetId")
-    items = {k: dict(v) for k, v in items.items()}
+    items = {name: _json_copy(section) for name, section in items.items()}
     sig = sign(holder.sk, canonical.dumps_bytes(items))
     return CredentialRequest(items=items, holder_pk=holder.pk, sig=sig)
 

@@ -272,12 +272,13 @@ class World:
         self.relayed: dict[tuple[ChainId, ChainId], list[BlockHeader]] = {}
         self.op_log: list[OpRecord] = []
 
-        # registries owned by the identity / credential / xauth modules
+        # registries owned by the identity / credential / xauth / settlement modules
         self.did_registry: dict[str, Any] = {}
         self.controller_index: dict[str, str] = {}
         self.status_lists: dict[str, Any] = {}
         self.acceptance_records: dict[ChainId, list[Any]] = {c: [] for c in CHAINS}
         self.asset_origins: dict[str, ChainId] = {}
+        self.channels: dict[str, Any] = {}  # by id; not in snapshot(), so no digest moves
 
         self.anchor_nonces: set[tuple[str, int, bytes]] = set()
 
@@ -301,8 +302,9 @@ class World:
         shared until either world draws (see `rng`), so a fork that never
         draws never copies it.
 
-        Nothing here goes through the `copy` module: each chain rebuilds its
-        contracts from their fields (`_ChainState.fork`), and each registry
+        Nothing here goes through the `copy` module: contracts
+        (`_ChainState.fork`) and channels are rebuilt from their own fields,
+        so a channel is bound to its legs by id in any world, and each registry
         entry copies itself with its own `fork()`, which gives a `DidEntry`
         new lists and a `StatusList` a new bytearray; an empty registry
         costs nothing."""
@@ -320,6 +322,7 @@ class World:
         other.status_lists = {uri: sl.fork() for uri, sl in self.status_lists.items()}
         other.acceptance_records = {c: list(recs) for c, recs in self.acceptance_records.items()}
         other.asset_origins = dict(self.asset_origins)
+        other.channels = {cid: type(ch)(**vars(ch)) for cid, ch in self.channels.items()}
         other.anchor_nonces = set(self.anchor_nonces)
         other.verify_counts = dict(self.verify_counts)
         return other

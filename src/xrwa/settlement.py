@@ -15,7 +15,11 @@ An HtlcLock escrows exactly one value or one asset. Escrow leaves a
 contract exactly once.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
-assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`. A
+assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`,
+with the ids `<channel id>-funds` and `<channel id>-assets`. The channel is
+world state: `chan_open` registers it in `World.channels`, and each step
+that touches a leg reads both legs from the world once (`_legs`), refusing
+a channel the world does not hold with ValueError. A
 signed off-chain state is its batch and its net payment, under the channel
 id and a strictly increasing sequence number: `batch` is every deposited
 asset the buyer should own so far and `net_payment` everything the seller
@@ -38,11 +42,11 @@ anything; the channel likewise continues.
 Settlement state is values: a leg's `escrowed_assets` and a channel's
 `settled_assets` and `used_hash_conds` are frozensets that settlement
 rebinds and never edits, and an HtlcLock's `escrow` is never changed after
-`htlc_lock`. So a shallow copy of a contract shares nothing that can
-change. `World.fork` makes that copy by calling the contract's class on its
-own fields (`type(c)(**vars(c))`), so every field a contract holds is an
-`__init__` field; `Channel.in_world` builds the channel anew around the
-copies of its legs in a forked world.
+`htlc_lock`. So a shallow copy of a contract or a channel shares nothing
+that can change. `World.fork` makes that copy by calling the class on its
+own fields (`type(c)(**vars(c))`), so every field a contract or a channel
+holds is an `__init__` field, and a fork's channel is read from
+`fork.channels` with no rebinding.
 
 All on-chain steps are logged with the calibrated weights of `costs`;
 state updates are purely off-chain and log nothing.
@@ -290,8 +294,6 @@ class Channel:
     channel_id: str
     buyer_pk: bytes
     seller_pk: bytes
-    leg_funds: ChannelLeg
-    leg_assets: ChannelLeg
     deposit_value: int
     deposit_assets: tuple[str, ...]
     latest: ChannelState
@@ -301,26 +303,18 @@ class Channel:
     # every hash condition a round of this channel was locked under
     used_hash_conds: frozenset[bytes] = frozenset()
 
-    def leg(self, name: str) -> ChannelLeg:
-        if name == "assets":
-            return self.leg_assets
-        if name == "funds":
-            return self.leg_funds
-        raise ValueError(f"unknown leg {name!r}; expected 'assets' or 'funds'")
 
-    def in_world(self, world: World) -> "Channel":
-        """This channel bound to the legs `world` holds, such as the copies
-        in a `World.fork` of the world it was opened in, built from its own
-        fields as `World.fork` builds a contract (`dataclasses.replace`
-        costs more than the rest of the binding). Every other field is a
-        value settlement rebinds, so the two channels share nothing that
-        can change."""
-        funds, assets = self.leg_funds, self.leg_assets
-        return Channel(**{
-            **vars(self),
-            "leg_funds": world.chains[funds.chain].contracts[funds.contract_id],
-            "leg_assets": world.chains[assets.chain].contracts[assets.contract_id],
-        })
+def _legs(world: World, channel: Channel) -> tuple[ChannelLeg, ChannelLeg]:
+    """The (funds, assets) legs `world` holds for `channel`. A channel that
+    `world.channels` does not hold, such as the template of a fork, is
+    refused with ValueError, not WrongPhase, which schedule callers ignore."""
+    if world.channels.get(channel.channel_id) is not channel:
+        raise ValueError(f"{channel.channel_id} is not a channel of this world")
+    chain_funds, chain_assets = CHAINS
+    return (
+        world.chains[chain_funds].contracts[channel.channel_id + "-funds"],
+        world.chains[chain_assets].contracts[channel.channel_id + "-assets"],
+    )
 
 
 def sign_state(party: KeyPair, state: ChannelState) -> bytes:
@@ -387,23 +381,17 @@ def chan_open(
             }
         )
     ).hex()[:16]
-    leg_funds = ChannelLeg(
-        contract_id=channel_id + "-funds", chain=chain_funds, escrowed_value=deposit_value
-    )
-    leg_assets = ChannelLeg(
-        contract_id=channel_id + "-assets",
-        chain=chain_assets,
-        escrowed_assets=frozenset(deposit_assets),
-    )
-    world.chains[chain_funds].contracts[leg_funds.contract_id] = leg_funds
-    world.chains[chain_assets].contracts[leg_assets.contract_id] = leg_assets
+    # the ids `_legs` reads the legs back by
+    for leg in (
+        ChannelLeg(channel_id + "-funds", chain_funds, escrowed_value=deposit_value),
+        ChannelLeg(channel_id + "-assets", chain_assets, escrowed_assets=frozenset(deposit_assets)),
+    ):
+        world.chains[leg.chain].contracts[leg.contract_id] = leg
 
-    channel = Channel(
+    channel = world.channels[channel_id] = Channel(
         channel_id=channel_id,
         buyer_pk=buyer.pk,
         seller_pk=seller.pk,
-        leg_funds=leg_funds,
-        leg_assets=leg_assets,
         deposit_value=deposit_value,
         deposit_assets=tuple(sorted(deposit_assets)),
         latest=_cosign(channel_id, 0, [], 0, buyer, seller),
@@ -444,6 +432,7 @@ def chan_update(channel: Channel, proposed: ChannelState) -> None:
 
 def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int) -> None:
     """Commit the latest state on both contracts under hash-locked conditions."""
+    funds, assets = _legs(world, channel)
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
     if not (t1 > t2 > world.clock):
@@ -455,14 +444,14 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
         raise ReusedHashLock("an earlier round of this channel used this hash condition")
     channel.used_hash_conds = channel.used_hash_conds | {hash_cond}
     committed = channel.latest.state_digest()
-    for leg, timeout in ((channel.leg_funds, t1), (channel.leg_assets, t2)):
+    for leg, timeout in ((funds, t1), (assets, t2)):
         leg.committed_digest = committed
         leg.hash_cond = hash_cond
         leg.timeout = timeout
         leg.state = "Locked"
     channel.phase = "Locked"
-    world.log_op(channel.leg_funds.chain, "chan_lock", descriptor={"channel": channel.channel_id})
-    world.log_op(channel.leg_assets.chain, "chan_lock", descriptor={"channel": channel.channel_id})
+    world.log_op(funds.chain, "chan_lock", descriptor={"channel": channel.channel_id})
+    world.log_op(assets.chain, "chan_lock", descriptor={"channel": channel.channel_id})
 
 
 def _delta_assets(channel: Channel) -> list[str]:
@@ -473,48 +462,49 @@ def _delta_payment(channel: Channel) -> int:
     return channel.latest.net_payment - channel.settled_payment
 
 
-def _pay_assets(world: World, channel: Channel, assets: list[str], to: bytes) -> None:
-    channel.leg_assets.escrowed_assets = channel.leg_assets.escrowed_assets.difference(assets)
+def _pay_assets(world: World, leg: ChannelLeg, assets: list[str], to: bytes) -> None:
+    leg.escrowed_assets = leg.escrowed_assets.difference(assets)
     for asset in assets:
-        world.give_asset(channel.leg_assets.chain, to, asset)
+        world.give_asset(leg.chain, to, asset)
 
 
-def _pay_value(world: World, channel: Channel, amount: int, to: bytes) -> None:
-    channel.leg_funds.escrowed_value -= amount
-    world.credit(channel.leg_funds.chain, to, amount)
+def _pay_value(world: World, leg: ChannelLeg, amount: int, to: bytes) -> None:
+    leg.escrowed_value -= amount
+    world.credit(leg.chain, to, amount)
 
 
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Buyer reveals the preimage on the asset contract, taking the committed
     batch delta. The preimage becomes public knowledge on-chain."""
+    funds, assets = _legs(world, channel)
     at = _dated(world, at)
-    _claim(channel.leg_assets, preimage, at)
-    _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
-    world.log_op(channel.leg_assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
-    _maybe_reopen(channel)
+    _claim(assets, preimage, at)
+    _pay_assets(world, assets, _delta_assets(channel), channel.buyer_pk)
+    world.log_op(assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
+    _maybe_reopen(channel, funds, assets)
 
 
 def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Seller redeems the aggregated payment on the funds contract with the
     now-public preimage; allowed strictly before t1."""
+    funds, assets = _legs(world, channel)
     at = _dated(world, at)
-    _claim(channel.leg_funds, preimage, at)
-    _pay_value(world, channel, _delta_payment(channel), channel.seller_pk)
-    world.log_op(channel.leg_funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
-    _maybe_reopen(channel)
+    _claim(funds, preimage, at)
+    _pay_value(world, funds, _delta_payment(channel), channel.seller_pk)
+    world.log_op(funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
+    _maybe_reopen(channel, funds, assets)
 
 
-def _maybe_reopen(channel: Channel) -> None:
+def _maybe_reopen(channel: Channel, funds: ChannelLeg, assets: ChannelLeg) -> None:
     """Once both legs resolved, fold the outcome into the cumulative settled
     totals and re-enter Open with the sequence preserved."""
-    legs = (channel.leg_funds, channel.leg_assets)
-    if any(leg.state == "Locked" for leg in legs):
+    if funds.state == "Locked" or assets.state == "Locked":
         return
-    if channel.leg_assets.state == "Unlocked":
+    if assets.state == "Unlocked":
         channel.settled_assets = frozenset(channel.latest.batch)
-    if channel.leg_funds.state == "Unlocked":
+    if funds.state == "Unlocked":
         channel.settled_payment = channel.latest.net_payment
-    for leg in legs:
+    for leg in (funds, assets):
         leg.committed_digest = None
         leg.hash_cond = None
         leg.timeout = None
@@ -535,31 +525,37 @@ def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> No
     once the world's clock is at or after each one's timeout; every named
     leg is checked before any is refunded. Escrow stays in the channel and
     the committed assignment is reverted."""
-    legs = {name: channel.leg(name) for name in ([leg] if leg else ["assets", "funds"])}
+    funds, assets = _legs(world, channel)
+    legs = {"assets": assets, "funds": funds}
+    if leg:
+        if leg not in legs:
+            raise ValueError(f"unknown leg {leg!r}; expected 'assets' or 'funds'")
+        legs = {leg: legs[leg]}
     for lock in legs.values():
         _check_refund(lock, world.clock)
     for name, lock in legs.items():
         _refund(lock, world.clock)
         world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
-    _maybe_reopen(channel)
+    _maybe_reopen(channel, funds, assets)
 
 
 def chan_close(world: World, channel: Channel) -> dict:
     """Cooperative close: execute the latest co-signed state's outstanding
     delta, then return residual deposits to their original owners."""
+    funds, assets = _legs(world, channel)
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
     payment_out = _delta_payment(channel)
-    _pay_assets(world, channel, _delta_assets(channel), channel.buyer_pk)
-    _pay_value(world, channel, payment_out, channel.seller_pk)
-    residual_assets = sorted(channel.leg_assets.escrowed_assets)
-    residual_value = channel.leg_funds.escrowed_value
-    _pay_assets(world, channel, residual_assets, channel.seller_pk)
-    _pay_value(world, channel, residual_value, channel.buyer_pk)
+    _pay_assets(world, assets, _delta_assets(channel), channel.buyer_pk)
+    _pay_value(world, funds, payment_out, channel.seller_pk)
+    residual_assets = sorted(assets.escrowed_assets)
+    residual_value = funds.escrowed_value
+    _pay_assets(world, assets, residual_assets, channel.seller_pk)
+    _pay_value(world, funds, residual_value, channel.buyer_pk)
 
     channel.phase = "Closed"
-    world.log_op(channel.leg_funds.chain, "chan_close", descriptor={"channel": channel.channel_id})
-    world.log_op(channel.leg_assets.chain, "chan_close", descriptor={"channel": channel.channel_id})
+    world.log_op(funds.chain, "chan_close", descriptor={"channel": channel.channel_id})
+    world.log_op(assets.chain, "chan_close", descriptor={"channel": channel.channel_id})
     return {
         "buyerAssets": sorted(channel.latest.batch),
         "sellerPayment": channel.settled_payment + payment_out,

@@ -44,6 +44,7 @@ from .primitives import (
     merkle_path,
     merkle_verify,
     read_field,
+    verify_sig,
 )
 
 __all__ = [
@@ -351,8 +352,9 @@ def has_acceptance(world: World, chain: ChainId, asset_id: str) -> bool:
 
 def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) -> bool:
     """Standalone proof check from serialized artifacts, no world required:
-    validates header linkage from genesis, then the inclusion path against
-    the referenced header's root."""
+    validates header linkage from genesis, the inclusion path against the
+    referenced header's root, and the transaction's signature under its
+    sender, which the id does not cover."""
     headers = [BlockHeader.from_json(h) for h in headers_json]
     if not headers or not all(
         header_links(prev, cur) for prev, cur in zip([None, *headers], headers)
@@ -365,7 +367,10 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
     if header.chain != proof.chain or header.merkle_root != proof.root:
         return False
     tx = Transaction.from_json(tx_json)
-    return merkle_verify(tx.tx_id, proof.path, proof.root)
+    payload = tx.payload_bytes()
+    if not verify_sig(tx.sender, payload, tx.sig):
+        return False
+    return merkle_verify(digest(payload), proof.path, proof.root)
 
 
 def check_acceptance_soundness(world: World) -> None:

@@ -291,11 +291,6 @@ def mutate(artifacts, where, how, offset):
     return True
 
 
-# The transaction id hashes the signed payload, not the signature, so a
-# changed signature still names the transaction the block includes.
-NOT_PROVEN = {("tx", "sig")}
-
-
 @settings(max_examples=300)
 @given(st.data())
 def test_mutated_bundle_refused_without_traceback(tmp_path_factory, data):
@@ -311,8 +306,7 @@ def test_mutated_bundle_refused_without_traceback(tmp_path_factory, data):
             ("proof", dict), ("tx", dict), ("headers", list))))
     except MalformedArtifact:
         outcome = "malformed"
-    if where not in NOT_PROVEN:
-        assert outcome in (False, "malformed")
+    assert outcome in (False, "malformed")
 
     bundle = tmp_path_factory.getbasetemp() / "mutated-bundle.json"
     bundle.write_text(json.dumps(document))

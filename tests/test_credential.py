@@ -65,6 +65,20 @@ def test_request_signature_roundtrip():
     assert verify_sig(holder.pk, canonical.dumps_bytes(req.items), req.sig)
 
 
+def test_editing_nested_items_after_issue_changes_nothing_signed():
+    # a one-level copy shared `tokenBinding` with the caller, so this edit
+    # broke the request's signature and the asset section's hash
+    world, issuer, holder = fixture_world()
+    items = fixture_items("RE")
+    req = request(items, holder)
+    cred = issue(world, req, issuer)
+    items["asset"]["tokenBinding"]["tokenId"] = "9999"
+    items["identity"]["attributes"].append({"name": "extra", "value": "1", "unit": ""})
+    assert req.verify()
+    assert req.items["asset"]["tokenBinding"]["tokenId"] == "1234"
+    assert audit_credential(world, cred).ok
+
+
 def test_request_echoes_residential_property_fixture():
     holder = keygen(digest(b"h3"))
     items = fixture_items("RE")

@@ -725,6 +725,7 @@ def _unsnapshotted(world):
         dict(world.asset_origins),
         set(world.anchor_nonces),
         dict(world.verify_counts),
+        {cid: dataclasses.asdict(ch) for cid, ch in world.channels.items()},
     )
 
 
@@ -742,6 +743,15 @@ def test_fork_is_independent_of_its_origin():
         "transfer", {"to": canonical.to_hex(issuer.pk), "amount": 1}, holder, "pending-1"
     ))
     world.relay_chain("C2", "C1")
+    buyer, seller = keygen(digest(b"fork-buyer")), keygen(digest(b"fork-seller"))
+    world.mint("C1", buyer.pk, 100)
+    world.mint_asset("C2", seller.pk, "did:xrwa:fork-d")
+    channel = settlement.chan_open(world, buyer, seller, 100, ["did:xrwa:fork-d"])
+    legs_before = [
+        dataclasses.asdict(world.chains[c].contracts[channel.channel_id + leg])
+        for c, leg in (("C1", "-funds"), ("C2", "-assets"))
+    ]
+    channel_before = dataclasses.asdict(channel)
 
     fork = world.fork()
     assert vars(fork).keys() == vars(world).keys()
@@ -764,6 +774,13 @@ def test_fork_is_independent_of_its_origin():
     fork.mint_asset("C2", holder.pk, "did:xrwa:fork-c")
     settlement.htlc_unlock(fork, fork.chains["C2"].contracts[lock.contract_id], b"fork", at=1)
     fork.next_nonce()
+    # a settlement round on the fork's copy of the channel
+    forked = fork.channels[channel.channel_id]
+    assert forked is not channel
+    settlement.chan_update(forked, settlement.make_state(forked, ["did:xrwa:fork-d"], 70, buyer, seller))
+    settlement.chan_lock(fork, forked, digest(b"fork-round"), fork.clock + 4, fork.clock + 2)
+    settlement.reveal_on_assets_leg(fork, forked, b"fork-round")
+    assert forked.phase == "Locked" and "did:xrwa:fork-d" in fork.assets_of("C2", buyer.pk)
     # identity and credential registries
     identity.did_create(fork, keygen(digest(b"fork-newcomer")))
     # anchor and accept on the fork
@@ -788,6 +805,12 @@ def test_fork_is_independent_of_its_origin():
     assert world.rng.getstate() == rng_before
     assert _unsnapshotted(world) == hidden_before
     assert world.chains["C2"].contracts[lock.contract_id].state == "Locked"
+    assert world.channels == {channel.channel_id: channel}
+    assert dataclasses.asdict(channel) == channel_before
+    assert [
+        dataclasses.asdict(world.chains[c].contracts[channel.channel_id + leg])
+        for c, leg in (("C1", "-funds"), ("C2", "-assets"))
+    ] == legs_before
     assert world.acceptance_records["C2"] == []
     world.check_all()
     # the original goes on as if the fork never happened

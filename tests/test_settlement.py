@@ -159,12 +159,22 @@ def open_channel(world, assets=("did:xrwa:asset-x", "did:xrwa:asset-y")):
     return chan_open(world, ALICE, BOB, 600, list(assets))
 
 
+def legs(world, ch):
+    """The channel's (funds, assets) leg contracts as `world` holds them."""
+    return (
+        world.chains["C1"].contracts[ch.channel_id + "-funds"],
+        world.chains["C2"].contracts[ch.channel_id + "-assets"],
+    )
+
+
 def test_chan_open_escrows_both_sides(world):
     ch = open_channel(world)
     assert world.balance("C1", ALICE.pk) == 400
     assert world.assets_of("C2", BOB.pk) == {"did:xrwa:asset-z"}
     assert ch.phase == "Open"
-    assert ch.leg_funds.hash_cond is None and ch.leg_assets.hash_cond is None  # no hash-locked condition at open
+    funds, assets = legs(world, ch)
+    assert funds.hash_cond is None and assets.hash_cond is None  # no hash-locked condition at open
+    assert world.channels == {ch.channel_id: ch}
     assert len([r for r in world.op_log if r.op_kind == "chan_open"]) == 2
     world.check_conservation()
 
@@ -303,8 +313,9 @@ def test_lock_freezes_updates(world):
 
 def test_lock_commits_same_digest_on_both_legs(world):
     ch = locked_channel(world)
-    assert ch.leg_funds.committed_digest == ch.leg_assets.committed_digest
-    assert ch.leg_funds.committed_digest == ch.latest.state_digest()
+    funds, assets = legs(world, ch)
+    assert funds.committed_digest == assets.committed_digest
+    assert funds.committed_digest == ch.latest.state_digest()
 
 
 def test_partial_settlement_without_closure(world):
@@ -350,7 +361,7 @@ def test_reused_hash_lock_refused(world):
     with pytest.raises(ReusedHashLock):
         chan_lock(world, ch, H_RHO, world.clock + 8, world.clock + 5)
     assert ch.phase == "Open" and len(world.op_log) == ops_before
-    assert ch.leg_funds.state == ch.leg_assets.state == "Idle"
+    assert [leg.state for leg in legs(world, ch)] == ["Idle", "Idle"]
     # a fresh preimage settles round 2 on both legs
     rho2 = digest(b"round-two-preimage")
     chan_lock(world, ch, digest(rho2), world.clock + 8, world.clock + 5)
@@ -398,7 +409,7 @@ def test_refund_both_legs_refused_before_t1_moves_nothing(world):
     world.advance_clock(6)
     with pytest.raises(NotYetExpired):
         chan_refund(world, ch)
-    assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
+    assert [leg.state for leg in legs(world, ch)] == ["Locked", "Locked"]
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
     world.advance_clock(2)
     chan_refund(world, ch)
@@ -452,7 +463,7 @@ def test_funds_leg_refund_refused_inside_the_sellers_window():
     # with the assets and the seller's redeem at 2 to raise NotLocked
     template_world, template, preimage = atomicity._locked_channel(0, 4, 2)
     world = template_world.fork()
-    ch = template.in_world(world)
+    ch = world.channels[template.channel_id]
     world.advance_clock(1)
     settlement.reveal_on_assets_leg(world, ch, preimage)
     with pytest.raises(TypeError):
@@ -475,7 +486,7 @@ def test_refund_unknown_leg_name_rejected(world):
     world.advance_clock(8)
     with pytest.raises(ValueError):
         chan_refund(world, ch, leg="asset")
-    assert ch.leg_funds.state == "Locked" and ch.leg_assets.state == "Locked"
+    assert [leg.state for leg in legs(world, ch)] == ["Locked", "Locked"]
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
 
 
@@ -484,13 +495,13 @@ def test_refund_restores_pre_lock_assignment(world):
     holdings_before = {
         "buyer": world.assets_of("C2", ALICE.pk),
         "seller": world.assets_of("C2", BOB.pk),
-        "escrow": set(ch.leg_assets.escrowed_assets),
+        "escrow": set(legs(world, ch)[1].escrowed_assets),
     }
     world.advance_clock(8)
     chan_refund(world, ch)
     assert world.assets_of("C2", ALICE.pk) == holdings_before["buyer"]
     assert world.assets_of("C2", BOB.pk) == holdings_before["seller"]
-    assert set(ch.leg_assets.escrowed_assets) == holdings_before["escrow"]
+    assert set(legs(world, ch)[1].escrowed_assets) == holdings_before["escrow"]
     assert ch.settled_payment == 0 and not ch.settled_assets
     world.check_conservation()
 
@@ -695,7 +706,7 @@ def test_sweep_outcomes_pinned_and_templates_untouched():
     )
     assert {seed: template_state(seed) for seed in range(17)} == before
     world, channel, _ = atomicity._locked_channel(0, 4, 2)
-    assert channel.phase == "Locked" and channel.leg_funds.state == "Locked"
+    assert channel.phase == "Locked" and legs(world, channel)[0].state == "Locked"
     world.check_all()
 
 
@@ -705,7 +716,7 @@ def test_two_rounds_on_a_fork_leave_the_template_untouched():
     world, template, preimage = atomicity._locked_channel(0, 4, 2)
     before = (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template))
     fork = world.fork()
-    ch = template.in_world(fork)
+    ch = fork.channels[template.channel_id]
     buyer, seller = atomicity._BUYER, atomicity._SELLER
     settlement.reveal_on_assets_leg(fork, ch, preimage, at=1)
     settlement.redeem_on_funds_leg(fork, ch, preimage, at=1)
@@ -720,6 +731,39 @@ def test_two_rounds_on_a_fork_leave_the_template_untouched():
     assert (ch.settled_assets, ch.settled_payment) == ({ch.deposit_assets[0]}, 600)
     fork.check_all()
     assert (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template)) == before
+
+
+def test_fork_refuses_the_template_channel():
+    """A channel is stepped in the world that holds it. Handed the template
+    of a fork, a reveal in the fork used to claim the template's assets leg
+    while it paid the assets out in the fork."""
+    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    fork = world.fork()
+    before = (
+        world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
+        dataclasses.asdict(template),
+    )
+    # each step refuses before it reads the clock or the phase, so the
+    # refusal is never a WrongPhase that a schedule would ignore
+    for step in (
+        lambda: settlement.reveal_on_assets_leg(fork, template, preimage),
+        lambda: settlement.redeem_on_funds_leg(fork, template, preimage),
+        lambda: chan_unlock(fork, template, preimage),
+        lambda: chan_refund(fork, template),
+        lambda: chan_lock(fork, template, digest(b"another-round"), 8, 6),
+        lambda: chan_close(fork, template),
+    ):
+        with pytest.raises(ValueError, match="not a channel of this world"):
+            step()
+    after = (
+        world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
+        dataclasses.asdict(template),
+    )
+    assert after == before
+    # the fork's own copy of the channel settles
+    chan_unlock(fork, fork.channels[template.channel_id], preimage)
+    assert fork.channels[template.channel_id].settled_payment == 600
+    assert template.phase == "Locked" and legs(world, template)[1].state == "Locked"
 
 
 def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
