@@ -6,7 +6,10 @@ section hashes. Section bodies are canonical JSON objects using camelCase
 field names; the canonical serialization is also what size measurements run
 over. `REQUIRED_FIELDS` is the schema: a request carries every one of its
 keys in each section, and nothing fills in a missing one, so `issue` refuses
-an incomplete request with MissingField before it allocates anything.
+an incomplete request with MissingField before it allocates anything. A
+request is the bytes its holder signed (`CredentialRequest.body`); `issue`
+checks the signature over them, then decodes fresh sections from them, so
+nothing issued can drift from what was signed or share with its caller.
 
 Selective disclosure is a hash-commitment scheme, not zero knowledge:
 
@@ -48,6 +51,7 @@ from . import canonical
 from .errors import (
     BadSignature,
     IssuerDeactivated,
+    MalformedArtifact,
     MissingField,
     NotFound,
     NotOwner,
@@ -299,12 +303,28 @@ class SectionProof:
 
 @dataclass(frozen=True)
 class CredentialRequest:
-    items: dict
+    """A holder's signature over `body`, the canonical encoding of a map of
+    section name to section content; no decoded copy is kept beside it."""
+
+    body: bytes
     holder_pk: bytes
     sig: bytes
 
     def verify(self) -> bool:
-        return verify_sig(self.holder_pk, canonical.dumps_bytes(self.items), self.sig)
+        return verify_sig(self.holder_pk, self.body, self.sig)
+
+    def sections(self) -> dict[str, dict]:
+        """Each of `SECTIONS` freshly decoded from `body`, a missing one
+        empty; `MalformedArtifact` unless body and sections are objects."""
+        try:
+            items = canonical.loads(self.body)
+        except ValueError:  # not JSON, or not UTF-8
+            items = None
+        if isinstance(items, dict):
+            sections = {name: items.get(name, {}) for name in SECTIONS}
+            if all(isinstance(section, dict) for section in sections.values()):
+                return sections
+        raise MalformedArtifact("request body is not an object of section objects")
 
 
 @dataclass(frozen=True)
@@ -452,21 +472,21 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
 
 def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
     """Holder-signed canonical request for a credential over `items`, a map
-    of section name to section content."""
+    of section name to section content, encoded once."""
     asset_items = items.get("asset") or {}
     if not asset_items.get("assetType"):
         raise MissingField("request must carry asset.assetType")
     if not asset_items.get("assetId"):
         raise MissingField("request must carry asset.assetId")
-    items = {name: _json_copy(section) for name, section in items.items()}
-    sig = sign(holder.sk, canonical.dumps_bytes(items))
-    return CredentialRequest(items=items, holder_pk=holder.pk, sig=sig)
+    body = canonical.dumps_bytes(dict(items))
+    return CredentialRequest(body=body, holder_pk=holder.pk, sig=sign(holder.sk, body))
 
 
 def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCredential:
     """Issue a four-section credential against a holder request.
 
-    Allocates one status-list index per section, computes per-field
+    Decodes the sections from the signed body once the signature holds,
+    allocates one status-list index per section, computes per-field
     commitments, keeps them on the credential (`commitments`), and signs
     four section proofs plus the top proof.
     """
@@ -475,7 +495,7 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     if not req.verify():
         raise BadSignature("request signature does not verify under holder key")
 
-    sections = {name: dict(req.items.get(name, {})) for name in SECTIONS}
+    sections = req.sections()
     _validate_sections(sections)
     revocation, suspension = _issuer_lists(world, issuer_did)
     for name in SECTIONS:

@@ -27,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
+from statistics import fmean, linear_regression, pstdev
 from typing import Any, Optional, Sequence
 
 from . import canonical, credential, identity, scenarios, settlement
@@ -179,8 +180,8 @@ def _p95(samples: list[float]) -> float:
     return ordered[max(ceil(0.95 * len(ordered)) - 1, 0)]
 
 
-def _mean(samples: list[float]) -> float:
-    return sum(samples) / len(samples)
+def _latency_ms(samples: list[float]) -> dict:
+    return {"meanMs": round(fmean(samples), 4), "p95Ms": round(_p95(samples), 4), "samples": len(samples)}
 
 
 def _check_ints(name: str, values: Any, low: int, high: float = float("inf")) -> None:
@@ -240,16 +241,8 @@ def bench_vc(n_creds: int = 500, iterations: int = 10, seed: int = 42) -> Metric
         rows=rows,
         derived={"largestType": max(sizes, key=sizes.get), "averageKb": average},
         timing={
-            "issuance": {
-                "meanMs": round(_mean(issue_ms), 4),
-                "p95Ms": round(_p95(issue_ms), 4),
-                "samples": len(issue_ms),
-            },
-            "verification": {
-                "meanMs": round(_mean(verify_ms), 4),
-                "p95Ms": round(_p95(verify_ms), 4),
-                "samples": len(verify_ms),
-            },
+            "issuance": _latency_ms(issue_ms),
+            "verification": _latency_ms(verify_ms),
             "iterations": iterations,
         },
         annotations={
@@ -303,35 +296,22 @@ def bench_spv(
                 raise InvariantViolation(f"SPV verification returned false at n={n}")
             batch_means[n].append(elapsed / per_batch * 1e6)
 
-    means: list[float] = []
-    floors: list[float] = []
-    timing_rows = []
-    for n in sizes:
-        mean_us = _mean(batch_means[n])
-        floor_us = min(batch_means[n])
-        stdev = sqrt(_mean([(b - mean_us) ** 2 for b in batch_means[n]]))
-        timing_rows.append(
-            {
-                "n": n,
-                "meanUs": round(mean_us, 4),
-                "minUs": round(floor_us, 4),
-                "batchStdevUs": round(stdev, 4),
-                "reps": per_batch * batches,
-            }
-        )
-        means.append(mean_us)
-        floors.append(floor_us)
+    means = [fmean(batch_means[n]) for n in sizes]
+    floors = [min(batch_means[n]) for n in sizes]
+    timing_rows = [
+        {
+            "n": n,
+            "meanUs": round(mean_us, 4),
+            "minUs": round(floor_us, 4),
+            "batchStdevUs": round(pstdev(batch_means[n], mean_us), 4),
+            "reps": per_batch * batches,
+        }
+        for n, mean_us, floor_us in zip(sizes, means, floors)
+    ]
 
     xs = [log2(n) for n in sizes]
-    sx, sy = sum(xs), sum(means)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, means))
-    k = len(xs)
-    slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
-    intercept = (sy - slope * sx) / k
-    residual = sqrt(
-        _mean([(y - (slope * x + intercept)) ** 2 for x, y in zip(xs, means)])
-    )
+    slope, intercept = linear_regression(xs, means)
+    residual = sqrt(fmean([(y - (slope * x + intercept)) ** 2 for x, y in zip(xs, means)]))
 
     return MetricsReport(
         experiment="spv_bench",

@@ -32,12 +32,11 @@ assets leg (funds leg lives longer, giving the seller a reaction window of
 t1 - t2 ticks once the preimage is public); the channel keeps no copy. It
 does keep every hash condition its rounds were locked under and refuses to
 lock under one again, since an earlier round may have made its preimage
-public. Both settlement paths and the close pay out through `_pay_assets`
-and `_pay_value`. A settlement executes only the delta between the
-committed state and what previous settlements already moved, then the
-channel re-enters Open with its sequence preserved, so further updates and
-settlements need no reopening. A refund cancels the lock without moving
-anything; the channel likewise continues.
+public. The reveal, the redeem and the close each pay the latest state's
+unsettled delta on one leg and record it settled in the same step, so a
+leg's escrow plus what was settled from it is always the deposit. Once both
+legs resolve the channel re-enters Open with its sequence preserved, so it
+needs no reopening. A refund cancels the lock without moving anything.
 
 Settlement state is values: a leg's `escrowed_assets` and a channel's
 `settled_assets` and `used_hash_conds` are frozensets that settlement
@@ -454,14 +453,6 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
     world.log_op(assets.chain, "chan_lock", descriptor={"channel": channel.channel_id})
 
 
-def _delta_assets(channel: Channel) -> list[str]:
-    return sorted(set(channel.latest.batch) - channel.settled_assets)
-
-
-def _delta_payment(channel: Channel) -> int:
-    return channel.latest.net_payment - channel.settled_payment
-
-
 def _pay_assets(world: World, leg: ChannelLeg, assets: list[str], to: bytes) -> None:
     leg.escrowed_assets = leg.escrowed_assets.difference(assets)
     for asset in assets:
@@ -473,13 +464,27 @@ def _pay_value(world: World, leg: ChannelLeg, amount: int, to: bytes) -> None:
     world.credit(leg.chain, to, amount)
 
 
+def _settle_assets(world: World, channel: Channel, leg: ChannelLeg) -> None:
+    """Give the buyer the latest batch's unsettled assets and record them."""
+    delta = set(channel.latest.batch) - channel.settled_assets
+    _pay_assets(world, leg, sorted(delta), channel.buyer_pk)
+    channel.settled_assets |= delta
+
+
+def _settle_payment(world: World, channel: Channel, leg: ChannelLeg) -> None:
+    """Pay the seller the latest net payment's unsettled rest and record it."""
+    delta = channel.latest.net_payment - channel.settled_payment
+    _pay_value(world, leg, delta, channel.seller_pk)
+    channel.settled_payment += delta
+
+
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Buyer reveals the preimage on the asset contract, taking the committed
     batch delta. The preimage becomes public knowledge on-chain."""
     funds, assets = _legs(world, channel)
     at = _dated(world, at)
     _claim(assets, preimage, at)
-    _pay_assets(world, assets, _delta_assets(channel), channel.buyer_pk)
+    _settle_assets(world, channel, assets)
     world.log_op(assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
     _maybe_reopen(channel, funds, assets)
 
@@ -490,20 +495,15 @@ def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Opt
     funds, assets = _legs(world, channel)
     at = _dated(world, at)
     _claim(funds, preimage, at)
-    _pay_value(world, funds, _delta_payment(channel), channel.seller_pk)
+    _settle_payment(world, channel, funds)
     world.log_op(funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
     _maybe_reopen(channel, funds, assets)
 
 
 def _maybe_reopen(channel: Channel, funds: ChannelLeg, assets: ChannelLeg) -> None:
-    """Once both legs resolved, fold the outcome into the cumulative settled
-    totals and re-enter Open with the sequence preserved."""
+    """Once both legs resolved, re-enter Open with the sequence preserved."""
     if funds.state == "Locked" or assets.state == "Locked":
         return
-    if assets.state == "Unlocked":
-        channel.settled_assets = frozenset(channel.latest.batch)
-    if funds.state == "Unlocked":
-        channel.settled_payment = channel.latest.net_payment
     for leg in (funds, assets):
         leg.committed_digest = None
         leg.hash_cond = None
@@ -545,9 +545,8 @@ def chan_close(world: World, channel: Channel) -> dict:
     funds, assets = _legs(world, channel)
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
-    payment_out = _delta_payment(channel)
-    _pay_assets(world, assets, _delta_assets(channel), channel.buyer_pk)
-    _pay_value(world, funds, payment_out, channel.seller_pk)
+    _settle_assets(world, channel, assets)
+    _settle_payment(world, channel, funds)
     residual_assets = sorted(assets.escrowed_assets)
     residual_value = funds.escrowed_value
     _pay_assets(world, assets, residual_assets, channel.seller_pk)
@@ -557,8 +556,8 @@ def chan_close(world: World, channel: Channel) -> dict:
     world.log_op(funds.chain, "chan_close", descriptor={"channel": channel.channel_id})
     world.log_op(assets.chain, "chan_close", descriptor={"channel": channel.channel_id})
     return {
-        "buyerAssets": sorted(channel.latest.batch),
-        "sellerPayment": channel.settled_payment + payment_out,
+        "buyerAssets": sorted(channel.settled_assets),
+        "sellerPayment": channel.settled_payment,
         "buyerResidualValue": residual_value,
         "sellerResidualAssets": residual_assets,
     }

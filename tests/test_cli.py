@@ -7,9 +7,9 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xrwa import canonical, xauth
+from xrwa import canonical, cli, xauth
 from xrwa.cli import main
-from xrwa.errors import MalformedArtifact
+from xrwa.errors import InvariantViolation, MalformedArtifact, NotFound
 from xrwa.ledger import Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, read_field
 
@@ -94,6 +94,21 @@ def test_run_twice_identical_nontiming_rows(tmp_path):
     assert outs[0]["rows"] == outs[1]["rows"]
     assert outs[0]["fingerprint"] == outs[1]["fingerprint"]
     assert outs[0]["derived"]["opLogDigest"] == outs[1]["derived"]["opLogDigest"]
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InvariantViolation("conservation broken"), 3, "invariant violation: conservation broken"),
+    (NotFound("no such did"), 1, "error: no such did"),
+], ids=["invariant-exit-three", "other-error-exit-one"])
+def test_run_error_exit_code_and_one_line(monkeypatch, error, code, prefix):
+    def failing(config):
+        raise error
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    result = invoke("run", "--seed", "7")
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == prefix + "\n"
 
 
 def test_cost_compare_csv_stdout():

@@ -62,7 +62,7 @@ def test_request_signature_roundtrip():
     holder = keygen(digest(b"h2"))
     req = request(fixture_items("Gold"), holder)
     assert req.verify()
-    assert verify_sig(holder.pk, canonical.dumps_bytes(req.items), req.sig)
+    assert verify_sig(holder.pk, canonical.dumps_bytes(canonical.loads(req.body)), req.sig)
 
 
 def test_editing_nested_items_after_issue_changes_nothing_signed():
@@ -75,7 +75,7 @@ def test_editing_nested_items_after_issue_changes_nothing_signed():
     items["asset"]["tokenBinding"]["tokenId"] = "9999"
     items["identity"]["attributes"].append({"name": "extra", "value": "1", "unit": ""})
     assert req.verify()
-    assert req.items["asset"]["tokenBinding"]["tokenId"] == "1234"
+    assert canonical.loads(req.body)["asset"]["tokenBinding"]["tokenId"] == "1234"
     assert audit_credential(world, cred).ok
 
 
@@ -83,13 +83,14 @@ def test_request_echoes_residential_property_fixture():
     holder = keygen(digest(b"h3"))
     items = fixture_items("RE")
     req = request(items, holder)
-    assert req.items["asset"]["assetType"] == "RealEstate"
-    assert req.items["asset"]["category"] == "Residential"
-    tb = req.items["asset"]["tokenBinding"]
+    sent = canonical.loads(req.body)
+    assert sent["asset"]["assetType"] == "RealEstate"
+    assert sent["asset"]["category"] == "Residential"
+    tb = sent["asset"]["tokenBinding"]
     assert (tb["standard"], tb["chain"], tb["tokenId"]) == ("ERC-721", "eip155:1", "1234")
-    attrs = {a["name"]: (a["value"], a["unit"]) for a in req.items["identity"]["attributes"]}
+    attrs = {a["name"]: (a["value"], a["unit"]) for a in sent["identity"]["attributes"]}
     assert attrs["floorArea"] == ("120", "sqm")
-    assert req.items["custody"]["auditCycleDays"] == 30
+    assert sent["custody"]["auditCycleDays"] == 30
 
 
 # ----------------------------------------------------------------- issue ----
@@ -141,11 +142,106 @@ def test_issue_refuses_request_missing_a_schema_field(selector):
     items = fixture_items("RE")
     del items[section][key]
     # signed directly: request() itself refuses a missing assetId or assetType
-    req = credential.CredentialRequest(
-        items=items, holder_pk=holder.pk, sig=sign(holder.sk, canonical.dumps_bytes(items))
-    )
+    body = canonical.dumps_bytes(items)
+    req = credential.CredentialRequest(body=body, holder_pk=holder.pk, sig=sign(holder.sk, body))
     with pytest.raises(MissingField, match=f"^{selector} is required$"):
         issue(world, req, issuer)
+    assert world.status_lists == {}
+
+
+def signed_request(holder, body: bytes) -> credential.CredentialRequest:
+    """A request over `body` as given, past request()'s own checks."""
+    return credential.CredentialRequest(body=body, holder_pk=holder.pk, sig=sign(holder.sk, body))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[1, 2]",
+        b"\xff not json",
+        canonical.dumps_bytes({**fixture_items("RE"), "custody": ["not", "an", "object"]}),
+        canonical.dumps_bytes({**fixture_items("RE"), "asset": "did:xrwa:asset"}),
+    ],
+    ids=["body-array", "body-not-json", "section-array", "section-string"],
+)
+def test_issue_refuses_a_body_or_section_that_is_not_an_object(body):
+    world, issuer, holder = fixture_world()
+    req = signed_request(holder, body)
+    assert req.verify()
+    with pytest.raises(MalformedArtifact):
+        issue(world, req, issuer)
+    assert world.status_lists == {}
+
+
+def test_issued_sections_share_nothing_with_the_request_or_each_other():
+    # each issue decodes its own sections from the signed bytes, so editing
+    # one credential in place reaches neither its request nor a sibling
+    world, issuer, holder = fixture_world()
+    req = request(fixture_items("RE"), holder)
+    first, second = issue(world, req, issuer), issue(world, req, issuer)
+    first.sections["asset"]["tokenBinding"]["tokenId"] = "9999"
+    assert second.sections["asset"]["tokenBinding"]["tokenId"] == "1234"
+    assert canonical.loads(req.body)["asset"]["tokenBinding"]["tokenId"] == "1234"
+    assert audit_credential(world, second).ok
+    assert audit_credential(world, first).reason == "HashMismatch"
+
+
+def _edited(path: str, value):
+    """RE fixture items with the value at dotted `path` replaced."""
+    def edit(items):
+        *parents, last = path.split(".")
+        target = items
+        for key in parents:
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[last] = value
+    return edit
+
+
+def _edited_ring(items):
+    ring = items["identity"]["spatialFootprint"]["geometry"]["coordinates"][0]
+    ring[-1] = [0.0, 0.0]
+
+
+SECTION_CHECKS = [
+    ("asset-id-not-a-did", _edited("asset.assetId", "not-a-did"), ValueError, "not a did"),
+    *[
+        (f"token-binding-{key}-empty", _edited(f"asset.tokenBinding.{key}", ""), MissingField,
+         f"asset.tokenBinding.{key} must be non-empty")
+        for key in ("standard", "chain", "contract", "tokenId")
+    ],
+    ("token-binding-chain-unqualified", _edited("asset.tokenBinding.chain", "mainnet"), MissingField,
+     "namespace:reference"),
+    ("schema-version-zero", _edited("identity.schemaVersion", 0), MissingField, "schemaVersion"),
+    ("schema-version-text", _edited("identity.schemaVersion", "1"), MissingField, "schemaVersion"),
+    ("document-hash-not-hex", _edited("identity.documents.0.hash", "b2385b76"), MissingField,
+     "0x-prefixed digest"),
+    ("document-hash-short", _edited("identity.documents.0.hash", "0xb2385b76"), MissingField,
+     "32-byte digest"),
+    ("polygon-ring-open", _edited_ring, MissingField, "polygon rings must close"),
+    ("effective-from-not-a-date", _edited("compliance.effectiveFrom", "2024/01/01"), MissingField,
+     "effectiveFrom must be an ISO date"),
+    ("effective-to-not-a-date", _edited("compliance.effectiveTo", 20301231), MissingField,
+     "effectiveTo must be an ISO date"),
+    ("effective-window-inverted", _edited("compliance.effectiveFrom", "2999-01-01"), MissingField,
+     "must not be after effectiveTo"),
+    ("audit-cycle-zero", _edited("custody.auditCycleDays", 0), MissingField, "auditCycleDays"),
+    ("audit-cycle-text", _edited("custody.auditCycleDays", "30"), MissingField, "auditCycleDays"),
+    ("insurance-hash-short", _edited("custody.insurancePolicyRef.hash", "0x00"), MissingField,
+     "insurancePolicyRef.hash must be a 32-byte digest"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, refusal, message",
+    [row[1:] for row in SECTION_CHECKS],
+    ids=[row[0] for row in SECTION_CHECKS],
+)
+def test_issue_refuses_each_invalid_section_value_before_allocating(edit, refusal, message):
+    world, issuer, holder = fixture_world()
+    items = fixture_items("RE")
+    edit(items)
+    with pytest.raises(refusal, match=message):
+        issue(world, signed_request(holder, canonical.dumps_bytes(items)), issuer)
     assert world.status_lists == {}
 
 
@@ -597,7 +693,7 @@ def test_stage_encodings_pinned_and_prove_recomputes_no_commitment(setup, monkey
     pres = stage("prove", prove, cred, holder, TRANSFER_DISCLOSURE)
     assert calls == ["dumps_bytes"]
     assert stage("verify", verify, world, pres).ok
-    assert stages == {"request": 1, "issue": 35, "prove": 1, "verify": 10}
+    assert stages == {"request": 1, "issue": 34, "prove": 1, "verify": 10}
 
 
 @pytest.mark.parametrize("disclosure", [TRANSFER_DISCLOSURE, []], ids=["transfer", "none"])

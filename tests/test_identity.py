@@ -212,6 +212,17 @@ def test_authorization_audit_catches_a_forged_authorization(world, forged, messa
         identity.check_authorization(world)
 
 
+def test_update_naming_another_did_refused_and_moves_nothing(world):
+    a, b = kp(b"name-a"), kp(b"name-b")
+    did_a, doc_a = identity.did_create(world, a)
+    did_b, _ = identity.did_create(world, b)
+    before = (world.world_digest(), world.op_log_csv())
+    renamed = dataclasses.replace(bump(doc_a), did=did_b.text)
+    with pytest.raises(BadSignature, match="names a different did"):
+        identity.did_update(world, did_a.text, renamed, identity.update_signature(a, renamed))
+    assert (world.world_digest(), world.op_log_csv()) == before
+
+
 def test_update_cannot_take_another_dids_controller_key(world):
     # taken, B's key would issue as A, and read as IssuerDeactivated once A rotated away
     a, b = kp(b"take-a"), kp(b"take-b")

@@ -563,6 +563,120 @@ def test_single_release_audit(world):
     assert total == 1_000
 
 
+def test_settled_totals_account_for_the_escrow_at_every_step(world):
+    # each payout records itself: what a leg escrows and what the channel
+    # has settled from it add up to the deposit after every step, mid-round
+    # included, and after close the settled totals are what was received
+    ch = open_channel(world)
+    funds, assets = legs(world, ch)
+
+    def holds():
+        assert funds.escrowed_value + ch.settled_payment == ch.deposit_value
+        assert assets.escrowed_assets | ch.settled_assets == set(ch.deposit_assets)
+        world.check_conservation()
+
+    holds()
+    chan_update(ch, make_state(ch, batch=["did:xrwa:asset-x"], net_payment=250, buyer=ALICE, seller=BOB))
+    holds()
+    chan_lock(world, ch, H_RHO, 8, 5)
+    holds()
+    settlement.reveal_on_assets_leg(world, ch, RHO)
+    assert ch.phase == "Locked" and ch.settled_assets == {"did:xrwa:asset-x"}
+    holds()
+    settlement.redeem_on_funds_leg(world, ch, RHO)
+    assert ch.phase == "Open" and ch.settled_payment == 250
+    holds()
+    # a second round, refunded: nothing moves and nothing is recorded
+    chan_update(ch, make_state(ch, batch=list(ch.deposit_assets), net_payment=500, buyer=ALICE, seller=BOB))
+    holds()
+    chan_lock(world, ch, digest(b"second-round"), 8, 5)
+    holds()
+    world.advance_clock(8)
+    chan_refund(world, ch)
+    assert ch.phase == "Open" and (ch.settled_assets, ch.settled_payment) == ({"did:xrwa:asset-x"}, 250)
+    holds()
+    summary = chan_close(world, ch)
+    assert ch.settled_assets == world.assets_of("C2", ALICE.pk) == set(ch.deposit_assets)
+    assert ch.settled_payment == world.balance("C1", BOB.pk) == summary["sellerPayment"] == 500
+    assert summary["buyerAssets"] == sorted(ch.settled_assets)
+    world.check_conservation()
+
+
+def _settled_channel(world):
+    """A channel whose first round settled asset-x for 250."""
+    ch = locked_channel(world, net=250, batch=("did:xrwa:asset-x",))
+    chan_unlock(world, ch, RHO)
+    return ch
+
+
+def _update_stepping_back(batch, net):
+    def refused(world):
+        ch = _settled_channel(world)
+        return lambda: chan_update(ch, make_state(ch, batch=batch, net_payment=net, buyer=ALICE, seller=BOB))
+    return refused
+
+
+def _update_naming_another_channel(world):
+    ch = open_channel(world)
+    state = settlement.ChannelState(channel_id="chan-elsewhere", seq=ch.latest.seq + 1, batch=[], net_payment=5)
+    other = dataclasses.replace(state, sig_a=sign_state(ALICE, state), sig_b=sign_state(BOB, state))
+    return lambda: chan_update(ch, other)
+
+
+def _update_with_bad_buyer_signature(world):
+    ch = open_channel(world)
+    state = make_state(ch, batch=[], net_payment=5, buyer=ALICE, seller=BOB)
+    return lambda: chan_update(ch, dataclasses.replace(state, sig_a=sign_state(BOB, state)))
+
+
+def _lock_twice(world):
+    ch = locked_channel(world)
+    return lambda: chan_lock(world, ch, digest(b"another-round"), 9, 6)
+
+
+def _lock_with_latest_missing_a_signature(world):
+    ch = open_channel(world)
+    chan_update(ch, make_state(ch, batch=[], net_payment=5, buyer=ALICE, seller=BOB))
+    ch.latest = dataclasses.replace(ch.latest, sig_b=b"")
+    return lambda: chan_lock(world, ch, H_RHO, 8, 5)
+
+
+def _open_with_negative_deposit(world):
+    return lambda: chan_open(world, ALICE, BOB, -1, ["did:xrwa:asset-x"])
+
+
+def _htlc_with_negative_escrow(world):
+    return lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": -1}, H_RHO, timeout=5)
+
+
+SETTLEMENT_REFUSALS = [
+    ("update-unsettles-assets", _update_stepping_back([], 300), ConservationViolation, "un-settle"),
+    ("update-below-settled-payment", _update_stepping_back(["did:xrwa:asset-x"], 100),
+     ConservationViolation, "below what is already settled"),
+    ("update-names-another-channel", _update_naming_another_channel, BadSignature, "different channel"),
+    ("update-bad-buyer-signature", _update_with_bad_buyer_signature, BadSignature, "buyer signature"),
+    ("lock-already-locked", _lock_twice, WrongPhase, "is Locked"),
+    ("lock-latest-not-cosigned", _lock_with_latest_missing_a_signature, BadSignature, "not co-signed"),
+    ("open-negative-deposit", _open_with_negative_deposit, InsufficientBalance, "deposit value"),
+    ("htlc-negative-escrow", _htlc_with_negative_escrow, InsufficientBalance, "escrow value"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_step, refusal, message",
+    [row[1:] for row in SETTLEMENT_REFUSALS],
+    ids=[row[0] for row in SETTLEMENT_REFUSALS],
+)
+def test_settlement_refusal_moves_nothing(world, make_step, refusal, message):
+    step = make_step(world)
+    channels = {cid: dict(vars(ch)) for cid, ch in world.channels.items()}
+    before = (world.world_digest(), world.op_log_csv())
+    with pytest.raises(refusal, match=message):
+        step()
+    assert (world.world_digest(), world.op_log_csv()) == before
+    assert {cid: vars(ch) for cid, ch in world.channels.items()} == channels
+
+
 def test_offchain_zero_cost_1_vs_1000_updates():
     logs = []
     for n_updates in (1, 1000):

@@ -525,6 +525,101 @@ def test_anchor_body_not_a_commitment_refused_before_anything_is_logged(flow, ma
     assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
 
 
+# ------------------------------------------------------------- refusals ----
+
+def _commit_with_nonce(size):
+    def step(world, cred, pres, holder):
+        return lambda: xauth.make_commitment(world, "C1", pres, cred.asset["tokenBinding"], 1, b"\x01" * size)
+    return step
+
+
+def _commit_binding_undisclosed(world, cred, pres, holder):
+    thin = credential.prove(cred, holder, ["asset.assetId"])
+    return lambda: xauth.make_commitment(world, "C1", thin, cred.asset["tokenBinding"], 1, b"\x01" * 16)
+
+
+def _commit_binding_differs(world, cred, pres, holder):
+    other = dict(cred.asset["tokenBinding"], tokenId="999")
+    return lambda: xauth.make_commitment(world, "C1", pres, other, 1, b"\x01" * 16)
+
+
+COMMITMENT_REFUSALS = [
+    ("nonce-short", _commit_with_nonce(15), "nonce must be 16 bytes"),
+    ("nonce-long", _commit_with_nonce(17), "nonce must be 16 bytes"),
+    ("binding-undisclosed", _commit_binding_undisclosed, "tokenBinding must be disclosed"),
+    ("binding-differs", _commit_binding_differs, "does not match the disclosed one"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_step, message",
+    [row[1:] for row in COMMITMENT_REFUSALS],
+    ids=[row[0] for row in COMMITMENT_REFUSALS],
+)
+def test_make_commitment_refusal_moves_nothing(flow, make_step, message):
+    world, _, holder, cred, pres = flow
+    step = make_step(world, cred, pres, holder)
+    before = (world.world_digest(), world.op_log_csv())
+    with pytest.raises(InvalidPresentation, match=message):
+        step()
+    assert (world.world_digest(), world.op_log_csv()) == before
+
+
+def _sealed_anchor(world, body, issuer):
+    """An anchor of `body` sent by `issuer`, sealed on C1 and relayed to C2:
+    the (tx, proof) pair authenticate reads."""
+    tx_id = world.submit_tx("C1", Transaction.make("anchor", body, issuer, world.next_nonce()))
+    header = world.seal_block("C1")
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    return world.chains["C1"].blocks[header.height].txs[0], proof
+
+
+def _stored_digest_not_recomputing(world, issuer, holder, cred, pres):
+    commitment = xauth.make_commitment(world, "C1", pres, cred.asset["tokenBinding"], 1, b"\x12" * 16)
+    body = {**commitment.to_body(), "commitmentDigest": canonical.to_hex(bytes(32))}
+    return (*_sealed_anchor(world, body, issuer), pres)
+
+
+def _asset_id_differs(world, issuer, holder, cred, pres):
+    _, tx, proof = anchored(world, issuer, pres, cred)
+    gold = credential.issue(world, credential.request(fixture_items("Gold"), holder), issuer)
+    return tx, proof, credential.prove(gold, holder, XFER_DISCLOSURE)
+
+
+def _binding_digest_differs(world, issuer, holder, cred, pres):
+    commitment = xauth.Commitment(
+        asset_id=cred.asset["assetId"],
+        cred_digest=xauth.disclosed_subset_digest(pres),
+        token_binding_digest=xauth.token_binding_digest(dict(cred.asset["tokenBinding"], tokenId="999")),
+        epoch=1,
+        nonce=b"\x13" * 16,
+    )
+    return (*_sealed_anchor(world, commitment.to_body(), issuer), pres)
+
+
+AUTHENTICATE_REFUSALS = [
+    ("stored-digest-not-recomputing", _stored_digest_not_recomputing, "does not recompute"),
+    ("asset-id-differs", _asset_id_differs, "asset id differs"),
+    ("binding-digest-differs", _binding_digest_differs, "token binding differs"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_anchor, message",
+    [row[1:] for row in AUTHENTICATE_REFUSALS],
+    ids=[row[0] for row in AUTHENTICATE_REFUSALS],
+)
+def test_authenticate_commitment_refusal_moves_nothing(flow, make_anchor, message):
+    world, issuer, holder, cred, pres = flow
+    tx, proof, presented = make_anchor(world, issuer, holder, cred, pres)
+    before = (world.world_digest(), world.op_log_csv())
+    with pytest.raises(CommitmentMismatch, match=message):
+        xauth.authenticate(world, "C2", tx, proof, presented)
+    assert (world.world_digest(), world.op_log_csv()) == before
+    assert world.acceptance_records["C2"] == []
+
+
 def inject_anchor(world, commitment, sender, logged=True):
     """Seal an anchor of `commitment` on C1 the way submit_tx would, minus
     its sender check, and log it only when `logged`."""
