@@ -303,8 +303,7 @@ class SectionProof:
 
 @dataclass(frozen=True)
 class CredentialRequest:
-    """A holder's signature over `body`, the canonical encoding of a map of
-    section name to section content; no decoded copy is kept beside it."""
+    """A holder's signature over `body`, the canonical encoding of its sections."""
 
     body: bytes
     holder_pk: bytes
@@ -320,11 +319,10 @@ class CredentialRequest:
             items = canonical.loads(self.body)
         except ValueError:  # not JSON, or not UTF-8
             items = None
-        if isinstance(items, dict):
-            sections = {name: items.get(name, {}) for name in SECTIONS}
-            if all(isinstance(section, dict) for section in sections.values()):
-                return sections
-        raise MalformedArtifact("request body is not an object of section objects")
+        sections = {name: items.get(name, {}) for name in SECTIONS} if isinstance(items, dict) else None
+        if sections is None or not all(isinstance(section, dict) for section in sections.values()):
+            raise MalformedArtifact("request body is not an object of section objects")
+        return sections
 
 
 @dataclass(frozen=True)
@@ -437,7 +435,10 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
                 raise MissingField(f"{name}.{key} is required")
 
     asset = sections["asset"]
-    Did.parse(asset["assetId"])
+    try:
+        Did.parse(asset["assetId"])
+    except (AttributeError, ValueError):  # not a string, or not did:method:id
+        raise MissingField(f"asset.assetId must be a DID, got {asset['assetId']!r}") from None
     tb = asset["tokenBinding"]
     for key in ("standard", "chain", "contract", "tokenId"):
         if not tb.get(key):
@@ -474,10 +475,9 @@ def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
     """Holder-signed canonical request for a credential over `items`, a map
     of section name to section content, encoded once."""
     asset_items = items.get("asset") or {}
-    if not asset_items.get("assetType"):
-        raise MissingField("request must carry asset.assetType")
-    if not asset_items.get("assetId"):
-        raise MissingField("request must carry asset.assetId")
+    for key in ("assetType", "assetId"):
+        if not asset_items.get(key):
+            raise MissingField(f"request must carry asset.{key}")
     body = canonical.dumps_bytes(dict(items))
     return CredentialRequest(body=body, holder_pk=holder.pk, sig=sign(holder.sk, body))
 

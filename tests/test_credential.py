@@ -203,7 +203,9 @@ def _edited_ring(items):
 
 
 SECTION_CHECKS = [
-    ("asset-id-not-a-did", _edited("asset.assetId", "not-a-did"), ValueError, "not a did"),
+    ("asset-id-not-a-did", _edited("asset.assetId", "not-a-did"), MissingField,
+     "asset.assetId must be a DID"),
+    ("asset-id-not-text", _edited("asset.assetId", 7), MissingField, "asset.assetId must be a DID"),
     *[
         (f"token-binding-{key}-empty", _edited(f"asset.tokenBinding.{key}", ""), MissingField,
          f"asset.tokenBinding.{key} must be non-empty")
