@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import settlement
+from . import canonical, settlement
 from .errors import Expired, NotYetExpired, WrongPhase, WrongPreimage
 from .ledger import World, WorldConfig
 from .primitives import digest, keygen
@@ -43,6 +43,9 @@ __all__ = ["Schedule", "Outcome", "run_schedule", "explore_schedules", "fuzz_sch
 
 _BUYER = keygen(digest(b"atomicity-buyer"))
 _SELLER = keygen(digest(b"atomicity-seller"))
+# the account keys an outcome is read under (`World.assets_of`, `World.balance`)
+_BUYER_ACCOUNT = canonical.to_hex(_BUYER.pk)
+_SELLER_ACCOUNT = canonical.to_hex(_SELLER.pk)
 
 
 @dataclass(frozen=True)
@@ -82,28 +85,29 @@ def _locked_channel(seed: int, t1: int, t2: int):
     return world, channel, preimage
 
 
+def _try_refunds(world: World, channel: settlement.Channel,
+                 refunds: tuple[tuple[str, Optional[int]], ...], t: int) -> None:
+    """Attempt the refund of each `(leg, tick)` of `refunds` that lands at `t`."""
+    for leg, refund_at in refunds:
+        if refund_at == t:
+            try:
+                settlement.chan_refund(world, channel, leg=leg)
+            except (NotYetExpired, WrongPhase):
+                pass
+
+
 def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0) -> Outcome:
     template_world, template, preimage = _locked_channel(seed, t1, t2)
     world = template_world.fork()
     channel = world.channels[template.channel_id]
+    refunds = (("assets", schedule.refund_assets_at), ("funds", schedule.refund_funds_at))
     redeem_at: Optional[int] = None
-
-    def try_refunds(t: int) -> None:
-        for leg_name, refund_at in (
-            ("assets", schedule.refund_assets_at),
-            ("funds", schedule.refund_funds_at),
-        ):
-            if refund_at == t:
-                try:
-                    settlement.chan_refund(world, channel, leg=leg_name)
-                except (NotYetExpired, WrongPhase):
-                    pass
 
     for t in range(window):
         if t:
             world.advance_clock(1)
         if schedule.refunds_first:
-            try_refunds(t)
+            _try_refunds(world, channel, refunds, t)
         if schedule.reveal_tick == t:
             try:
                 settlement.reveal_on_assets_leg(world, channel, preimage)
@@ -116,7 +120,7 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
             except (Expired, WrongPhase):
                 pass
         if not schedule.refunds_first:
-            try_refunds(t)
+            _try_refunds(world, channel, refunds, t)
 
     # anything still locked is refunded at its timeout; every timeout is at
     # most `max(window, t1)`, so a leg still Locked cannot raise NotYetExpired
@@ -130,8 +134,8 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
     world.check_conservation()
     return Outcome(
         schedule=schedule,
-        assets_settled=bool(world.assets_of("C2", _BUYER.pk)),
-        funds_settled=world.balance("C1", _SELLER.pk) > 0,
+        assets_settled=bool(world.chains["C2"].holdings.get(_BUYER_ACCOUNT)),
+        funds_settled=world.chains["C1"].balances.get(_SELLER_ACCOUNT, 0) > 0,
     )
 
 

@@ -314,7 +314,8 @@ class CredentialRequest:
 
     def sections(self) -> dict[str, dict]:
         """Each of `SECTIONS` freshly decoded from `body`, a missing one
-        empty; `MalformedArtifact` unless body and sections are objects."""
+        empty; `MalformedArtifact` unless body and sections are objects and
+        their text can be encoded again."""
         try:
             items = canonical.loads(self.body)
         except ValueError:  # not JSON, or not UTF-8
@@ -322,6 +323,13 @@ class CredentialRequest:
         sections = {name: items.get(name, {}) for name in SECTIONS} if isinstance(items, dict) else None
         if sections is None or not all(isinstance(section, dict) for section in sections.values()):
             raise MalformedArtifact("request body is not an object of section objects")
+        # valid UTF-8 holds no lone surrogate, but a \u escape can decode to
+        # one, which issue could not encode once it had allocated indices
+        if b"\\u" in self.body:
+            try:
+                canonical.dumps_bytes(sections)
+            except UnicodeEncodeError:
+                raise MalformedArtifact("request body escapes a lone surrogate") from None
         return sections
 
 
@@ -427,6 +435,18 @@ def _require_digest_hex(value: str, where: str) -> None:
         raise MissingField(f"{where} must be a 32-byte digest")
 
 
+def _require_object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise MissingField(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _require_list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise MissingField(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
     for name in SECTIONS:
         body = sections[name]
@@ -439,22 +459,25 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
         Did.parse(asset["assetId"])
     except (AttributeError, ValueError):  # not a string, or not did:method:id
         raise MissingField(f"asset.assetId must be a DID, got {asset['assetId']!r}") from None
-    tb = asset["tokenBinding"]
+    tb = _require_object(asset["tokenBinding"], "asset.tokenBinding")
     for key in ("standard", "chain", "contract", "tokenId"):
         if not tb.get(key):
             raise MissingField(f"asset.tokenBinding.{key} must be non-empty")
-    if ":" not in tb["chain"]:
+    if not isinstance(tb["chain"], str) or ":" not in tb["chain"]:
         raise MissingField("asset.tokenBinding.chain must look like namespace:reference")
 
     ident = sections["identity"]
     if not isinstance(ident["schemaVersion"], int) or ident["schemaVersion"] < 1:
         raise MissingField("identity.schemaVersion must be an integer >= 1")
-    for doc in ident["documents"]:
-        _require_digest_hex(doc["hash"], "identity.documents[].hash")
-    geometry = ident["spatialFootprint"].get("geometry", {})
+    for doc in _require_list(ident["documents"], "identity.documents"):
+        doc = _require_object(doc, "identity.documents[]")
+        _require_digest_hex(doc.get("hash"), "identity.documents[].hash")
+    footprint = _require_object(ident["spatialFootprint"], "identity.spatialFootprint")
+    geometry = _require_object(footprint.get("geometry", {}), "identity.spatialFootprint.geometry")
     if geometry.get("type") == "Polygon":
-        for ring in geometry.get("coordinates", []):
-            if ring and ring[0] != ring[-1]:
+        coordinates = _require_list(geometry.get("coordinates", []), "polygon coordinates")
+        for ring in coordinates:
+            if _require_list(ring, "polygon ring") and ring[0] != ring[-1]:
                 raise MissingField("polygon rings must close (first point == last point)")
 
     comp = sections["compliance"]
@@ -466,19 +489,27 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
     cust = sections["custody"]
     if not isinstance(cust["auditCycleDays"], int) or cust["auditCycleDays"] < 1:
         raise MissingField("custody.auditCycleDays must be an integer >= 1")
-    _require_digest_hex(cust["insurancePolicyRef"]["hash"], "custody.insurancePolicyRef.hash")
+    policy = _require_object(cust["insurancePolicyRef"], "custody.insurancePolicyRef")
+    _require_digest_hex(policy.get("hash"), "custody.insurancePolicyRef.hash")
 
 
 # -------------------------------------------------------------- operations --
 
 def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
     """Holder-signed canonical request for a credential over `items`, a map
-    of section name to section content, encoded once."""
+    of section name to section content, encoded once. Refuses items without
+    an asset type and id with MissingField, and text UTF-8 cannot encode,
+    such as a lone surrogate, with MalformedArtifact."""
     asset_items = items.get("asset") or {}
+    if not isinstance(asset_items, dict):
+        raise MalformedArtifact("request section asset is not an object")
     for key in ("assetType", "assetId"):
         if not asset_items.get(key):
             raise MissingField(f"request must carry asset.{key}")
-    body = canonical.dumps_bytes(dict(items))
+    try:
+        body = canonical.dumps_bytes(dict(items))
+    except UnicodeEncodeError:
+        raise MalformedArtifact("request items hold text that is not valid Unicode") from None
     return CredentialRequest(body=body, holder_pk=holder.pk, sig=sign(holder.sk, body))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Optional
 
 from . import canonical, costs
@@ -232,21 +233,45 @@ class _ChainState:
     minted_assets: set[str] = field(default_factory=set)
 
     def fork(self) -> "_ChainState":
-        """A copy sharing the sealed blocks and nothing that can change.
-        Each contract is rebuilt from its own fields, a shallow copy without
-        the `copy` module: settlement rebinds a contract's fields and never
-        edits a value one holds."""
-        return _ChainState(
-            blocks=list(self.blocks),
-            pending=list(self.pending),
-            pending_ids=list(self.pending_ids),
-            sender_nonces=set(self.sender_nonces),
-            balances=dict(self.balances),
-            holdings={k: set(v) for k, v in self.holdings.items()},
-            contracts={cid: type(c)(**vars(c)) for cid, c in self.contracts.items()},
-            minted_value=self.minted_value,
-            minted_assets=set(self.minted_assets),
-        )
+        """A copy sharing the sealed blocks and nothing that can change:
+        each container is rebound to its own `.copy()`, each holdings set
+        is copied, and each contract is a `_shallow_copy`, whole because
+        settlement rebinds a contract's fields and never edits a value one
+        holds. See `World.fork`."""
+        other = object.__new__(_ChainState)
+        other.blocks = self.blocks.copy()
+        other.pending = self.pending.copy()
+        other.pending_ids = self.pending_ids.copy()
+        other.sender_nonces = self.sender_nonces.copy()
+        other.balances = self.balances.copy()
+        other.holdings = _copy_values(self.holdings, set.copy)
+        other.contracts = _copy_values(self.contracts, _shallow_copy)
+        other.minted_value = self.minted_value
+        other.minted_assets = self.minted_assets.copy()
+        return other
+
+
+def _shallow_copy(obj: Any) -> Any:
+    """A new instance of `obj`'s class with a copy of its instance dict,
+    made without calling the class or the `copy` module. It shares every
+    value a field holds, so it is a whole copy only of an object whose
+    holders rebind its fields and never edit a value one holds, as
+    settlement does with contracts and channels."""
+    other = object.__new__(obj.__class__)
+    other.__dict__ = obj.__dict__.copy()
+    return other
+
+
+# a registry entry's own copy (`DidEntry.fork`, `StatusList.fork`)
+_fork = methodcaller("fork")
+
+
+def _copy_values(mapping: dict, copy_value: Any) -> dict:
+    """A copy of `mapping` whose every value is `copy_value(value)`."""
+    other = mapping.copy()
+    for key, value in mapping.items():
+        other[key] = copy_value(value)
+    return other
 
 
 # ------------------------------------------------------------------- world --
@@ -302,29 +327,37 @@ class World:
         shared until either world draws (see `rng`), so a fork that never
         draws never copies it.
 
-        Nothing here goes through the `copy` module: contracts
-        (`_ChainState.fork`) and channels are rebuilt from their own fields,
-        so a channel is bound to its legs by id in any world, and each registry
-        entry copies itself with its own `fork()`, which gives a `DidEntry`
-        new lists and a `StatusList` a new bytearray; an empty registry
-        costs nothing."""
+        One copy rule holds for every world, with no call to a class and
+        none to the `copy` module. Each list, dict and set the world or a
+        chain (`_ChainState.fork`) holds is rebound to its own `.copy()`,
+        and so is each holdings set, relayed view and acceptance list in
+        one. Contracts and channels are shallow copies (`_shallow_copy`),
+        whole because settlement rebinds their fields and never edits a
+        value one holds, so a channel is bound to its legs by id in any
+        world. Each registry entry copies itself with its own `fork()`,
+        which gives a `DidEntry` new lists and a `StatusList` a new
+        bytearray. The world and its chains are set up attribute by
+        attribute, not by copying their instance dicts: every step reads
+        them, and CPython 3.11 reads the attributes of an instance whose
+        dict was copied in more slowly, which made an atomicity schedule
+        slower, not faster."""
         other = object.__new__(World)
         other.config = self.config
         other.treasury = self.treasury
         other.clock = self.clock
         other._rng = self._rng
         other._rng_shared = self._rng_shared = True
-        other.chains = {label: state.fork() for label, state in self.chains.items()}
-        other.relayed = {pair: list(view) for pair, view in self.relayed.items()}
-        other.op_log = list(self.op_log)
-        other.did_registry = {did: entry.fork() for did, entry in self.did_registry.items()}
-        other.controller_index = dict(self.controller_index)
-        other.status_lists = {uri: sl.fork() for uri, sl in self.status_lists.items()}
-        other.acceptance_records = {c: list(recs) for c, recs in self.acceptance_records.items()}
-        other.asset_origins = dict(self.asset_origins)
-        other.channels = {cid: type(ch)(**vars(ch)) for cid, ch in self.channels.items()}
-        other.anchor_nonces = set(self.anchor_nonces)
-        other.verify_counts = dict(self.verify_counts)
+        other.chains = _copy_values(self.chains, _ChainState.fork)
+        other.relayed = _copy_values(self.relayed, list.copy)
+        other.op_log = self.op_log.copy()
+        other.did_registry = _copy_values(self.did_registry, _fork)
+        other.controller_index = self.controller_index.copy()
+        other.status_lists = _copy_values(self.status_lists, _fork)
+        other.acceptance_records = _copy_values(self.acceptance_records, list.copy)
+        other.asset_origins = self.asset_origins.copy()
+        other.channels = _copy_values(self.channels, _shallow_copy)
+        other.anchor_nonces = self.anchor_nonces.copy()
+        other.verify_counts = self.verify_counts.copy()
         return other
 
     # -- plumbing ------------------------------------------------------------
@@ -627,6 +660,10 @@ class World:
                 )
 
     def check_conservation(self) -> None:
+        """Audit every chain: balances plus escrowed value equal the minted
+        value, and the held and escrowed assets are the minted assets, each
+        once. The minted assets are a set, so the assets found are exactly
+        them when there are as many and they make the same set."""
         for label, state in self.chains.items():
             total = sum(state.balances.values())
             assets: list[str] = []
@@ -639,7 +676,7 @@ class World:
                 raise InvariantViolation(
                     f"value not conserved on {label}: {total} != {state.minted_value}"
                 )
-            if sorted(assets) != sorted(state.minted_assets):
+            if len(assets) != len(state.minted_assets) or set(assets) != state.minted_assets:
                 raise InvariantViolation(f"asset multiset not conserved on {label}")
 
     def check_all(self) -> None:

@@ -42,9 +42,8 @@ Settlement state is values: a leg's `escrowed_assets` and a channel's
 `settled_assets` and `used_hash_conds` are frozensets that settlement
 rebinds and never edits, and an HtlcLock's `escrow` is never changed after
 `htlc_lock`. So a shallow copy of a contract or a channel shares nothing
-that can change. `World.fork` makes that copy by calling the class on its
-own fields (`type(c)(**vars(c))`), so every field a contract or a channel
-holds is an `__init__` field, and a fork's channel is read from
+that can change. `World.fork` makes that copy, a new instance of the same
+class with a copy of its instance dict, and a fork's channel is read from
 `fork.channels` with no rebinding.
 
 All on-chain steps are logged with the calibrated weights of `costs`;
@@ -303,16 +302,21 @@ class Channel:
     used_hash_conds: frozenset[bytes] = frozenset()
 
 
+# the chains of each channel's funds leg and assets leg
+_FUNDS_CHAIN, _ASSETS_CHAIN = CHAINS
+
+
 def _legs(world: World, channel: Channel) -> tuple[ChannelLeg, ChannelLeg]:
     """The (funds, assets) legs `world` holds for `channel`. A channel that
     `world.channels` does not hold, such as the template of a fork, is
     refused with ValueError, not WrongPhase, which schedule callers ignore."""
-    if world.channels.get(channel.channel_id) is not channel:
-        raise ValueError(f"{channel.channel_id} is not a channel of this world")
-    chain_funds, chain_assets = CHAINS
+    channel_id = channel.channel_id
+    if world.channels.get(channel_id) is not channel:
+        raise ValueError(f"{channel_id} is not a channel of this world")
+    chains = world.chains
     return (
-        world.chains[chain_funds].contracts[channel.channel_id + "-funds"],
-        world.chains[chain_assets].contracts[channel.channel_id + "-assets"],
+        chains[_FUNDS_CHAIN].contracts[channel_id + "-funds"],
+        chains[_ASSETS_CHAIN].contracts[channel_id + "-assets"],
     )
 
 
@@ -526,14 +530,17 @@ def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> No
     leg is checked before any is refunded. Escrow stays in the channel and
     the committed assignment is reverted."""
     funds, assets = _legs(world, channel)
-    legs = {"assets": assets, "funds": funds}
-    if leg:
-        if leg not in legs:
-            raise ValueError(f"unknown leg {leg!r}; expected 'assets' or 'funds'")
-        legs = {leg: legs[leg]}
-    for lock in legs.values():
+    if not leg:
+        named = (("assets", assets), ("funds", funds))
+    elif leg == "assets":
+        named = (("assets", assets),)
+    elif leg == "funds":
+        named = (("funds", funds),)
+    else:
+        raise ValueError(f"unknown leg {leg!r}; expected 'assets' or 'funds'")
+    for _, lock in named:
         _check_refund(lock, world.clock)
-    for name, lock in legs.items():
+    for name, lock in named:
         _refund(lock, world.clock)
         world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
     _maybe_reopen(channel, funds, assets)

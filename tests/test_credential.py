@@ -247,6 +247,62 @@ def test_issue_refuses_each_invalid_section_value_before_allocating(edit, refusa
     assert world.status_lists == {}
 
 
+def _requested(edit):
+    """A maker of `request()` over RE fixture items edited by `edit`."""
+    def make(holder):
+        items = fixture_items("RE")
+        edit(items)
+        return request(items, holder)
+    return make
+
+
+def _signed_with_an_escaped_surrogate(holder):
+    body = canonical.dumps_bytes(fixture_items("RE")).replace(b'"1234"', b'"\\udc00"')
+    return signed_request(holder, body)
+
+
+MISTYPED_OR_UNENCODABLE = [
+    ("token-binding-text", _requested(_edited("asset.tokenBinding", "x")), MissingField,
+     "asset.tokenBinding must be an object"),
+    ("token-binding-chain-number", _requested(_edited("asset.tokenBinding.chain", 1)), MissingField,
+     "namespace:reference"),
+    ("spatial-footprint-text", _requested(_edited("identity.spatialFootprint", "x")), MissingField,
+     "identity.spatialFootprint must be an object"),
+    ("geometry-number", _requested(_edited("identity.spatialFootprint.geometry", 1)), MissingField,
+     "geometry must be an object"),
+    ("document-text", _requested(_edited("identity.documents", ["x"])), MissingField,
+     r"identity.documents\[\] must be an object"),
+    ("documents-number", _requested(_edited("identity.documents", 5)), MissingField,
+     "identity.documents must be a list"),
+    ("insurance-ref-text", _requested(_edited("custody.insurancePolicyRef", "x")), MissingField,
+     "custody.insurancePolicyRef must be an object"),
+    ("asset-section-text", _requested(_edited("asset", "x")), MalformedArtifact,
+     "asset is not an object"),
+    ("surrogate-in-a-value", _requested(_edited("asset.tokenBinding.tokenId", "\ud800")),
+     MalformedArtifact, "not valid Unicode"),
+    ("surrogate-in-a-key", _requested(_edited("identity.custom", {"\udfff": "x"})),
+     MalformedArtifact, "not valid Unicode"),
+    ("escaped-surrogate-in-a-signed-body", _signed_with_an_escaped_surrogate, MalformedArtifact,
+     "lone surrogate"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, refusal, message",
+    [row[1:] for row in MISTYPED_OR_UNENCODABLE],
+    ids=[row[0] for row in MISTYPED_OR_UNENCODABLE],
+)
+def test_mistyped_or_unencodable_request_refused_before_allocating(make, refusal, message):
+    """A value of the wrong type is refused with MissingField, and text
+    UTF-8 cannot encode with MalformedArtifact, not with the error the
+    first use of the value happened to raise."""
+    world, issuer, holder = fixture_world()
+    before = {uri: sl.to_json() for uri, sl in world.status_lists.items()}
+    with pytest.raises(refusal, match=message):
+        issue(world, make(holder), issuer)
+    assert {uri: sl.to_json() for uri, sl in world.status_lists.items()} == before
+
+
 def test_issue_allocates_distinct_status_indices(setup):
     _, _, _, cred = setup
     indices = [cred.status_ref(s)["statusListIndex"] for s in credential.SECTIONS]

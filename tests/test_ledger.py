@@ -402,9 +402,16 @@ def test_conservation_audit_catches_value_made_outside_mint(world, alice, bob):
         world.check_all()
 
 
-def test_conservation_audit_catches_an_asset_held_twice(world, alice, bob):
+@pytest.mark.parametrize("unheld", [None, "did:xrwa:held-by-nobody"],
+                         ids=["one-asset-too-many", "counts-agree"])
+def test_conservation_audit_catches_an_asset_held_twice(world, alice, bob, unheld):
+    # with `unheld`, a second minted asset leaves the holdings, so as many
+    # assets are held as were minted, and only their set tells them apart
     world.mint_asset("C2", alice.pk, "did:xrwa:held-once")
+    if unheld:
+        world.mint_asset("C2", alice.pk, unheld)
     world.check_conservation()
+    world.chains["C2"].holdings[canonical.to_hex(alice.pk)].discard(unheld)
     world.chains["C2"].holdings[canonical.to_hex(bob.pk)] = {"did:xrwa:held-once"}
     with pytest.raises(InvariantViolation, match="asset multiset not conserved on C2"):
         world.check_all()
@@ -729,7 +736,10 @@ def _unsnapshotted(world):
     )
 
 
-def test_fork_is_independent_of_its_origin():
+def _busy_world():
+    """A world with state in every registry: dids, status lists, a
+    credential, balances and assets, an HTLC, a pending transfer, a relayed
+    view and an open channel."""
     world, issuer, holder = fixture_world()
     cred = credential.issue(world, credential.request(fixture_items("RE"), holder), issuer)
     pres = credential.prove(cred, holder, TRANSFER_DISCLOSURE)
@@ -747,6 +757,11 @@ def test_fork_is_independent_of_its_origin():
     world.mint("C1", buyer.pk, 100)
     world.mint_asset("C2", seller.pk, "did:xrwa:fork-d")
     channel = settlement.chan_open(world, buyer, seller, 100, ["did:xrwa:fork-d"])
+    return world, issuer, holder, cred, pres, lock, buyer, seller, channel
+
+
+def test_fork_is_independent_of_its_origin():
+    world, issuer, holder, cred, pres, lock, buyer, seller, channel = _busy_world()
     legs_before = [
         dataclasses.asdict(world.chains[c].contracts[channel.channel_id + leg])
         for c, leg in (("C1", "-funds"), ("C2", "-assets"))
@@ -816,6 +831,68 @@ def test_fork_is_independent_of_its_origin():
     # the original goes on as if the fork never happened
     assert world.seal_block("C1").height == 1
     assert len(fork.chains["C1"].blocks) == 3
+
+
+_CONTAINERS = (list, dict, set, bytearray)
+
+
+def _unshareable(world):
+    """(path, object) of everything a fork must hold its own of: each list,
+    dict, set or bytearray a `World` attribute or a `_ChainState` field
+    holds, with each one a dict of these holds in turn (holdings sets
+    among them); each chain state, contract, channel, `DidEntry` and
+    `StatusList`, and the containers of the last two, which change in
+    place. Sealed blocks, `config`, `treasury`, op-log entries and the
+    generator are left out, and so are the values a contract's or a
+    channel's fields hold: settlement rebinds those fields and never edits
+    what one holds."""
+    found = []
+
+    def add(path, value):
+        found.append((path, value))
+        if isinstance(value, dict):
+            for key, item in value.items():
+                if isinstance(item, _CONTAINERS):
+                    add(f"{path}[{key!r}]", item)
+
+    def add_fields(path, obj):
+        found.append((path, obj))
+        for name, value in vars(obj).items():
+            if isinstance(value, _CONTAINERS):
+                add(f"{path}.{name}", value)
+
+    add_fields("world", world)
+    for label, state in world.chains.items():
+        add_fields(f"chains[{label!r}]", state)
+        for cid, contract in state.contracts.items():
+            found.append((f"chains[{label!r}].contracts[{cid!r}]", contract))
+    for cid, channel in world.channels.items():
+        found.append((f"channels[{cid!r}]", channel))
+    for did, entry in world.did_registry.items():
+        add_fields(f"did_registry[{did!r}]", entry)
+    for uri, status_list in world.status_lists.items():
+        add_fields(f"status_lists[{uri!r}]", status_list)
+    return found
+
+
+def test_a_fork_shares_nothing_mutable_with_its_origin():
+    world = _busy_world()[0]
+    fork = world.fork()
+    origin_parts, fork_parts = _unshareable(world), _unshareable(fork)
+    assert [path for path, _ in fork_parts] == [path for path, _ in origin_parts]
+    kinds = {type(value).__name__ for _, value in origin_parts}
+    assert {"_ChainState", "HtlcLock", "ChannelLeg", "Channel", "DidEntry", "StatusList",
+            "bytearray", "set"} <= kinds
+    shared = [path for (path, mine), (_, theirs) in zip(fork_parts, origin_parts) if mine is theirs]
+    assert shared == []
+    # what a fork may share
+    assert fork.config is world.config and fork.treasury is world.treasury
+    assert all(a is b for a, b in zip(fork.op_log, world.op_log, strict=True))
+    assert all(
+        a is b
+        for label in world.chains
+        for a, b in zip(fork.chains[label].blocks, world.chains[label].blocks, strict=True)
+    )
 
 
 def _draws(world):

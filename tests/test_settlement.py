@@ -847,6 +847,46 @@ def test_two_rounds_on_a_fork_leave_the_template_untouched():
     assert (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template)) == before
 
 
+def test_sibling_forks_of_the_template_step_apart():
+    """Two schedules' steps, interleaved tick by tick on two forks of the
+    sweep's template, each end as `run_schedule` ends that schedule alone,
+    and the template reads as it did before."""
+    settles = Schedule(reveal_tick=1, seller_delay=1, refund_assets_at=None, refund_funds_at=None,
+                       refunds_first=False)
+    refunds = Schedule(reveal_tick=None, seller_delay=0, refund_assets_at=2, refund_funds_at=3,
+                       refunds_first=True)
+    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    before = (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template))
+    a, b = world.fork(), world.fork()
+    ch_a, ch_b = a.channels[template.channel_id], b.channels[template.channel_id]
+    for t in range(5):
+        if t:
+            a.advance_clock(1)
+            b.advance_clock(1)
+        if t == 1:
+            settlement.reveal_on_assets_leg(a, ch_a, preimage)
+        if t == 2:
+            # the assets leg `a` claimed a tick ago is still Locked in `b`
+            chan_refund(b, ch_b, leg="assets")
+            settlement.redeem_on_funds_leg(a, ch_a, preimage)
+        if t == 3:
+            with pytest.raises(NotYetExpired):
+                chan_refund(b, ch_b, leg="funds")
+    for fork, ch in ((a, ch_a), (b, ch_b)):
+        fork.advance_clock(5 - fork.clock)
+        for leg in ("assets", "funds"):
+            try:
+                chan_refund(fork, ch, leg=leg)
+            except WrongPhase:
+                pass
+        fork.check_conservation()
+    buyer, seller = atomicity._BUYER.pk, atomicity._SELLER.pk
+    ends = [(bool(fork.assets_of("C2", buyer)), fork.balance("C1", seller) > 0) for fork in (a, b)]
+    alone = [(o.assets_settled, o.funds_settled) for o in (run_schedule(settles), run_schedule(refunds))]
+    assert ends == alone == [(True, True), (False, False)]
+    assert (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template)) == before
+
+
 def test_fork_refuses_the_template_channel():
     """A channel is stepped in the world that holds it. Handed the template
     of a fork, a reveal in the fork used to claim the template's assets leg
