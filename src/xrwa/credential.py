@@ -4,12 +4,13 @@ A credential has four sections (asset, identity, compliance, custody), each
 independently revocable and provable, plus a top-level proof over the four
 section hashes. Section bodies are canonical JSON objects using camelCase
 field names; the canonical serialization is also what size measurements run
-over. `REQUIRED_FIELDS` is the schema: a request carries every one of its
-keys in each section, and nothing fills in a missing one, so `issue` refuses
-an incomplete request with MissingField before it allocates anything. A
-request is the bytes its holder signed (`CredentialRequest.body`); `issue`
-checks the signature over them, then decodes fresh sections from them, so
-nothing issued can drift from what was signed or share with its caller.
+over. `FIELD_RULES` is the schema, one table of every section field and its
+type: a request carries every one of them, nothing fills in a missing one,
+and `issue` refuses an incomplete or mistyped request with MissingField
+before it allocates anything. A request is the bytes its holder signed
+(`CredentialRequest.body`); `issue` checks the signature over them, then
+decodes fresh sections from them, so nothing issued can drift from what was
+signed or share with its caller.
 
 Selective disclosure is a hash-commitment scheme, not zero knowledge:
 
@@ -86,37 +87,66 @@ __all__ = [
     "selectors_of",
 ]
 
-SECTIONS = ("asset", "identity", "compliance", "custody")
-
 _FIELD_DOMAIN = b"xrwa/field/v1"
 _SALT_DOMAIN = b"xrwa/salt/v1"
 _SECTION_DOMAIN = b"xrwa/section/v1"
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# A field's rule is (kind, test or None, what): its value's type must be
+# `kind` exactly (a bool is not an int), and `test`, if any, must return a
+# true value without raising ValueError; `what` names the rule in a refusal.
+# A dict states an object's required fields, a one-item list the rule every
+# item of a list meets.
+_TEXT = (str, None, "text")
+_NON_EMPTY = (str, bool, "non-empty text")
+_DID = (str, Did.parse, "a DID")
+_DIGEST = (str, lambda v: len(canonical.from_hex(v)) == 32, "a 32-byte digest, as 0x-prefixed digest hex")
+_DATE = (str, re.compile(r"^\d{4}-\d{2}-\d{2}$").match, "an ISO date (YYYY-MM-DD)")
+_POSITIVE = (int, lambda v: v >= 1, "an integer >= 1")
+_LIST = (list, None, "a list")
 
-REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
-    "asset": ("assetId", "assetType", "category", "classDid", "tokenBinding"),
-    "identity": (
-        "schemaVersion",
-        "identitySchema",
-        "identifiers",
-        "taxonomies",
-        "spatialFootprint",
-        "documents",
-        "relations",
-        "attributes",
-        "custom",
-    ),
-    "compliance": (
-        "licenseId",
-        "sellableRegions",
-        "restrictions",
-        "effectiveFrom",
-        "effectiveTo",
-        "regulatorDid",
-    ),
-    "custody": ("custodianDid", "location", "policy", "auditCycleDays", "insurancePolicyRef"),
+FIELD_RULES: dict[str, dict] = {
+    "asset": {
+        "assetId": _DID,
+        "assetType": _NON_EMPTY,
+        "category": _TEXT,
+        "classDid": _DID,
+        "tokenBinding": {
+            "standard": _NON_EMPTY,
+            "chain": (str, lambda v: ":" in v, "non-empty namespace:reference"),
+            "contract": _NON_EMPTY,
+            "tokenId": _NON_EMPTY,
+        },
+    },
+    "identity": {
+        "schemaVersion": _POSITIVE,
+        "identitySchema": _TEXT,
+        "identifiers": _LIST,
+        "taxonomies": _LIST,
+        # an optional geometry too, checked with the rules across fields
+        "spatialFootprint": {"encoding": _TEXT, "granularity": _TEXT},
+        "documents": [{"hash": _DIGEST}],
+        "relations": _LIST,
+        "attributes": _LIST,
+        "custom": {},
+    },
+    "compliance": {
+        "licenseId": _TEXT,
+        "sellableRegions": [_TEXT],
+        "restrictions": [_TEXT],
+        "effectiveFrom": _DATE,
+        "effectiveTo": _DATE,
+        "regulatorDid": _DID,
+    },
+    "custody": {
+        "custodianDid": _DID,
+        "location": _TEXT,
+        "policy": _TEXT,
+        "auditCycleDays": _POSITIVE,
+        "insurancePolicyRef": {"hash": _DIGEST},
+    },
 }
+
+SECTIONS = tuple(FIELD_RULES)
 
 STATUS_LIST_CAPACITY = 4096
 
@@ -165,11 +195,12 @@ class StatusList:
         self.bits[index // 8] &= ~(1 << (index % 8))
         self.version += 1
 
-    def allocate(self) -> int:
-        if self.next_index >= STATUS_LIST_CAPACITY:
-            raise StatusListFull(f"{self.uri} exhausted at {STATUS_LIST_CAPACITY} entries")
-        self.next_index += 1
-        return self.next_index - 1
+    def allocate(self, count: int) -> int:
+        """The first of the next `count` indices, or StatusListFull, moving nothing."""
+        if self.next_index + count > STATUS_LIST_CAPACITY:
+            raise StatusListFull(f"{self.uri} has fewer than {count} of {STATUS_LIST_CAPACITY} entries left")
+        self.next_index += count
+        return self.next_index - count
 
     def to_json(self) -> dict:
         return {
@@ -421,91 +452,58 @@ def selectors_of(cred: CompositeCredential) -> list[str]:
 
 # -------------------------------------------------------------- validation --
 
-def _require_date(value: str, where: str) -> None:
-    if not isinstance(value, str) or not _DATE_RE.match(value):
-        raise MissingField(f"{where} must be an ISO date (YYYY-MM-DD), got {value!r}")
-
-
-def _require_digest_hex(value: str, where: str) -> None:
-    try:
-        raw = canonical.from_hex(value)
-    except (ValueError, TypeError):
-        raise MissingField(f"{where} must be a 0x-prefixed digest") from None
-    if len(raw) != 32:
-        raise MissingField(f"{where} must be a 32-byte digest")
-
-
-def _require_object(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise MissingField(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _require_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise MissingField(f"{where} must be a list, got {value!r}")
-    return value
+def _check(rules: Any, value: Any, where: str) -> None:
+    """MissingField unless `value`, found at `where`, meets `rules`, a node
+    of `FIELD_RULES`."""
+    if type(rules) is dict:
+        if type(value) is not dict:
+            raise MissingField(f"{where} must be an object, got {value!r}")
+        for key, rule in rules.items():
+            if key not in value:
+                raise MissingField(f"{where}.{key} is required")
+            _check(rule, value[key], f"{where}.{key}")
+    elif type(rules) is list:
+        if type(value) is not list:
+            raise MissingField(f"{where} must be a list, got {value!r}")
+        for item in value:
+            _check(rules[0], item, f"{where}[]")
+    else:
+        kind, test, what = rules
+        try:
+            ok = type(value) is kind and (test is None or test(value))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise MissingField(f"{where} must be {what}, got {value!r}")
 
 
 def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
-    for name in SECTIONS:
-        body = sections[name]
-        for key in REQUIRED_FIELDS[name]:
-            if key not in body:
-                raise MissingField(f"{name}.{key} is required")
-
-    asset = sections["asset"]
-    try:
-        Did.parse(asset["assetId"])
-    except (AttributeError, ValueError):  # not a string, or not did:method:id
-        raise MissingField(f"asset.assetId must be a DID, got {asset['assetId']!r}") from None
-    tb = _require_object(asset["tokenBinding"], "asset.tokenBinding")
-    for key in ("standard", "chain", "contract", "tokenId"):
-        if not tb.get(key):
-            raise MissingField(f"asset.tokenBinding.{key} must be non-empty")
-    if not isinstance(tb["chain"], str) or ":" not in tb["chain"]:
-        raise MissingField("asset.tokenBinding.chain must look like namespace:reference")
-
-    ident = sections["identity"]
-    if not isinstance(ident["schemaVersion"], int) or ident["schemaVersion"] < 1:
-        raise MissingField("identity.schemaVersion must be an integer >= 1")
-    for doc in _require_list(ident["documents"], "identity.documents"):
-        doc = _require_object(doc, "identity.documents[]")
-        _require_digest_hex(doc.get("hash"), "identity.documents[].hash")
-    footprint = _require_object(ident["spatialFootprint"], "identity.spatialFootprint")
-    geometry = _require_object(footprint.get("geometry", {}), "identity.spatialFootprint.geometry")
-    if geometry.get("type") == "Polygon":
-        coordinates = _require_list(geometry.get("coordinates", []), "polygon coordinates")
-        for ring in coordinates:
-            if _require_list(ring, "polygon ring") and ring[0] != ring[-1]:
-                raise MissingField("polygon rings must close (first point == last point)")
-
+    for name, rules in FIELD_RULES.items():
+        _check(rules, sections[name], name)
     comp = sections["compliance"]
-    _require_date(comp["effectiveFrom"], "compliance.effectiveFrom")
-    _require_date(comp["effectiveTo"], "compliance.effectiveTo")
     if comp["effectiveFrom"] > comp["effectiveTo"]:
         raise MissingField("compliance.effectiveFrom must not be after effectiveTo")
-
-    cust = sections["custody"]
-    if not isinstance(cust["auditCycleDays"], int) or cust["auditCycleDays"] < 1:
-        raise MissingField("custody.auditCycleDays must be an integer >= 1")
-    policy = _require_object(cust["insurancePolicyRef"], "custody.insurancePolicyRef")
-    _require_digest_hex(policy.get("hash"), "custody.insurancePolicyRef.hash")
+    where = "identity.spatialFootprint.geometry"
+    geometry = sections["identity"]["spatialFootprint"].get("geometry", {})
+    _check({}, geometry, where)
+    if geometry.get("type") == "Polygon":
+        _check({"coordinates": [(list, None, "a ring of points")]}, geometry, where)
+        if any(ring and ring[0] != ring[-1] for ring in geometry["coordinates"]):
+            raise MissingField("polygon rings must close (first point == last point)")
 
 
 # -------------------------------------------------------------- operations --
 
 def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
     """Holder-signed canonical request for a credential over `items`, a map
-    of section name to section content, encoded once. Refuses items without
-    an asset type and id with MissingField, and text UTF-8 cannot encode,
-    such as a lone surrogate, with MalformedArtifact."""
-    asset_items = items.get("asset") or {}
-    if not isinstance(asset_items, dict):
+    of section name to section content, encoded once. Refuses items whose
+    asset type or id breaks its `FIELD_RULES` row with MissingField, and
+    text UTF-8 cannot encode, such as a lone surrogate, with
+    MalformedArtifact."""
+    asset = items.get("asset") or {}
+    if not isinstance(asset, dict):
         raise MalformedArtifact("request section asset is not an object")
-    for key in ("assetType", "assetId"):
-        if not asset_items.get(key):
-            raise MissingField(f"request must carry asset.{key}")
+    _check({key: FIELD_RULES["asset"][key] for key in ("assetType", "assetId")}, asset, "asset")
     try:
         body = canonical.dumps_bytes(dict(items))
     except UnicodeEncodeError:
@@ -529,10 +527,10 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     sections = req.sections()
     _validate_sections(sections)
     revocation, suspension = _issuer_lists(world, issuer_did)
-    for name in SECTIONS:
-        index = revocation.allocate()
-        if suspension.allocate() != index:
-            raise StatusListFull("status list index spaces diverged")
+    first = revocation.allocate(len(SECTIONS))
+    if suspension.allocate(len(SECTIONS)) != first:
+        raise StatusListFull("status list index spaces diverged")
+    for index, name in enumerate(SECTIONS, first):
         sections[name]["sStatus"] = {
             "statusPurpose": "Revocation",
             "statusListCredential": revocation.uri,

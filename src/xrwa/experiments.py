@@ -186,11 +186,12 @@ def _latency_ms(samples: list[float]) -> dict:
 
 def _check_ints(name: str, values: Any, low: int, high: float = float("inf")) -> None:
     """ConfigError unless `values` is a non-empty list of integers in
-    [low, high]; a scalar param is checked as a one-item list."""
+    [low, high], a bool not being one; a scalar param is checked as a
+    one-item list."""
     if not (
         isinstance(values, (list, tuple))
         and values
-        and all(isinstance(v, int) and low <= v <= high for v in values)
+        and all(type(v) is int and low <= v <= high for v in values)
     ):
         raise ConfigError(f"{name}: expected integers in [{low}, {high}], got {values!r}")
 

@@ -284,7 +284,8 @@ def authenticate(
     No credential signatures are re-verified.
 
     An undisclosed compliance section does not block acceptance; the record
-    is flagged compliance-unverified instead.
+    is flagged compliance-unverified instead. Disclosed sellable regions
+    that are not a list of strings are refused like a missing region.
     """
     checks: list[str] = []
 
@@ -324,6 +325,10 @@ def authenticate(
     regions = presentation.disclosed.get("compliance.sellableRegions")
     if regions is not None:
         dest_jurisdiction = world.config.jurisdiction(dest_chain)
+        # a credential read back with `from_json` was never checked by issue,
+        # and `in` on one string would test for a substring
+        if type(regions) is not list or not all(type(region) is str for region in regions):
+            raise JurisdictionBlocked(f"disclosed sellable regions {regions!r} are not a list of regions")
         if dest_jurisdiction not in regions:
             raise JurisdictionBlocked(
                 f"{dest_jurisdiction} not in disclosed sellable regions {regions}"

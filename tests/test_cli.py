@@ -13,6 +13,8 @@ from xrwa.errors import InvariantViolation, MalformedArtifact, NotFound
 from xrwa.ledger import Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, read_field
 
+from mutations import locations, mutate
+
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
@@ -68,6 +70,24 @@ def test_run_unknown_params_exit_two(tmp_path):
     result = invoke("run", "--config", str(cfg))
     assert result.exit_code == 2
     assert "unknown params for cost_compare: ['n_values']" in result.output
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"seed": True},
+        {"experiment": "cost_compare", "params": {"n": [True, 2]}},
+        {"experiment": "e2e", "params": {"actors": {"buyer": True}}},
+    ],
+    ids=["seed", "param-item", "actor-seed"],
+)
+def test_run_bool_for_an_integer_exit_two(tmp_path, config):
+    # a JSON true is no integer, though Python's bool is an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = invoke("run", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "expected integers" in result.output
 
 
 def test_run_malformed_config_exit_two(tmp_path):
@@ -262,48 +282,6 @@ def multi_tx_bundle():
 
 def artifacts_of(document):
     return document["derived"]["artifacts"] if "derived" in document else document
-
-
-def locations(value, at=()):
-    """The path of every value inside `value`, containers included."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, child in items:
-        yield (*at, key)
-        yield from locations(child, (*at, key))
-
-
-OTHER_TYPE = {str: 0, int: "1", list: {}, dict: []}
-
-
-def mutate(artifacts, where, how, offset):
-    """Apply one mutation at `where`; False when `how` does not apply there."""
-    *up, last = where
-    parent = artifacts
-    for key in up:
-        parent = parent[key]
-    value = parent[last]
-    if how == "delete":
-        del parent[last]
-        return True
-    if how == "retype":
-        parent[last] = OTHER_TYPE[type(value)]
-        return True
-    if not isinstance(value, str):
-        return False
-    if how == "flip-hex":
-        if not value.startswith("0x") or len(value) < 3:
-            return False
-        k = 2 + offset % (len(value) - 2)
-        parent[last] = value[:k] + "0123456789abcdef"[int(value[k], 16) ^ 1] + value[k + 1:]
-        return True
-    k = offset % (len(value) + 1)
-    parent[last] = value[:k] + "\ud800" + value[k:]
-    return True
 
 
 @settings(max_examples=300)

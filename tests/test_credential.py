@@ -2,10 +2,10 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xrwa import canonical, credential, identity
+from xrwa import canonical, credential, identity, xauth
 from xrwa.credential import (
     CompositeCredential,
     Presentation,
@@ -28,11 +28,15 @@ from xrwa.errors import (
     MissingField,
     NotFound,
     NotOwner,
+    StatusListFull,
     UnknownSelector,
+    XrwaError,
 )
 from xrwa.fixtures import FIXTURE_TYPES, fixture_items, fixture_world, issue_fixture_set
 from xrwa.primitives import digest, keygen, length_prefixed, sign, verify_sig
 from xrwa.scenarios import TRANSFER_DISCLOSURE
+
+from mutations import locations, mutate
 
 
 @pytest.fixture
@@ -131,10 +135,10 @@ def test_issue_bad_request_signature_rejected():
 
 @pytest.mark.parametrize(
     "selector",
-    [f"{name}.{key}" for name, keys in credential.REQUIRED_FIELDS.items() for key in keys],
+    [f"{name}.{key}" for name, keys in credential.FIELD_RULES.items() for key in keys],
 )
 def test_issue_refuses_request_missing_a_schema_field(selector):
-    """Nothing fills in a missing field: each REQUIRED_FIELDS key left out
+    """Nothing fills in a missing field: each FIELD_RULES field left out
     of a request is named by issue's refusal, which allocates no status
     index."""
     world, issuer, holder = fixture_world()
@@ -230,6 +234,17 @@ SECTION_CHECKS = [
     ("audit-cycle-text", _edited("custody.auditCycleDays", "30"), MissingField, "auditCycleDays"),
     ("insurance-hash-short", _edited("custody.insurancePolicyRef.hash", "0x00"), MissingField,
      "insurancePolicyRef.hash must be a 32-byte digest"),
+    # a JSON true is no integer, and one string is no list of regions
+    ("schema-version-bool", _edited("identity.schemaVersion", True), MissingField,
+     "identity.schemaVersion must be an integer >= 1, got True"),
+    ("audit-cycle-bool", _edited("custody.auditCycleDays", True), MissingField,
+     "custody.auditCycleDays must be an integer >= 1, got True"),
+    ("sellable-regions-text", _edited("compliance.sellableRegions", "not SG-listed: US only"),
+     MissingField, "compliance.sellableRegions must be a list"),
+    ("sellable-regions-number", _edited("compliance.sellableRegions", 5), MissingField,
+     "compliance.sellableRegions must be a list"),
+    ("sellable-region-number", _edited("compliance.sellableRegions", ["SG", 5]), MissingField,
+     r"compliance.sellableRegions\[\] must be text, got 5"),
 ]
 
 
@@ -301,6 +316,68 @@ def test_mistyped_or_unencodable_request_refused_before_allocating(make, refusal
     with pytest.raises(refusal, match=message):
         issue(world, make(holder), issuer)
     assert {uri: sl.to_json() for uri, sl in world.status_lists.items()} == before
+
+
+def transfer(world, issuer, holder, cred):
+    """The cross-chain path of `cred`: prove TRANSFER_DISCLOSURE, anchor on
+    C1, relay, and authenticate on C2."""
+    pres = prove(cred, holder, TRANSFER_DISCLOSURE)
+    epoch = len(world.chains["C1"].blocks)
+    commitment = xauth.make_commitment(
+        world, "C1", pres, cred.asset["tokenBinding"], epoch, world.rng.randbytes(16)
+    )
+    tx_id, header = xauth.anchor(world, "C1", commitment, issuer)
+    world.relay_chain("C2", "C1")
+    proof = xauth.spv_prove(world, tx_id, ("C1", header.height))
+    tx = world.chains["C1"].blocks[header.height].txs[proof.path.leaf_index]
+    return xauth.authenticate(world, "C2", tx, proof, pres)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_request_refused_before_allocating_or_issued_sound(data):
+    """One key deleted, one value retyped, made a bool or given a lone
+    surrogate anywhere in a fixture's items: the request is refused, moving
+    no status list, or its credential audits and crosses chains or is
+    refused there, never with an error of Python's own."""
+    items = fixture_items(data.draw(st.sampled_from(FIXTURE_TYPES), label="fixture"))
+    where = data.draw(st.sampled_from(list(locations(items))), label="where")
+    how = data.draw(st.sampled_from(["delete", "retype", "bool", "surrogate"]), label="how")
+    assume(mutate(items, where, how, data.draw(st.integers(0, 200), label="offset")))
+    world, issuer, holder = fixture_world()
+    before = {uri: sl.to_json() for uri, sl in world.status_lists.items()}
+    try:
+        cred = issue(world, request(items, holder), issuer)
+    except (MissingField, MalformedArtifact):
+        assert {uri: sl.to_json() for uri, sl in world.status_lists.items()} == before
+        return
+    assert audit_credential(world, cred).ok
+    try:
+        transfer(world, issuer, holder, cred)
+    except XrwaError:
+        pass
+
+
+@pytest.mark.parametrize("free", [0, 3])
+def test_status_lists_without_room_for_every_section_refuse_moving_nothing(free):
+    world, issuer, holder = fixture_world()
+    issue(world, request(fixture_items("Gold"), holder), issuer)
+    for status_list in world.status_lists.values():
+        status_list.next_index = credential.STATUS_LIST_CAPACITY - free
+    before = {uri: sl.to_json() for uri, sl in world.status_lists.items()}
+    with pytest.raises(StatusListFull):
+        issue(world, request(fixture_items("Gold"), holder), issuer)
+    assert {uri: sl.to_json() for uri, sl in world.status_lists.items()} == before
+
+
+def test_issue_takes_the_last_status_indices():
+    world, issuer, holder = fixture_world()
+    issue(world, request(fixture_items("Gold"), holder), issuer)
+    for status_list in world.status_lists.values():
+        status_list.next_index = credential.STATUS_LIST_CAPACITY - 4
+    cred = issue(world, request(fixture_items("Gold"), holder), issuer)
+    assert [cred.status_ref(s)["statusListIndex"] for s in credential.SECTIONS] == [4092, 4093, 4094, 4095]
+    assert audit_credential(world, cred).ok
 
 
 def test_issue_allocates_distinct_status_indices(setup):

@@ -320,6 +320,25 @@ def test_authenticate_jurisdiction_blocked():
         xauth.authenticate(world, "C2", tx, proof, pres)
 
 
+@pytest.mark.parametrize(
+    "regions", ["not SG-listed: US only", 5, {"SG": "listed"}, ["SG", 5]],
+    ids=["text", "number", "object", "number-item"],
+)
+def test_authenticate_refuses_sellable_regions_that_are_not_a_list_of_text(monkeypatch, regions):
+    # a credential read back with from_json was never checked by issue; on a
+    # string, "SG" in regions is a substring test, which passed on C2
+    monkeypatch.setattr(credential, "_validate_sections", lambda sections: None)
+    world, issuer, holder = fixture_world()
+    items = fixture_items("RE")
+    items["compliance"]["sellableRegions"] = regions
+    cred = credential.issue(world, credential.request(items, holder), issuer)
+    pres = credential.prove(cred, holder, XFER_DISCLOSURE)
+    _, tx, proof = anchored(world, issuer, pres, cred)
+    with pytest.raises(JurisdictionBlocked, match="not a list of regions"):
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    assert not world.acceptance_records.get("C2")
+
+
 def test_authenticate_undisclosed_compliance_flagged(flow):
     world, issuer, holder, cred, _ = flow
     pres = credential.prove(cred, holder, ["asset.assetId", "asset.tokenBinding"])
