@@ -7,7 +7,7 @@ is mixed when exactly one side of the trade settled: the buyer took the
 asset batch but the seller's payment leg was refunded, or vice versa.
 
 The protocol's liveness assumption is built in: an honest seller redeems
-within t1 - t2 ticks of the preimage becoming public (that gap is exactly
+within T1 - T2 ticks of the preimage becoming public (that gap is exactly
 what the staggered timeouts buy). Within that assumption the checker
 explores, exhaustively on a small window, every reveal tick, every seller
 delay up to the gap, every refund landing tick per leg, and both
@@ -15,9 +15,10 @@ within-tick orderings; refund attempts before eligibility are rejected
 without changing state, so only the first effective attempt per leg needs
 enumerating.
 
-Only the seed and the two timeouts shape the locked channel a schedule
-starts from, so it is built once per `(seed, t1, t2)`: a template world in
-which the channel is opened, updated under both signatures and locked.
+Every schedule runs under the same timeouts `T1` and `T2` and spans
+`WINDOW` ticks, so only the seed shapes the locked channel a schedule
+starts from, and it is built once per seed: a template world in which the
+channel is opened, updated under both signatures and locked.
 Each schedule runs on a `World.fork` of that template, whose copy of the
 channel it reads from the fork's channel registry, ticks the fork's clock
 once per step and drives the real settlement functions undated; the
@@ -32,7 +33,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import canonical, settlement
 from .errors import Expired, NotYetExpired, WrongPhase, WrongPreimage
@@ -47,6 +48,9 @@ _SELLER = keygen(digest(b"atomicity-seller"))
 _BUYER_ACCOUNT = canonical.to_hex(_BUYER.pk)
 _SELLER_ACCOUNT = canonical.to_hex(_SELLER.pk)
 
+# the funds leg's and the assets leg's timeouts, and the ticks a schedule spans
+T1, T2, WINDOW = 4, 2, 5
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -57,8 +61,7 @@ class Schedule:
     refunds_first: bool
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     schedule: Schedule
     assets_settled: bool
     funds_settled: bool
@@ -69,7 +72,7 @@ class Outcome:
 
 
 @functools.lru_cache(maxsize=128)
-def _locked_channel(seed: int, t1: int, t2: int):
+def _locked_channel(seed: int):
     """The template a schedule forks: world, locked channel and preimage.
     Cached, so callers must not mutate what it returns."""
     world = World(WorldConfig(seed=seed))
@@ -81,7 +84,7 @@ def _locked_channel(seed: int, t1: int, t2: int):
     state = settlement.make_state(channel, batch=[assets[0]], net_payment=600, buyer=_BUYER, seller=_SELLER)
     settlement.chan_update(channel, state)
     preimage = digest(b"atomicity-preimage" + seed.to_bytes(4, "big"))
-    settlement.chan_lock(world, channel, digest(preimage), t1, t2)
+    settlement.chan_lock(world, channel, digest(preimage), T1, T2)
     return world, channel, preimage
 
 
@@ -96,14 +99,14 @@ def _try_refunds(world: World, channel: settlement.Channel,
                 pass
 
 
-def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0) -> Outcome:
-    template_world, template, preimage = _locked_channel(seed, t1, t2)
+def run_schedule(schedule: Schedule, seed: int = 0) -> Outcome:
+    template_world, template, preimage = _locked_channel(seed)
     world = template_world.fork()
     channel = world.channels[template.channel_id]
     refunds = (("assets", schedule.refund_assets_at), ("funds", schedule.refund_funds_at))
     redeem_at: Optional[int] = None
 
-    for t in range(window):
+    for t in range(WINDOW):
         if t:
             world.advance_clock(1)
         if schedule.refunds_first:
@@ -123,8 +126,8 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
             _try_refunds(world, channel, refunds, t)
 
     # anything still locked is refunded at its timeout; every timeout is at
-    # most `max(window, t1)`, so a leg still Locked cannot raise NotYetExpired
-    world.advance_clock(max(window, t1) - world.clock)
+    # most `max(WINDOW, T1)`, so a leg still Locked cannot raise NotYetExpired
+    world.advance_clock(max(WINDOW, T1) - world.clock)
     for leg_name in ("assets", "funds"):
         try:
             settlement.chan_refund(world, channel, leg=leg_name)
@@ -133,18 +136,18 @@ def run_schedule(schedule: Schedule, t1: int = 4, t2: int = 2, window: int = 5, 
 
     world.check_conservation()
     return Outcome(
-        schedule=schedule,
-        assets_settled=bool(world.chains["C2"].holdings.get(_BUYER_ACCOUNT)),
-        funds_settled=world.chains["C1"].balances.get(_SELLER_ACCOUNT, 0) > 0,
+        schedule,
+        bool(world.chains["C2"].holdings.get(_BUYER_ACCOUNT)),
+        world.chains["C1"].balances.get(_SELLER_ACCOUNT, 0) > 0,
     )
 
 
-def explore_schedules(t1: int = 4, t2: int = 2, window: int = 5) -> list[Outcome]:
+def explore_schedules() -> list[Outcome]:
     """Exhaustive sweep; returns every outcome (callers assert none mixed)."""
-    ticks = list(range(window)) + [None]
+    ticks = list(range(WINDOW)) + [None]
     outcomes = []
     for reveal, delay, ra, rf, first in itertools.product(
-        ticks, range(t1 - t2 + 1), ticks, ticks, (False, True)
+        ticks, range(T1 - T2 + 1), ticks, ticks, (False, True)
     ):
         schedule = Schedule(
             reveal_tick=reveal,
@@ -153,23 +156,21 @@ def explore_schedules(t1: int = 4, t2: int = 2, window: int = 5) -> list[Outcome
             refund_funds_at=rf,
             refunds_first=first,
         )
-        outcomes.append(run_schedule(schedule, t1=t1, t2=t2, window=window))
+        outcomes.append(run_schedule(schedule))
     return outcomes
 
 
-def fuzz_schedules(
-    n: int, t1: int = 4, t2: int = 2, window: int = 5, seed: int = 0xA70
-) -> list[Outcome]:
-    rng = random.Random(seed)
-    ticks = list(range(window)) + [None]
+def fuzz_schedules(n: int) -> list[Outcome]:
+    rng = random.Random(0xA70)
+    ticks = list(range(WINDOW)) + [None]
     outcomes = []
     for i in range(n):
         schedule = Schedule(
             reveal_tick=rng.choice(ticks),
-            seller_delay=rng.randrange(t1 - t2 + 1),
+            seller_delay=rng.randrange(T1 - T2 + 1),
             refund_assets_at=rng.choice(ticks),
             refund_funds_at=rng.choice(ticks),
             refunds_first=rng.random() < 0.5,
         )
-        outcomes.append(run_schedule(schedule, t1=t1, t2=t2, window=window, seed=i % 17))
+        outcomes.append(run_schedule(schedule, seed=i % 17))
     return outcomes

@@ -7,7 +7,9 @@ field names; the canonical serialization is also what size measurements run
 over. `FIELD_RULES` is the schema, one table of every section field and its
 type: a request carries every one of them, nothing fills in a missing one,
 and `issue` refuses an incomplete or mistyped request with MissingField
-before it allocates anything. A request is the bytes its holder signed
+before it allocates anything. `verify` and `xauth.authenticate` check
+disclosed values by the same rows (`check_disclosed`), and a status entry by
+the row of the one `issue` writes. A request is the bytes its holder signed
 (`CredentialRequest.body`); `issue` checks the signature over them, then
 decodes fresh sections from them, so nothing issued can drift from what was
 signed or share with its caller.
@@ -76,6 +78,7 @@ __all__ = [
     "issue",
     "prove",
     "verify",
+    "check_disclosed",
     "status_clear",
     "consulted_status",
     "revoke",
@@ -102,6 +105,7 @@ _DID = (str, Did.parse, "a DID")
 _DIGEST = (str, lambda v: len(canonical.from_hex(v)) == 32, "a 32-byte digest, as 0x-prefixed digest hex")
 _DATE = (str, re.compile(r"^\d{4}-\d{2}-\d{2}$").match, "an ISO date (YYYY-MM-DD)")
 _POSITIVE = (int, lambda v: v >= 1, "an integer >= 1")
+_INDEX = (int, lambda v: v >= 0, "an integer >= 0")
 _LIST = (list, None, "a list")
 
 FIELD_RULES: dict[str, dict] = {
@@ -148,6 +152,9 @@ FIELD_RULES: dict[str, dict] = {
 
 SECTIONS = tuple(FIELD_RULES)
 
+# the status entry `issue` writes into every section as its `sStatus`
+_STATUS = {"statusPurpose": _TEXT, "statusListCredential": _TEXT, "statusListIndex": _INDEX}
+
 STATUS_LIST_CAPACITY = 4096
 
 
@@ -181,8 +188,6 @@ class StatusList:
         return StatusList(self.issuer, self.purpose, bytearray(self.bits), self.version, self.next_index)
 
     def bit(self, index: int) -> int:
-        if not 0 <= index < STATUS_LIST_CAPACITY:
-            raise IndexError(f"status index {index} outside list")
         return (self.bits[index // 8] >> (index % 8)) & 1
 
     def set_bit(self, index: int) -> None:
@@ -492,6 +497,16 @@ def _validate_sections(sections: Mapping[str, Mapping[str, Any]]) -> None:
             raise MissingField("polygon rings must close (first point == last point)")
 
 
+def check_disclosed(disclosed: Mapping[str, Any]) -> None:
+    """MissingField for the first disclosed value that breaks its row, an
+    `sStatus` its status row; a selector with no row is not checked."""
+    for selector, value in disclosed.items():
+        section, _, key = selector.partition(".")
+        rule = _STATUS if key == "sStatus" else FIELD_RULES.get(section, {}).get(key)
+        if rule is not None:
+            _check(rule, value, selector)
+
+
 # -------------------------------------------------------------- operations --
 
 def request(items: Mapping[str, Any], holder: KeyPair) -> CredentialRequest:
@@ -708,14 +723,24 @@ def _fail(reason: str, detail: Optional[str] = None) -> VerifyResult:
     return VerifyResult(ok=False, reason=reason, detail=detail)
 
 
+def _status_entry(world: World, ref: Any, section: str) -> tuple[Optional[StatusList], bool]:
+    """The list status entry `ref` names, or None, and whether its index was
+    allocated there; MissingField unless `ref` meets the status row."""
+    _check(_STATUS, ref, f"{section}.sStatus")
+    named = world.status_lists.get(ref["statusListCredential"])
+    return named, named is not None and ref["statusListIndex"] < named.next_index
+
+
 def status_clear(world: World, status_ref: Mapping[str, Any], section: str) -> Optional[VerifyResult]:
-    rev_uri = status_ref["statusListCredential"]
-    index = status_ref["statusListIndex"]
-    revocation = world.status_lists.get(rev_uri)
+    try:
+        revocation, allocated = _status_entry(world, status_ref, section)
+    except MissingField as refusal:
+        return _fail("MissingField", str(refusal))
     if revocation is None:
         return _fail("StatusListMissing", section)
-    if not isinstance(index, int) or not 0 <= index < revocation.next_index:
+    if not allocated:
         return _fail("StatusIndexOutOfRange", section)
+    index = status_ref["statusListIndex"]
     if revocation.bit(index):
         return _fail("SectionRevoked", section)
     suspension = world.status_lists.get(status_list_uri(revocation.issuer, "Suspension"))
@@ -764,8 +789,9 @@ def verify(world: World, presentation: Presentation, chain: Optional[str] = None
 
     Checks, in order: hash consistency of every disclosed field and section,
     the top proof binding, issuer signature and registry status, holder
-    signature, status bits of consulted sections (disclosed plus asset), and
-    disclosed effective windows against the world's current date.
+    signature, disclosed values against their rows (`check_disclosed`),
+    status bits of consulted sections (disclosed plus asset), and disclosed
+    effective windows against the world's current date.
 
     Counts as one full credential-signature verification on `chain`.
     """
@@ -803,6 +829,11 @@ def verify(world: World, presentation: Presentation, chain: Optional[str] = None
         presentation.holder_sig,
     ):
         return _fail("BadHolderSignature")
+
+    try:
+        check_disclosed(presentation.disclosed)
+    except MissingField as refusal:
+        return _fail("MissingField", str(refusal))
 
     now = world.config.current_date
     if presentation.top_proof.expires < now + "T00:00:00Z":
@@ -859,11 +890,11 @@ def _status_change(
         raise BadSignature("key controls no active did") from None
     ref = cred.status_ref(section)
     index = ref["statusListIndex"]
-    revocation = world.status_lists.get(status_list_uri(owner_did, "Revocation"))
-    if revocation is None or ref["statusListCredential"] != revocation.uri:
+    revocation, allocated = _status_entry(world, ref, section)
+    if revocation is None or revocation.uri != status_list_uri(owner_did, "Revocation"):
         raise NotOwner(f"{section} status entry names no list of {owner_did}")
-    if not isinstance(index, int) or not 0 <= index < revocation.next_index:
-        raise NotOwner(f"{section} status index {index!r} was never allocated in {revocation.uri}")
+    if not allocated:
+        raise NotOwner(f"{section} status index {index} was never allocated in {revocation.uri}")
     status_list = world.status_lists[status_list_uri(owner_did, purpose)]
     if op == "revoke":
         status_list.set_bit(index)

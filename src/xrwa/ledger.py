@@ -39,6 +39,7 @@ __all__ = [
     "JURISDICTIONS",
     "GENESIS_PREV",
     "header_links",
+    "is_amount",
     "Transaction",
     "BlockHeader",
     "Block",
@@ -56,6 +57,11 @@ CHAINS: tuple[ChainId, ...] = ("C1", "C2")
 JURISDICTIONS: dict[ChainId, str] = {"C1": "US", "C2": "SG"}
 
 GENESIS_PREV = b"\x00" * 32
+
+
+def is_amount(value: Any) -> bool:
+    """An amount of value is a non-negative int; a bool is not one."""
+    return type(value) is int and value >= 0
 
 
 # ------------------------------------------------------------ transactions --
@@ -405,6 +411,8 @@ class World:
 
     def mint(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """World-setup mint; the only operation allowed to create value."""
+        if not is_amount(amount):
+            raise InsufficientBalance(f"mint amount {amount!r} is not a non-negative int")
         state = self._chain(chain)
         key = canonical.to_hex(pk)
         state.balances[key] = state.balances.get(key, 0) + amount
@@ -478,7 +486,7 @@ class World:
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
         anchor is refused unless its sender controls an active DID, a
-        transfer unless its amount is a non-negative int, and a kind the cost
+        transfer unless its amount is one (`is_amount`), and a kind the cost
         table does not weigh; each before anything moves."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
@@ -493,7 +501,7 @@ class World:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
             amount = tx.body["amount"]
-            if type(amount) is not int or amount < 0:
+            if not is_amount(amount):
                 raise InsufficientBalance(f"transfer amount {amount!r} is not a non-negative int")
             if state.balances.get(sender, 0) < amount:
                 raise InsufficientBalance(

@@ -12,7 +12,8 @@ A lock that is not Locked raises NotLocked, which is a WrongPhase, so
 channel callers catch both as WrongPhase.
 
 An HtlcLock escrows exactly one value or one asset. Escrow leaves a
-contract exactly once.
+contract exactly once. An escrowed value, a deposit and a signed net
+payment are each an amount by `ledger.is_amount`, as the ledger's are.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
 assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`,
@@ -72,7 +73,7 @@ from .errors import (
     WrongPhase,
     WrongPreimage,
 )
-from .ledger import CHAINS, ChainId, World
+from .ledger import CHAINS, ChainId, World, is_amount
 from .primitives import KeyPair, digest, sign, verify_sig
 from .xauth import has_acceptance
 
@@ -136,8 +137,8 @@ class HtlcLock:
 
 def _take_escrow(world: World, chain: ChainId, owner: bytes, escrow: dict) -> None:
     if escrow.keys() == {"value"}:
-        if escrow["value"] < 0:
-            raise InsufficientBalance("escrow value must be non-negative")
+        if not is_amount(escrow["value"]):
+            raise InsufficientBalance(f"escrow value {escrow['value']!r} is not a non-negative int")
         world.debit(chain, owner, escrow["value"])
     elif escrow.keys() == {"asset"}:
         world.take_asset(chain, owner, escrow["asset"])
@@ -358,8 +359,8 @@ def chan_open(
     issued there.
     """
     chain_funds, chain_assets = CHAINS
-    if deposit_value < 0:
-        raise InsufficientBalance("deposit value must be non-negative")
+    if not is_amount(deposit_value):
+        raise InsufficientBalance(f"deposit value {deposit_value!r} is not a non-negative int")
     for asset in deposit_assets:
         if not has_acceptance(world, chain_assets, asset) and world.asset_origins.get(asset) != chain_assets:
             raise UnauthenticatedAsset(f"{asset} not authenticated or issued on {chain_assets}")
@@ -408,8 +409,8 @@ def _check_conserves(channel: Channel, state: ChannelState) -> None:
     batch = set(state.batch)
     if len(batch) != len(state.batch) or not batch <= set(channel.deposit_assets):
         raise ConservationViolation("batch must name deposited assets, each once")
-    if not 0 <= state.net_payment <= channel.deposit_value:
-        raise ConservationViolation("net payment must lie between zero and the deposit")
+    if not (is_amount(state.net_payment) and state.net_payment <= channel.deposit_value):
+        raise ConservationViolation("net payment must be an int between zero and the deposit")
     if not batch >= channel.settled_assets:
         raise ConservationViolation("proposed batch would un-settle delivered assets")
     if state.net_payment < channel.settled_payment:
@@ -525,12 +526,12 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
 
 
 def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> None:
-    """Refund one leg (leg="assets" or "funds") or, with no leg named, both,
-    once the world's clock is at or after each one's timeout; every named
-    leg is checked before any is refunded. Escrow stays in the channel and
-    the committed assignment is reverted."""
+    """Refund one leg (leg="assets" or "funds") or, with leg None, both,
+    once the world's clock is at or after each one's timeout; any other leg
+    is a ValueError. Every named leg is checked before any is refunded.
+    Escrow stays in the channel and the committed assignment is reverted."""
     funds, assets = _legs(world, channel)
-    if not leg:
+    if leg is None:
         named = (("assets", assets), ("funds", funds))
     elif leg == "assets":
         named = (("assets", assets),)

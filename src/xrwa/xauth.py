@@ -18,10 +18,10 @@ its top proof), so a commitment anchored by anyone else vouches for nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from . import canonical
-from .credential import Presentation, consulted_status, verify as verify_presentation
+from .credential import Presentation, check_disclosed, consulted_status, verify as verify_presentation
 from .errors import (
     AnchorNotFromIssuer,
     CommitmentMismatch,
@@ -84,6 +84,11 @@ def token_binding_digest(token_binding: dict) -> bytes:
     return digest(canonical.dumps_bytes(token_binding))
 
 
+def _epoch_fits(epoch: Any) -> bool:
+    """An epoch is an int that a commitment encodes in 8 unsigned bytes."""
+    return type(epoch) is int and 0 <= epoch < 1 << 64
+
+
 @dataclass(frozen=True)
 class Commitment:
     """Anchor payload: fixed-order, length-prefixed fields under a domain tag."""
@@ -126,7 +131,7 @@ class Commitment:
             epoch=read_field(body, "epoch", int),
             nonce=read_field(body, "nonce", bytes),
         )
-        if not 0 <= c.epoch < 1 << 64:
+        if not _epoch_fits(c.epoch):
             raise MalformedArtifact(f"field 'epoch' {c.epoch} does not fit 8 unsigned bytes")
         if canonical.to_hex(c.commitment_digest()) != read_field(body, "commitmentDigest", str):
             raise CommitmentMismatch("stored commitment digest does not recompute")
@@ -199,6 +204,8 @@ def make_commitment(
     """
     if len(nonce) != NONCE_SIZE:
         raise InvalidPresentation(f"nonce must be {NONCE_SIZE} bytes")
+    if not _epoch_fits(epoch):
+        raise InvalidPresentation(f"epoch {epoch!r} does not fit 8 unsigned bytes")
     result = verify_presentation(world, presentation, chain=source_chain)
     if not result.ok:
         raise InvalidPresentation(f"presentation fails local verification: {result}")
@@ -283,9 +290,9 @@ def authenticate(
     anchor sent by the current controller key of the presentation's issuer.
     No credential signatures are re-verified.
 
-    An undisclosed compliance section does not block acceptance; the record
-    is flagged compliance-unverified instead. Disclosed sellable regions
-    that are not a list of strings are refused like a missing region.
+    A disclosed value that breaks its row raises MissingField
+    (`credential.check_disclosed`). An undisclosed compliance section does
+    not block acceptance; the record is flagged compliance-unverified instead.
     """
     checks: list[str] = []
 
@@ -306,6 +313,7 @@ def authenticate(
     if disclosed_tb is None or token_binding_digest(disclosed_tb) != commitment.token_binding_digest:
         raise CommitmentMismatch("token binding differs from anchored commitment")
     checks.append("commitment")
+    check_disclosed(presentation.disclosed)
 
     status = issuer_status(world, presentation.issuer)
     if status is not None:
@@ -325,10 +333,6 @@ def authenticate(
     regions = presentation.disclosed.get("compliance.sellableRegions")
     if regions is not None:
         dest_jurisdiction = world.config.jurisdiction(dest_chain)
-        # a credential read back with `from_json` was never checked by issue,
-        # and `in` on one string would test for a substring
-        if type(regions) is not list or not all(type(region) is str for region in regions):
-            raise JurisdictionBlocked(f"disclosed sellable regions {regions!r} are not a list of regions")
         if dest_jurisdiction not in regions:
             raise JurisdictionBlocked(
                 f"{dest_jurisdiction} not in disclosed sellable regions {regions}"

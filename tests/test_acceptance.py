@@ -93,9 +93,9 @@ def test_criterion_cost_comparison():
 
 def test_criterion_atomicity_model_check():
     with criterion("settlement-atomicity", budget_s=60.0) as detail:
-        exhaustive = explore_schedules(t1=4, t2=2, window=5)
+        exhaustive = explore_schedules()
         assert all(not o.mixed for o in exhaustive)
-        fuzzed = fuzz_schedules(10_000, t1=4, t2=2, window=5)
+        fuzzed = fuzz_schedules(10_000)
         assert all(not o.mixed for o in fuzzed)
         settled = sum(o.assets_settled for o in exhaustive)
         detail["note"] = (

@@ -716,6 +716,47 @@ def test_verify_rejects_out_of_range_status_index(setup):
     assert failure is not None and failure.reason == "StatusIndexOutOfRange"
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"statusListCredential": ["urn"]}, {"statusListIndex": "0"}, {"statusListIndex": True},
+     {"statusListIndex": -1}, {"statusPurpose": None}],
+    ids=["list-not-text", "index-text", "index-bool", "index-negative", "purpose-null"],
+)
+def test_status_entry_that_breaks_the_status_row_is_missing_field(setup, entry):
+    # a list as the list's uri used to raise a bare TypeError, and True
+    # passed for index 1 of the list
+    world, issuer, holder, cred = setup
+    ref = {**cred.status_ref("asset"), **entry}
+    failure = credential.status_clear(world, ref, "asset")
+    assert failure is not None and failure.reason == "MissingField" and "asset.sStatus." in failure.detail
+    edited = dataclasses.replace(
+        cred, sections={**cred.sections, "asset": {**cred.sections["asset"], "sStatus": ref}}
+    )
+    before = (world.world_digest(), len(world.op_log))
+    for act in (revoke, suspend, reinstate):
+        with pytest.raises(MissingField, match="asset.sStatus"):
+            act(world, edited, "asset", issuer)
+    assert (world.world_digest(), len(world.op_log)) == before
+
+
+@pytest.mark.parametrize("selector, value", [
+    ("compliance.effectiveFrom", 5),
+    ("compliance.effectiveTo", ["2030-12-31"]),
+    ("asset.tokenBinding", {"chain": "eip155:1"}),
+])
+def test_verify_refuses_a_disclosed_value_that_breaks_its_row(monkeypatch, selector, value):
+    # an issuer-signed credential that never passed issue's checks, such as
+    # one read back with from_json; `now < 5` used to raise a bare TypeError
+    monkeypatch.setattr(credential, "_validate_sections", lambda sections: None)
+    world, issuer, holder = fixture_world()
+    items = fixture_items("RE")
+    section, key = selector.split(".")
+    items[section][key] = value
+    cred = issue(world, request(items, holder), issuer)
+    result = verify(world, prove(cred, holder, [selector]))
+    assert result.reason == "MissingField" and result.detail.startswith(selector)
+
+
 # ------------------------------------------------ issuer-authority checks ----
 
 def flip_first_byte(raw: bytes) -> bytes:

@@ -96,6 +96,14 @@ def test_non_int_amount_refused_before_anything_moves(world, alice, bob, amount)
     assert (world.balance("C1", alice.pk), world.balance("C1", bob.pk)) == (10, 0)
 
 
+@pytest.mark.parametrize("amount", [1.5, True, -1])
+def test_mint_refuses_an_amount_that_is_not_one(world, alice, amount):
+    before = (world.world_digest(), len(world.op_log))
+    with pytest.raises(InsufficientBalance, match="not a non-negative int"):
+        world.mint("C1", alice.pk, amount)
+    assert (world.world_digest(), len(world.op_log)) == before
+
+
 def test_transfer_moves_balance(world, alice, bob):
     world.mint("C1", alice.pk, 100)
     world.submit_tx("C1", transfer(world, alice, bob, 30))

@@ -461,7 +461,7 @@ def test_htlc_refund_refused_at_every_clock_before_timeout(world):
 def test_funds_leg_refund_refused_inside_the_sellers_window():
     # a funds-leg refund dated t1 with the clock at 0 would leave the buyer
     # with the assets and the seller's redeem at 2 to raise NotLocked
-    template_world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    template_world, template, preimage = atomicity._locked_channel(0)
     world = template_world.fork()
     ch = world.channels[template.channel_id]
     world.advance_clock(1)
@@ -481,11 +481,13 @@ def test_funds_leg_refund_refused_inside_the_sellers_window():
     world.check_all()
 
 
-def test_refund_unknown_leg_name_rejected(world):
+@pytest.mark.parametrize("leg", ["asset", ""])
+def test_refund_unknown_leg_name_rejected(world, leg):
+    # only None names both legs; an empty name used to refund both
     ch = locked_channel(world, t1=8, t2=5)
     world.advance_clock(8)
     with pytest.raises(ValueError):
-        chan_refund(world, ch, leg="asset")
+        chan_refund(world, ch, leg=leg)
     assert [leg.state for leg in legs(world, ch)] == ["Locked", "Locked"]
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
 
@@ -641,12 +643,19 @@ def _lock_with_latest_missing_a_signature(world):
     return lambda: chan_lock(world, ch, H_RHO, 8, 5)
 
 
-def _open_with_negative_deposit(world):
-    return lambda: chan_open(world, ALICE, BOB, -1, ["did:xrwa:asset-x"])
+def _open_with_deposit(value):
+    return lambda world: lambda: chan_open(world, ALICE, BOB, value, ["did:xrwa:asset-x"])
 
 
-def _htlc_with_negative_escrow(world):
-    return lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": -1}, H_RHO, timeout=5)
+def _htlc_escrowing(value):
+    return lambda world: lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": value}, H_RHO, timeout=5)
+
+
+def _update_paying(net):
+    def refused(world):
+        ch = open_channel(world)
+        return lambda: chan_update(ch, make_state(ch, batch=[], net_payment=net, buyer=ALICE, seller=BOB))
+    return refused
 
 
 SETTLEMENT_REFUSALS = [
@@ -657,8 +666,14 @@ SETTLEMENT_REFUSALS = [
     ("update-bad-buyer-signature", _update_with_bad_buyer_signature, BadSignature, "buyer signature"),
     ("lock-already-locked", _lock_twice, WrongPhase, "is Locked"),
     ("lock-latest-not-cosigned", _lock_with_latest_missing_a_signature, BadSignature, "not co-signed"),
-    ("open-negative-deposit", _open_with_negative_deposit, InsufficientBalance, "deposit value"),
-    ("htlc-negative-escrow", _htlc_with_negative_escrow, InsufficientBalance, "escrow value"),
+    ("open-negative-deposit", _open_with_deposit(-1), InsufficientBalance, "deposit value"),
+    ("htlc-negative-escrow", _htlc_escrowing(-1), InsufficientBalance, "escrow value"),
+    # an amount is a non-negative int: a fraction, a bool or text is none
+    ("open-fractional-deposit", _open_with_deposit(2.5), InsufficientBalance, "deposit value"),
+    ("open-bool-deposit", _open_with_deposit(True), InsufficientBalance, "deposit value"),
+    ("htlc-fractional-escrow", _htlc_escrowing(2.5), InsufficientBalance, "escrow value"),
+    ("htlc-text-escrow", _htlc_escrowing("3"), InsufficientBalance, "escrow value"),
+    ("update-fractional-payment", _update_paying(2.5), ConservationViolation, "net payment"),
 ]
 
 
@@ -775,7 +790,7 @@ def test_schedule_late_reveal_rejected_then_refunds():
 
 
 def test_exhaustive_interleavings_no_mixed_outcomes():
-    outcomes = explore_schedules(t1=4, t2=2, window=5)
+    outcomes = explore_schedules()
     assert len(outcomes) == 6 * 3 * 6 * 6 * 2
     mixed = [o for o in outcomes if o.mixed]
     assert mixed == []
@@ -800,8 +815,8 @@ def outcomes_digest(outcomes):
     return h.hexdigest()
 
 
-def template_state(seed, t1=4, t2=2):
-    world, channel, preimage = atomicity._locked_channel(seed, t1, t2)
+def template_state(seed):
+    world, channel, preimage = atomicity._locked_channel(seed)
     return (
         world.world_digest(), world.op_log_csv(), world.rng.getstate(),
         dataclasses.asdict(channel), preimage,
@@ -819,7 +834,7 @@ def test_sweep_outcomes_pinned_and_templates_untouched():
         "28f3d73cd34f69d840cdd7c38ff100e0276c0f0de4776a6dc8306f7d2ea5dcc4"
     )
     assert {seed: template_state(seed) for seed in range(17)} == before
-    world, channel, _ = atomicity._locked_channel(0, 4, 2)
+    world, channel, _ = atomicity._locked_channel(0)
     assert channel.phase == "Locked" and legs(world, channel)[0].state == "Locked"
     world.check_all()
 
@@ -827,7 +842,7 @@ def test_sweep_outcomes_pinned_and_templates_untouched():
 def test_two_rounds_on_a_fork_leave_the_template_untouched():
     """Round 1 settles and round 2 refunds on a fork of the sweep's template;
     the template's world and channel read as they did before."""
-    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    world, template, preimage = atomicity._locked_channel(0)
     before = (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template))
     fork = world.fork()
     ch = fork.channels[template.channel_id]
@@ -855,7 +870,7 @@ def test_sibling_forks_of_the_template_step_apart():
                        refunds_first=False)
     refunds = Schedule(reveal_tick=None, seller_delay=0, refund_assets_at=2, refund_funds_at=3,
                        refunds_first=True)
-    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    world, template, preimage = atomicity._locked_channel(0)
     before = (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template))
     a, b = world.fork(), world.fork()
     ch_a, ch_b = a.channels[template.channel_id], b.channels[template.channel_id]
@@ -891,7 +906,7 @@ def test_fork_refuses_the_template_channel():
     """A channel is stepped in the world that holds it. Handed the template
     of a fork, a reveal in the fork used to claim the template's assets leg
     while it paid the assets out in the fork."""
-    world, template, preimage = atomicity._locked_channel(0, 4, 2)
+    world, template, preimage = atomicity._locked_channel(0)
     fork = world.fork()
     before = (
         world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
@@ -937,7 +952,7 @@ def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
     assert len(outcomes) == 1296
     assert atomicity._locked_channel.cache_info().misses == 1
     # buyer, seller and the world's treasury, one key object each
-    world = atomicity._locked_channel(0, 4, 2)[0]
+    world = atomicity._locked_channel(0)[0]
     assert len(built) <= 3
     assert set(built) <= {atomicity._BUYER.sk, atomicity._SELLER.sk, world.treasury.sk}
 
@@ -955,7 +970,7 @@ def test_sweep_builds_one_generator_and_no_fork_copies_it(monkeypatch):
     outcomes = explore_schedules()
     assert len(outcomes) == 1296
     # the template's own: no schedule draws, so no fork takes a private copy
-    assert built == [atomicity._locked_channel(0, 4, 2)[0].config.seed]
+    assert built == [atomicity._locked_channel(0)[0].config.seed]
 
 
 def _counting(calls, name, real):

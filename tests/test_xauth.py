@@ -4,6 +4,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xrwa import canonical, credential, identity, xauth
 from xrwa.errors import (
@@ -15,14 +17,19 @@ from xrwa.errors import (
     IssuerDeactivated,
     JurisdictionBlocked,
     MalformedArtifact,
+    MissingField,
     NotFound,
     Revoked,
     SpvFailed,
     TxNotInBlock,
+    XrwaError,
 )
-from xrwa.fixtures import fixture_items, fixture_world
+from xrwa.fixtures import FIXTURE_TYPES, fixture_items, fixture_world
 from xrwa.ledger import Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, sign
+from xrwa.scenarios import TRANSFER_DISCLOSURE
+
+from mutations import locations, mutate
 
 XFER_DISCLOSURE = [
     "asset.assetId",
@@ -54,6 +61,18 @@ def anchored(world, issuer, pres, cred):
     block = world.chains["C1"].blocks[header.height]
     tx = next(t for t in block.txs if t.tx_id == tx_id)
     return commitment, tx, proof
+
+
+def unchecked_commitment(world, pres):
+    """The commitment `anchored` makes over `pres`, built without
+    make_commitment's source-side verification."""
+    return xauth.Commitment(
+        asset_id=pres.disclosed["asset.assetId"],
+        cred_digest=xauth.disclosed_subset_digest(pres),
+        token_binding_digest=xauth.token_binding_digest(pres.disclosed["asset.tokenBinding"]),
+        epoch=len(world.chains["C1"].blocks),
+        nonce=world.rng.randbytes(16),
+    )
 
 
 # ------------------------------------------------------------ commitment ----
@@ -333,10 +352,62 @@ def test_authenticate_refuses_sellable_regions_that_are_not_a_list_of_text(monke
     items["compliance"]["sellableRegions"] = regions
     cred = credential.issue(world, credential.request(items, holder), issuer)
     pres = credential.prove(cred, holder, XFER_DISCLOSURE)
-    _, tx, proof = anchored(world, issuer, pres, cred)
-    with pytest.raises(JurisdictionBlocked, match="not a list of regions"):
+    # make_commitment's own verify refuses these values, so anchor without it
+    tx, proof = _sealed_anchor(world, unchecked_commitment(world, pres).to_body(), issuer)
+    with pytest.raises(MissingField, match="compliance.sellableRegions"):
         xauth.authenticate(world, "C2", tx, proof, pres)
     assert not world.acceptance_records.get("C2")
+
+
+MUTATED_SELECTORS = [*TRANSFER_DISCLOSURE, "compliance.effectiveFrom", "compliance.effectiveTo"]
+
+
+def breaks_its_row(selector, value):
+    section, key = selector.split(".")
+    try:
+        credential._check(credential.FIELD_RULES[section][key], value, selector)
+    except MissingField:
+        return True
+    return False
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mutated_disclosed_value_refused_by_its_row_or_accepted(data):
+    """One key deleted, one value retyped, made a bool or given a lone
+    surrogate under a disclosed field of a fixture, issued past issue's
+    checks: verify returns a result, MissingField whenever a disclosed value
+    breaks its row, and authenticate of an anchor made without the source
+    check accepts or refuses with an XrwaError, MissingField for such a
+    value, recording nothing."""
+    items = fixture_items(data.draw(st.sampled_from(FIXTURE_TYPES), label="fixture"))
+    where = data.draw(st.sampled_from(
+        [at for at in locations(items) if ".".join(map(str, at[:2])) in MUTATED_SELECTORS]
+    ), label="where")
+    how = data.draw(st.sampled_from(["delete", "retype", "bool", "surrogate"]), label="how")
+    assume(mutate(items, where, how, data.draw(st.integers(0, 200), label="offset")))
+    world, issuer, holder = fixture_world()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(credential, "_validate_sections", lambda sections: None)
+        try:
+            cred = credential.issue(world, credential.request(items, holder), issuer)
+        except XrwaError:
+            return
+    pres = credential.prove(cred, holder, [s for s in MUTATED_SELECTORS if s in credential.selectors_of(cred)])
+    result = credential.verify(world, pres)
+    broken = any(breaks_its_row(sel, value) for sel, value in pres.disclosed.items() if "sStatus" not in sel)
+    assert (result.reason == "MissingField") == broken
+    if "asset.tokenBinding" not in pres.disclosed:
+        return
+    tx, proof = _sealed_anchor(world, unchecked_commitment(world, pres).to_body(), issuer)
+    ops_before = len(world.op_log)
+    try:
+        xauth.authenticate(world, "C2", tx, proof, pres)
+    except XrwaError as refusal:
+        assert isinstance(refusal, MissingField) or not broken
+        assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
+    else:
+        assert not broken
 
 
 def test_authenticate_undisclosed_compliance_flagged(flow):
@@ -562,9 +633,19 @@ def _commit_binding_differs(world, cred, pres, holder):
     return lambda: xauth.make_commitment(world, "C1", pres, other, 1, b"\x01" * 16)
 
 
+def _commit_at_epoch(epoch):
+    def step(world, cred, pres, holder):
+        return lambda: xauth.make_commitment(world, "C1", pres, cred.asset["tokenBinding"], epoch, b"\x01" * 16)
+    return step
+
+
 COMMITMENT_REFUSALS = [
     ("nonce-short", _commit_with_nonce(15), "nonce must be 16 bytes"),
     ("nonce-long", _commit_with_nonce(17), "nonce must be 16 bytes"),
+    # from_body refuses the same epochs; anchor used to raise a bare error
+    ("epoch-negative", _commit_at_epoch(-1), "epoch -1 does not fit 8 unsigned bytes"),
+    ("epoch-fractional", _commit_at_epoch(1.5), "epoch 1.5 does not fit"),
+    ("epoch-too-wide", _commit_at_epoch(1 << 64), "does not fit 8 unsigned bytes"),
     ("binding-undisclosed", _commit_binding_undisclosed, "tokenBinding must be disclosed"),
     ("binding-differs", _commit_binding_differs, "does not match the disclosed one"),
 ]
