@@ -16,38 +16,9 @@ Five layers, bottom up:
 Scenario drivers live in :mod:`xrwa.scenarios`, benchmarks and report
 machinery in :mod:`xrwa.experiments`, and the command line in
 :mod:`xrwa.cli`.
+
+Importing the package imports none of these modules; import each one by
+its own name (``from xrwa import ledger``).
 """
-
-from . import (
-    atomicity,
-    canonical,
-    costs,
-    credential,
-    errors,
-    experiments,
-    fixtures,
-    identity,
-    ledger,
-    primitives,
-    scenarios,
-    settlement,
-    xauth,
-)
-
-__all__ = [
-    "atomicity",
-    "canonical",
-    "costs",
-    "credential",
-    "errors",
-    "experiments",
-    "fixtures",
-    "identity",
-    "ledger",
-    "primitives",
-    "scenarios",
-    "settlement",
-    "xauth",
-]
 
 __version__ = "0.1.0"

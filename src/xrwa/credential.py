@@ -320,16 +320,10 @@ class SectionProof:
         """What the issuer signs: this proof's fields under the credential id
         and the section name ("top" for the top proof, which also binds the
         holder key)."""
-        body = {
-            "credentialId": credential_id,
-            "expires": self.expires,
-            "issued": self.issued,
-            "issuer": self.issuer,
-            "issuerKeyVersion": self.issuer_key_version,
-            "proofPurpose": self.proof_purpose,
-            "section": section,
-            "sectionHash": canonical.to_hex(self.section_hash),
-        }
+        body = self.to_json()
+        del body["proofValue"]
+        body["credentialId"] = credential_id
+        body["section"] = section
         if holder_pk is not None:
             body["holderPk"] = canonical.to_hex(holder_pk)
         return canonical.dumps_bytes(body)

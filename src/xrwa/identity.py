@@ -268,19 +268,16 @@ def check_authorization(world: World) -> None:
     if sorted(world.controller_index.items()) != active:
         raise InvariantViolation("controller index differs from the active heads' controller keys")
     for did, entry in world.did_registry.items():
-        transitions = len(entry.versions) - 1 + (1 if entry.head.status == "Deactivated" else 0)
+        deactivated = entry.head.status == "Deactivated"
+        transitions = len(entry.versions) - 1 + (1 if deactivated else 0)
         if transitions != len(entry.authorizations):
             raise InvariantViolation(f"{did}: {transitions} head changes, {len(entry.authorizations)} authorizations")
-        idx = 0
-        for prev, cur in zip(entry.versions, entry.versions[1:]):
-            action, sig = entry.authorizations[idx]
+        for prev, cur, (action, sig) in zip(entry.versions, entry.versions[1:], entry.authorizations):
             live = cur if cur.status == "Active" else dataclasses.replace(cur, status="Active")
             if action != "update" or not verify_sig(prev.controller_pk, live.canonical_bytes(), sig):
                 raise InvariantViolation(f"{did}: unauthorized update to version {cur.version}")
-            idx += 1
-        if entry.head.status == "Deactivated":
-            action, sig = entry.authorizations[idx]
-            head_active = dataclasses.replace(entry.head, status="Active")
+        if deactivated:
+            action, sig = entry.authorizations[-1]
             message = _deactivate_message(did, entry.head.version)
-            if action != "deactivate" or not verify_sig(head_active.controller_pk, message, sig):
+            if action != "deactivate" or not verify_sig(entry.head.controller_pk, message, sig):
                 raise InvariantViolation(f"{did}: unauthorized deactivation")

@@ -3,7 +3,9 @@
 A World holds the two chains of `CHAINS` (blocks, pending pool, balances,
 asset holdings, contract states), one logical clock, per-observer relayed
 header views, and an append-only operation log with cost units. Replaying a
-scenario from the same seed reproduces the op log byte for byte.
+scenario from the same seed reproduces the op log byte for byte. Every
+amount of value and every tick of the clock is one `is_natural` value: a
+non-negative int, and a bool is not one.
 
 There is no consensus layer: a header is valid when it extends a chain by
 exactly one height with correct prev linkage from genesis. One canonical
@@ -39,7 +41,7 @@ __all__ = [
     "JURISDICTIONS",
     "GENESIS_PREV",
     "header_links",
-    "is_amount",
+    "is_natural",
     "Transaction",
     "BlockHeader",
     "Block",
@@ -59,8 +61,9 @@ JURISDICTIONS: dict[ChainId, str] = {"C1": "US", "C2": "SG"}
 GENESIS_PREV = b"\x00" * 32
 
 
-def is_amount(value: Any) -> bool:
-    """An amount of value is a non-negative int; a bool is not one."""
+def is_natural(value: Any) -> bool:
+    """A non-negative int; a bool is not one. Every amount of value and
+    every tick (a timeout, a step's date, a clock advance) is one."""
     return type(value) is int and value >= 0
 
 
@@ -411,22 +414,18 @@ class World:
 
     def mint(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """World-setup mint; the only operation allowed to create value."""
-        if not is_amount(amount):
+        if not is_natural(amount):
             raise InsufficientBalance(f"mint amount {amount!r} is not a non-negative int")
-        state = self._chain(chain)
-        key = canonical.to_hex(pk)
-        state.balances[key] = state.balances.get(key, 0) + amount
-        state.minted_value += amount
-        self.log_op(chain, "mint", descriptor={"to": key, "amount": amount})
+        self.credit(chain, pk, amount)
+        self._chain(chain).minted_value += amount
+        self.log_op(chain, "mint", descriptor={"to": canonical.to_hex(pk), "amount": amount})
 
     def mint_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         """World-setup asset grant; records the asset's origin chain."""
-        state = self._chain(chain)
-        key = canonical.to_hex(pk)
-        state.holdings.setdefault(key, set()).add(asset_id)
-        state.minted_assets.add(asset_id)
+        self.give_asset(chain, pk, asset_id)
+        self._chain(chain).minted_assets.add(asset_id)
         self.asset_origins.setdefault(asset_id, chain)
-        self.log_op(chain, "mint", descriptor={"to": key, "asset": asset_id})
+        self.log_op(chain, "mint", descriptor={"to": canonical.to_hex(pk), "asset": asset_id})
 
     def burn_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         """Remove an asset from a chain entirely (migration bookkeeping)."""
@@ -470,23 +469,30 @@ class World:
             "genesis", {"chain": chain}, self.treasury, nonce=f"genesis-{chain}"
         )
         state = self._chain(chain)
-        levels = merkle_levels([tx.tx_id])
+        self._append_block(state, chain, [tx], [tx.tx_id], GENESIS_PREV)
+        state.sender_nonces.add((tx.sender, tx.nonce))
+
+    def _append_block(self, state: _ChainState, chain: ChainId, txs: list[Transaction],
+                      ids: list[bytes], prev: bytes) -> BlockHeader:
+        """Seal `txs`, whose ids are `ids`, as the next block of `chain` after
+        the header whose digest is `prev`, stamped with the clock."""
+        levels = merkle_levels(ids)
         header = BlockHeader(
             chain=chain,
-            height=0,
-            prev=GENESIS_PREV,
+            height=len(state.blocks),
+            prev=prev,
             merkle_root=levels[-1][0],
             timestamp=self.clock,
         )
-        state.blocks.append(Block(header=header, txs=[tx], levels=levels))
-        state.sender_nonces.add((tx.sender, tx.nonce))
+        state.blocks.append(Block(header=header, txs=txs, levels=levels))
+        return header
 
     def submit_tx(self, chain: ChainId, tx: Transaction) -> bytes:
         """Verify and apply `tx`, queue it for the next block and return its
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
         anchor is refused unless its sender controls an active DID, a
-        transfer unless its amount is one (`is_amount`), and a kind the cost
+        transfer unless its amount is one (`is_natural`), and a kind the cost
         table does not weigh; each before anything moves."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
@@ -501,7 +507,7 @@ class World:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
             amount = tx.body["amount"]
-            if not is_amount(amount):
+            if not is_natural(amount):
                 raise InsufficientBalance(f"transfer amount {amount!r} is not a non-negative int")
             if state.balances.get(sender, 0) < amount:
                 raise InsufficientBalance(
@@ -523,20 +529,14 @@ class World:
             raise EmptyPool(f"no pending transactions on {chain}")
         self.clock += 1
         prev = state.blocks[-1].header.header_digest()
-        levels = merkle_levels(state.pending_ids)
-        header = BlockHeader(
-            chain=chain,
-            height=len(state.blocks),
-            prev=prev,
-            merkle_root=levels[-1][0],
-            timestamp=self.clock,
-        )
-        state.blocks.append(Block(header=header, txs=state.pending, levels=levels))
+        header = self._append_block(state, chain, state.pending, state.pending_ids, prev)
         state.pending, state.pending_ids = [], []
         return header
 
     def advance_clock(self, ticks: int) -> int:
-        if ticks < 1:
+        """Move the clock forward by `ticks`, a tick (`is_natural`) of at
+        least one."""
+        if not is_natural(ticks) or ticks == 0:
             raise ValueError("clock can only move forward by at least one tick")
         self.clock += ticks
         return self.clock

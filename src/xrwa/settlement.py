@@ -3,17 +3,20 @@
 One hash-timelock rule governs every lock, an HtlcLock and each channel
 leg alike: a Locked lock is claimed with a preimage whose digest is its
 hash condition strictly before its timeout (`_claim`), or refunded at or
-after the timeout (`_check_refund`, which `_refund` applies; `chan_refund`
-applies it to every named leg before refunding any).
+after the timeout (`_check_refund`; `chan_refund` checks every named leg
+before refunding any).
 No step lets a party assert that time has passed: a refund is judged at
 the world's clock, and a date `at` can only narrow a claim (`_dated`
 needs clock <= at, and `_claim` needs at < timeout).
+A timeout and a date are ticks, each `ledger.is_natural` like the clock;
+any other is refused before anything moves (`PastTimeout`, or
+`BadTimeouts` for a channel lock).
 A lock that is not Locked raises NotLocked, which is a WrongPhase, so
 channel callers catch both as WrongPhase.
 
 An HtlcLock escrows exactly one value or one asset. Escrow leaves a
 contract exactly once. An escrowed value, a deposit and a signed net
-payment are each an amount by `ledger.is_amount`, as the ledger's are.
+payment are each an amount by `ledger.is_natural`, as the ledger's are.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
 assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`,
@@ -73,7 +76,7 @@ from .errors import (
     WrongPhase,
     WrongPreimage,
 )
-from .ledger import CHAINS, ChainId, World, is_amount
+from .ledger import CHAINS, ChainId, World, is_natural
 from .primitives import KeyPair, digest, sign, verify_sig
 from .xauth import has_acceptance
 
@@ -137,7 +140,7 @@ class HtlcLock:
 
 def _take_escrow(world: World, chain: ChainId, owner: bytes, escrow: dict) -> None:
     if escrow.keys() == {"value"}:
-        if not is_amount(escrow["value"]):
+        if not is_natural(escrow["value"]):
             raise InsufficientBalance(f"escrow value {escrow['value']!r} is not a non-negative int")
         world.debit(chain, owner, escrow["value"])
     elif escrow.keys() == {"asset"}:
@@ -153,6 +156,12 @@ def _release_escrow(world: World, chain: ChainId, receiver: bytes, escrow: dict)
         world.give_asset(chain, receiver, escrow["asset"])
 
 
+def _derived_id(prefix: str, fields: dict) -> str:
+    """A contract or channel id: `prefix` and 16 hex digits of the digest of
+    the canonical encoding of `fields`."""
+    return prefix + digest(canonical.dumps_bytes(fields)).hex()[:16]
+
+
 def htlc_lock(
     world: World,
     chain: ChainId,
@@ -162,19 +171,15 @@ def htlc_lock(
     hash_cond: bytes,
     timeout: int,
 ) -> HtlcLock:
-    if timeout <= world.clock:
-        raise PastTimeout(f"timeout {timeout} is not after clock {world.clock}")
+    if not is_natural(timeout) or timeout <= world.clock:
+        raise PastTimeout(f"timeout {timeout!r} is not a tick after clock {world.clock}")
     _take_escrow(world, chain, depositor, escrow)
-    contract_id = "htlc-" + digest(
-        canonical.dumps_bytes(
-            {
-                "chain": chain,
-                "depositor": canonical.to_hex(depositor),
-                "hashCond": canonical.to_hex(hash_cond),
-                "n": len(world.chains[chain].contracts),
-            }
-        )
-    ).hex()[:16]
+    contract_id = _derived_id("htlc-", {
+        "chain": chain,
+        "depositor": canonical.to_hex(depositor),
+        "hashCond": canonical.to_hex(hash_cond),
+        "n": len(world.chains[chain].contracts),
+    })
     lock = HtlcLock(
         contract_id=contract_id,
         chain=chain,
@@ -208,19 +213,13 @@ def _check_refund(lock: HtlcLock | ChannelLeg, clock: int) -> None:
         raise NotYetExpired(f"refund at {clock} before timeout {lock.timeout}")
 
 
-def _refund(lock: HtlcLock | ChannelLeg, clock: int) -> None:
-    """Refund a Locked lock at or after its timeout."""
-    _check_refund(lock, clock)
-    lock.state = "Refunded"
-
-
 def _dated(world: World, at: Optional[int]) -> int:
     """The tick a claim acts at: the world's clock, or `at`, which may not be
     before the clock. A later date only brings the claim's timeout nearer."""
     if at is None:
         return world.clock
-    if at < world.clock:
-        raise PastTimeout(f"step dated {at} is before clock {world.clock}")
+    if not is_natural(at) or at < world.clock:
+        raise PastTimeout(f"step dated {at!r} is not a tick at or after clock {world.clock}")
     return at
 
 
@@ -231,7 +230,8 @@ def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int]
 
 
 def htlc_refund(world: World, lock: HtlcLock) -> None:
-    _refund(lock, world.clock)
+    _check_refund(lock, world.clock)
+    lock.state = "Refunded"
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
     world.log_op(lock.chain, "htlc_refund", descriptor={"contract": lock.contract_id})
 
@@ -358,37 +358,32 @@ def chan_open(
     authenticated cross-chain (an acceptance record exists) or locally
     issued there.
     """
-    chain_funds, chain_assets = CHAINS
-    if not is_amount(deposit_value):
+    if not is_natural(deposit_value):
         raise InsufficientBalance(f"deposit value {deposit_value!r} is not a non-negative int")
     for asset in deposit_assets:
-        if not has_acceptance(world, chain_assets, asset) and world.asset_origins.get(asset) != chain_assets:
-            raise UnauthenticatedAsset(f"{asset} not authenticated or issued on {chain_assets}")
+        if not has_acceptance(world, _ASSETS_CHAIN, asset) and world.asset_origins.get(asset) != _ASSETS_CHAIN:
+            raise UnauthenticatedAsset(f"{asset} not authenticated or issued on {_ASSETS_CHAIN}")
     if len(set(deposit_assets)) != len(deposit_assets) or not world.assets_of(
-        chain_assets, seller.pk
+        _ASSETS_CHAIN, seller.pk
     ).issuperset(deposit_assets):
-        raise InsufficientBalance(f"seller must hold each deposited asset once on {chain_assets}")
+        raise InsufficientBalance(f"seller must hold each deposited asset once on {_ASSETS_CHAIN}")
     # the debit checks the balance before it moves anything, and the checks
     # above leave no take that can fail, so a refusal moves nothing
-    world.debit(chain_funds, buyer.pk, deposit_value)
+    world.debit(_FUNDS_CHAIN, buyer.pk, deposit_value)
     for asset in deposit_assets:
-        world.take_asset(chain_assets, seller.pk, asset)
+        world.take_asset(_ASSETS_CHAIN, seller.pk, asset)
 
-    channel_id = "chan-" + digest(
-        canonical.dumps_bytes(
-            {
-                "buyer": canonical.to_hex(buyer.pk),
-                "seller": canonical.to_hex(seller.pk),
-                "assets": sorted(deposit_assets),
-                "value": deposit_value,
-                "nonce": world.next_nonce(),
-            }
-        )
-    ).hex()[:16]
+    channel_id = _derived_id("chan-", {
+        "buyer": canonical.to_hex(buyer.pk),
+        "seller": canonical.to_hex(seller.pk),
+        "assets": sorted(deposit_assets),
+        "value": deposit_value,
+        "nonce": world.next_nonce(),
+    })
     # the ids `_legs` reads the legs back by
     for leg in (
-        ChannelLeg(channel_id + "-funds", chain_funds, escrowed_value=deposit_value),
-        ChannelLeg(channel_id + "-assets", chain_assets, escrowed_assets=frozenset(deposit_assets)),
+        ChannelLeg(channel_id + "-funds", _FUNDS_CHAIN, escrowed_value=deposit_value),
+        ChannelLeg(channel_id + "-assets", _ASSETS_CHAIN, escrowed_assets=frozenset(deposit_assets)),
     ):
         world.chains[leg.chain].contracts[leg.contract_id] = leg
 
@@ -400,8 +395,8 @@ def chan_open(
         deposit_assets=tuple(sorted(deposit_assets)),
         latest=_cosign(channel_id, 0, [], 0, buyer, seller),
     )
-    world.log_op(chain_funds, "chan_open", descriptor={"channel": channel_id})
-    world.log_op(chain_assets, "chan_open", descriptor={"channel": channel_id})
+    world.log_op(_FUNDS_CHAIN, "chan_open", descriptor={"channel": channel_id})
+    world.log_op(_ASSETS_CHAIN, "chan_open", descriptor={"channel": channel_id})
     return channel
 
 
@@ -409,7 +404,7 @@ def _check_conserves(channel: Channel, state: ChannelState) -> None:
     batch = set(state.batch)
     if len(batch) != len(state.batch) or not batch <= set(channel.deposit_assets):
         raise ConservationViolation("batch must name deposited assets, each once")
-    if not (is_amount(state.net_payment) and state.net_payment <= channel.deposit_value):
+    if not (is_natural(state.net_payment) and state.net_payment <= channel.deposit_value):
         raise ConservationViolation("net payment must be an int between zero and the deposit")
     if not batch >= channel.settled_assets:
         raise ConservationViolation("proposed batch would un-settle delivered assets")
@@ -439,8 +434,8 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
     funds, assets = _legs(world, channel)
     if channel.phase != "Open":
         raise WrongPhase(f"channel is {channel.phase}")
-    if not (t1 > t2 > world.clock):
-        raise BadTimeouts(f"need t1 > t2 > clock, got t1={t1} t2={t2} clock={world.clock}")
+    if not (is_natural(t1) and is_natural(t2) and t1 > t2 > world.clock):
+        raise BadTimeouts(f"need ticks t1 > t2 > clock, got t1={t1!r} t2={t2!r} clock={world.clock}")
     if not channel.latest.sig_a or not channel.latest.sig_b:
         raise BadSignature("latest state is not co-signed")
     if hash_cond in channel.used_hash_conds:
@@ -542,7 +537,7 @@ def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> No
     for _, lock in named:
         _check_refund(lock, world.clock)
     for name, lock in named:
-        _refund(lock, world.clock)
+        lock.state = "Refunded"
         world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
     _maybe_reopen(channel, funds, assets)
 

@@ -202,7 +202,7 @@ def make_commitment(
     This is the single full credential verification in a cross-chain
     transfer; it is counted against `source_chain`.
     """
-    if len(nonce) != NONCE_SIZE:
+    if type(nonce) is not bytes or len(nonce) != NONCE_SIZE:
         raise InvalidPresentation(f"nonce must be {NONCE_SIZE} bytes")
     if not _epoch_fits(epoch):
         raise InvalidPresentation(f"epoch {epoch!r} does not fit 8 unsigned bytes")
@@ -293,12 +293,10 @@ def authenticate(
     A disclosed value that breaks its row raises MissingField
     (`credential.check_disclosed`). An undisclosed compliance section does
     not block acceptance; the record is flagged compliance-unverified instead.
+    Every failed check raises, so a record has passed them all.
     """
-    checks: list[str] = []
-
     if not spv_verify(world, dest_chain, tx, proof):
         raise SpvFailed("inclusion proof does not verify against relayed headers")
-    checks.append("spv")
     if tx.kind != "anchor":
         # only an anchor's body is a commitment
         raise AnchorNotFromIssuer(f"a {tx.kind} transaction anchors nothing")
@@ -312,7 +310,6 @@ def authenticate(
         raise CommitmentMismatch("disclosed subset digest differs from anchored commitment")
     if disclosed_tb is None or token_binding_digest(disclosed_tb) != commitment.token_binding_digest:
         raise CommitmentMismatch("token binding differs from anchored commitment")
-    checks.append("commitment")
     check_disclosed(presentation.disclosed)
 
     status = issuer_status(world, presentation.issuer)
@@ -323,23 +320,21 @@ def authenticate(
         raise AnchorNotFromIssuer(
             f"anchor from the controller of {sender_did} vouches not for {presentation.issuer}"
         )
-    checks.append("issuer_active")
 
     failure = consulted_status(world, presentation)
     if failure is not None:
         raise Revoked(str(failure))
-    checks.append("status_clear")
 
     regions = presentation.disclosed.get("compliance.sellableRegions")
-    if regions is not None:
+    if regions is None:
+        compliance = "compliance-unverified"
+    else:
         dest_jurisdiction = world.config.jurisdiction(dest_chain)
         if dest_jurisdiction not in regions:
             raise JurisdictionBlocked(
                 f"{dest_jurisdiction} not in disclosed sellable regions {regions}"
             )
-        checks.append("jurisdiction")
-    else:
-        checks.append("compliance-unverified")
+        compliance = "jurisdiction"
 
     record = AcceptanceRecord(
         credential_id=presentation.credential_id,
@@ -348,7 +343,7 @@ def authenticate(
         dest_chain=dest_chain,
         accepted_at=world.clock,
         commitment_digest=commitment.commitment_digest(),
-        checks_passed=tuple(checks),
+        checks_passed=("spv", "commitment", "issuer_active", "status_clear", compliance),
     )
     world.acceptance_records[dest_chain].append(record)
     world.log_op(dest_chain, "acceptance", descriptor=record.to_json())

@@ -176,8 +176,11 @@ def test_sealing_c1_never_touches_c2(world, alice, bob):
 # ---------------------------------------------------------------- clock ----
 
 def test_advance_clock_rejects_zero(world):
-    with pytest.raises(ValueError):
-        world.advance_clock(0)
+    # a tick is a non-negative int, and a bool is not one
+    for ticks in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            world.advance_clock(ticks)
+    assert world.clock == 0
 
 
 def test_advance_clock_moves_forward(world):

@@ -651,6 +651,31 @@ def _htlc_escrowing(value):
     return lambda world: lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": value}, H_RHO, timeout=5)
 
 
+def _htlc_timing_out(timeout):
+    return lambda world: lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 5}, H_RHO, timeout=timeout)
+
+
+def _lock_timing_out(t1, t2):
+    def refused(world):
+        ch = open_channel(world)
+        return lambda: chan_lock(world, ch, H_RHO, t1, t2)
+    return refused
+
+
+def _htlc_unlock_dated(at):
+    def refused(world):
+        lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 5}, H_RHO, timeout=5)
+        return lambda: htlc_unlock(world, lock, RHO, at=at)
+    return refused
+
+
+def _chan_unlock_dated(at):
+    def refused(world):
+        ch = locked_channel(world)
+        return lambda: chan_unlock(world, ch, RHO, at=at)
+    return refused
+
+
 def _update_paying(net):
     def refused(world):
         ch = open_channel(world)
@@ -674,6 +699,14 @@ SETTLEMENT_REFUSALS = [
     ("htlc-fractional-escrow", _htlc_escrowing(2.5), InsufficientBalance, "escrow value"),
     ("htlc-text-escrow", _htlc_escrowing("3"), InsufficientBalance, "escrow value"),
     ("update-fractional-payment", _update_paying(2.5), ConservationViolation, "net payment"),
+    # a tick is a non-negative int as well: a timeout or a step's date too
+    ("htlc-fractional-timeout", _htlc_timing_out(5.5), PastTimeout, "timeout 5.5 is not a tick"),
+    ("htlc-bool-timeout", _htlc_timing_out(True), PastTimeout, "timeout True is not a tick"),
+    ("htlc-text-timeout", _htlc_timing_out("5"), PastTimeout, "timeout '5' is not a tick"),
+    ("lock-fractional-timeout", _lock_timing_out(5.5, 2), BadTimeouts, "t1=5.5"),
+    ("lock-bool-timeout", _lock_timing_out(5, True), BadTimeouts, "t2=True"),
+    ("htlc-unlock-fractional-date", _htlc_unlock_dated(1.5), PastTimeout, "step dated 1.5 is not a tick"),
+    ("chan-unlock-fractional-date", _chan_unlock_dated(1.5), PastTimeout, "step dated 1.5 is not a tick"),
 ]
 
 

@@ -623,6 +623,12 @@ def _commit_with_nonce(size):
     return step
 
 
+def _commit_with_nonce_of(nonce):
+    def step(world, cred, pres, holder):
+        return lambda: xauth.make_commitment(world, "C1", pres, cred.asset["tokenBinding"], 1, nonce)
+    return step
+
+
 def _commit_binding_undisclosed(world, cred, pres, holder):
     thin = credential.prove(cred, holder, ["asset.assetId"])
     return lambda: xauth.make_commitment(world, "C1", thin, cred.asset["tokenBinding"], 1, b"\x01" * 16)
@@ -642,6 +648,10 @@ def _commit_at_epoch(epoch):
 COMMITMENT_REFUSALS = [
     ("nonce-short", _commit_with_nonce(15), "nonce must be 16 bytes"),
     ("nonce-long", _commit_with_nonce(17), "nonce must be 16 bytes"),
+    # sixteen of anything that is not bytes is no nonce; anchor used to raise a bare error
+    ("nonce-text", _commit_with_nonce_of("\x01" * 16), "nonce must be 16 bytes"),
+    ("nonce-list", _commit_with_nonce_of([1] * 16), "nonce must be 16 bytes"),
+    ("nonce-bytearray", _commit_with_nonce_of(bytearray(16)), "nonce must be 16 bytes"),
     # from_body refuses the same epochs; anchor used to raise a bare error
     ("epoch-negative", _commit_at_epoch(-1), "epoch -1 does not fit 8 unsigned bytes"),
     ("epoch-fractional", _commit_at_epoch(1.5), "epoch 1.5 does not fit"),
