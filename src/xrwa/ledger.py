@@ -5,7 +5,8 @@ asset holdings, contract states), one logical clock, per-observer relayed
 header views, and an append-only operation log with cost units. Replaying a
 scenario from the same seed reproduces the op log byte for byte. Every
 amount of value and every tick of the clock is one `is_natural` value: a
-non-negative int, and a bool is not one.
+non-negative int, and a bool is not one. Value moves only through `debit`
+and `credit`, which refuse any other amount before they move anything.
 
 There is no consensus layer: a header is valid when it extends a chain by
 exactly one height with correct prev linkage from genesis. One canonical
@@ -414,8 +415,6 @@ class World:
 
     def mint(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """World-setup mint; the only operation allowed to create value."""
-        if not is_natural(amount):
-            raise InsufficientBalance(f"mint amount {amount!r} is not a non-negative int")
         self.credit(chain, pk, amount)
         self._chain(chain).minted_value += amount
         self.log_op(chain, "mint", descriptor={"to": canonical.to_hex(pk), "amount": amount})
@@ -440,15 +439,21 @@ class World:
         return set(self._chain(chain).holdings.get(canonical.to_hex(pk), set()))
 
     def debit(self, chain: ChainId, pk: bytes, amount: int) -> None:
+        """Take `amount`, an amount by `is_natural`, from `pk`'s balance."""
         state = self._chain(chain)
         key = canonical.to_hex(pk)
+        if not is_natural(amount):
+            raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         if state.balances.get(key, 0) < amount:
             raise InsufficientBalance(f"{key} holds {state.balances.get(key, 0)} < {amount}")
         state.balances[key] = state.balances.get(key, 0) - amount
 
     def credit(self, chain: ChainId, pk: bytes, amount: int) -> None:
+        """Add `amount`, an amount by `is_natural`, to `pk`'s balance."""
         state = self._chain(chain)
         key = canonical.to_hex(pk)
+        if not is_natural(amount):
+            raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         state.balances[key] = state.balances.get(key, 0) + amount
 
     def take_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
@@ -492,8 +497,9 @@ class World:
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
         anchor is refused unless its sender controls an active DID, a
-        transfer unless its amount is one (`is_natural`), and a kind the cost
-        table does not weigh; each before anything moves."""
+        transfer's `to` unless it is 0x-hex (`MalformedArtifact`), and a kind
+        the cost table does not weigh; each before anything moves. A transfer
+        moves its amount through `debit` and `credit`."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
         if not verify_sig(tx.sender, payload, tx.sig):
@@ -502,20 +508,12 @@ class World:
         pair = (tx.sender, tx.nonce)
         if pair in state.sender_nonces:
             raise ReplayedTransaction(f"{chain} already accepted nonce {tx.nonce!r} from this sender")
-        sender = canonical.to_hex(tx.sender)
-        if tx.kind == "anchor" and sender not in self.controller_index:
+        if tx.kind == "anchor" and canonical.to_hex(tx.sender) not in self.controller_index:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
-            amount = tx.body["amount"]
-            if not is_natural(amount):
-                raise InsufficientBalance(f"transfer amount {amount!r} is not a non-negative int")
-            if state.balances.get(sender, 0) < amount:
-                raise InsufficientBalance(
-                    f"sender holds {state.balances.get(sender, 0)} < {amount}"
-                )
-            dest = tx.body["to"]
-            state.balances[sender] = state.balances.get(sender, 0) - amount
-            state.balances[dest] = state.balances.get(dest, 0) + amount
+            to = read_field(tx.body, "to", bytes)
+            self.debit(chain, tx.sender, tx.body.get("amount"))
+            self.credit(chain, to, tx.body["amount"])
         tx_id = digest(payload)
         state.pending.append(tx)
         state.pending_ids.append(tx_id)
@@ -634,11 +632,12 @@ class World:
     def check_header_chains(self) -> None:
         """Audit every chain: header linkage from genesis, each block's stored
         ids, kept Merkle tree and header root against the tree rebuilt from
-        ids recomputed from its transactions, and no (sender, nonce) pair in
-        more than one sealed transaction."""
+        ids recomputed from its transactions; and the replay cache: no
+        (sender, nonce) pair in more than one sealed or pending transaction,
+        `sender_nonces` exactly those pairs, and `pending_ids` the ids of
+        the pending transactions."""
         for label, state in self.chains.items():
             prev = None
-            pairs: set[tuple[bytes, str]] = set()
             for k, block in enumerate(state.blocks):
                 if not header_links(prev, block.header):
                     raise InvariantViolation(f"broken header linkage on {label} at {k}")
@@ -653,11 +652,17 @@ class World:
                     raise InvariantViolation(
                         f"header root mismatch on {label} at {block.header.height}"
                     )
-                for tx in block.txs:
+            pairs: set[tuple[bytes, str]] = set()
+            for k, txs in [*enumerate(b.txs for b in state.blocks), ("pending", state.pending)]:
+                for tx in txs:
                     pair = (tx.sender, tx.nonce)
                     if pair in pairs:
                         raise InvariantViolation(f"replayed transaction on {label} at {k}")
                     pairs.add(pair)
+            if pairs != state.sender_nonces:
+                raise InvariantViolation(f"sender nonces of {label} are not its transactions' pairs")
+            if state.pending_ids != [tx.tx_id for tx in state.pending]:
+                raise InvariantViolation(f"pending ids of {label} are not its pending transactions' ids")
 
     def check_light_client_prefix(self) -> None:
         for (observer, observed), view in self.relayed.items():

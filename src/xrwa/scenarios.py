@@ -80,7 +80,7 @@ def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None
     world.relay_chain(dest, source)
     proof = xauth.spv_prove(world, tx_id, (source, header.height))
     tx = world.chains[source].blocks[header.height].txs[proof.path.leaf_index]
-    record = xauth.authenticate(world, dest, tx, proof, presentation)
+    xauth.authenticate(world, dest, tx, proof, presentation)
 
     # burn-and-reissue migration: the token now lives on the destination chain
     world.burn_asset(source, actors.holder.pk, asset_id)
@@ -107,9 +107,6 @@ def run_e2e(seed: int, n_updates: int, actor_seeds: dict[str, int] | None = None
 
     return {
         "world": world,
-        "channel": channel,
-        "credential": cred,
-        "acceptance": record,
         "proofBundle": {
             "proof": proof.to_json(),
             "tx": tx.to_json(),

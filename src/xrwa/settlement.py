@@ -15,8 +15,9 @@ A lock that is not Locked raises NotLocked, which is a WrongPhase, so
 channel callers catch both as WrongPhase.
 
 An HtlcLock escrows exactly one value or one asset. Escrow leaves a
-contract exactly once. An escrowed value, a deposit and a signed net
-payment are each an amount by `ledger.is_natural`, as the ledger's are.
+contract exactly once. The ledger's movers refuse an escrowed value or
+a deposit that is not an amount (`ledger.is_natural`) before anything
+moves, and `_check_conserves` a signed net payment by the same rule.
 
 A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
 assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`,
@@ -140,8 +141,6 @@ class HtlcLock:
 
 def _take_escrow(world: World, chain: ChainId, owner: bytes, escrow: dict) -> None:
     if escrow.keys() == {"value"}:
-        if not is_natural(escrow["value"]):
-            raise InsufficientBalance(f"escrow value {escrow['value']!r} is not a non-negative int")
         world.debit(chain, owner, escrow["value"])
     elif escrow.keys() == {"asset"}:
         world.take_asset(chain, owner, escrow["asset"])
@@ -358,8 +357,6 @@ def chan_open(
     authenticated cross-chain (an acceptance record exists) or locally
     issued there.
     """
-    if not is_natural(deposit_value):
-        raise InsufficientBalance(f"deposit value {deposit_value!r} is not a non-negative int")
     for asset in deposit_assets:
         if not has_acceptance(world, _ASSETS_CHAIN, asset) and world.asset_origins.get(asset) != _ASSETS_CHAIN:
             raise UnauthenticatedAsset(f"{asset} not authenticated or issued on {_ASSETS_CHAIN}")
@@ -367,8 +364,8 @@ def chan_open(
         _ASSETS_CHAIN, seller.pk
     ).issuperset(deposit_assets):
         raise InsufficientBalance(f"seller must hold each deposited asset once on {_ASSETS_CHAIN}")
-    # the debit checks the balance before it moves anything, and the checks
-    # above leave no take that can fail, so a refusal moves nothing
+    # the debit checks the amount and the balance before it moves anything,
+    # and the checks above leave no take that can fail, so a refusal moves nothing
     world.debit(_FUNDS_CHAIN, buyer.pk, deposit_value)
     for asset in deposit_assets:
         world.take_asset(_ASSETS_CHAIN, seller.pk, asset)
@@ -460,8 +457,9 @@ def _pay_assets(world: World, leg: ChannelLeg, assets: list[str], to: bytes) -> 
 
 
 def _pay_value(world: World, leg: ChannelLeg, amount: int, to: bytes) -> None:
-    leg.escrowed_value -= amount
+    # the mover first, so that a refusal leaves the leg as it was
     world.credit(leg.chain, to, amount)
+    leg.escrowed_value -= amount
 
 
 def _settle_assets(world: World, channel: Channel, leg: ChannelLeg) -> None:

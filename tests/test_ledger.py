@@ -83,17 +83,61 @@ def test_overdraft_rejected(world, alice, bob):
         world.submit_tx("C1", transfer(world, alice, bob, 11))
 
 
-@pytest.mark.parametrize("amount", [2.5, True, "3"])
+MISSING = object()
+
+
+def _moved(world):
+    """What a refused submit must leave as it was: the state digest (which
+    must still encode), the replay cache and the op log's length."""
+    return world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log)
+
+
+@pytest.mark.parametrize("amount", [2.5, True, "3", pytest.param(MISSING, id="missing")])
 def test_non_int_amount_refused_before_anything_moves(world, alice, bob, amount):
     # int() would move 2 for a signed 2.5 and 1 for True, and take "3"
     world.mint("C1", alice.pk, 10)
-    tx = transfer(world, alice, bob, amount)
-    before = (world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log))
+    body = {"to": canonical.to_hex(bob.pk)} | ({} if amount is MISSING else {"amount": amount})
+    tx = Transaction.make("transfer", body, alice, world.next_nonce())
+    before = _moved(world)
     with pytest.raises(InsufficientBalance):
         world.submit_tx("C1", tx)
-    after = (world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log))
-    assert after == before
+    assert _moved(world) == before
     assert (world.balance("C1", alice.pk), world.balance("C1", bob.pk)) == (10, 0)
+
+
+@pytest.mark.parametrize("to", [
+    5, pytest.param("22" * 32, id="unprefixed"), "0xzz", pytest.param(MISSING, id="missing"),
+])
+def test_recipient_that_is_not_a_key_refused_before_anything_moves(world, alice, to):
+    world.mint("C1", alice.pk, 10)
+    body = {"amount": 4} | ({} if to is MISSING else {"to": to})
+    tx = Transaction.make("transfer", body, alice, world.next_nonce())
+    before = _moved(world)
+    with pytest.raises(MalformedArtifact, match="'to'"):
+        world.submit_tx("C1", tx)
+    assert _moved(world) == before
+    assert world.balance("C1", alice.pk) == 10
+
+
+def test_recipient_in_upper_case_hex_is_credited_under_its_key(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    body = {"to": "0x" + bob.pk.hex().upper(), "amount": 4}
+    world.submit_tx("C1", Transaction.make("transfer", body, alice, world.next_nonce()))
+    assert world.balance("C1", bob.pk) == 4
+    assert sorted(world.chains["C1"].balances) == sorted(
+        canonical.to_hex(kp.pk) for kp in (alice, bob)
+    )
+    world.check_all()
+
+
+@pytest.mark.parametrize("mover", ["debit", "credit"])
+@pytest.mark.parametrize("amount", [-5, 2.5, True, "3", None])
+def test_movers_refuse_an_amount_that_is_not_one(world, alice, mover, amount):
+    world.mint("C1", alice.pk, 10)
+    before = (world.world_digest(), dict(world.chains["C1"].balances))
+    with pytest.raises(InsufficientBalance, match="is not a non-negative int"):
+        getattr(world, mover)("C1", alice.pk, amount)
+    assert (world.world_digest(), world.chains["C1"].balances) == before
 
 
 @pytest.mark.parametrize("amount", [1.5, True, -1])
@@ -506,6 +550,47 @@ def test_sealed_pair_refused_even_with_other_body(world, alice, bob):
     assert world.balance("C1", bob.pk) == 4
     assert world.chains["C1"].pending == []
     assert len(world.op_log) == n_ops
+
+
+def test_replay_after_its_cache_entry_is_dropped_fails_audit(world, alice, bob):
+    world.mint("C1", alice.pk, 10)
+    tx = transfer(world, alice, bob, 4)
+    world.submit_tx("C1", tx)
+    world.seal_block("C1")
+    world.chains["C1"].sender_nonces.discard((tx.sender, tx.nonce))
+    world.submit_tx("C1", tx)  # the edited cache no longer remembers it
+    assert world.balance("C1", bob.pk) == 8
+    with pytest.raises(InvariantViolation, match="replayed transaction on C1 at pending"):
+        world.check_all()
+
+
+def _drop_pair(state, tx):
+    state.sender_nonces.discard((tx.sender, tx.nonce))
+
+
+def _add_pair(state, tx):
+    state.sender_nonces.add((tx.sender, "never-sent"))
+
+
+def _drop_pending_id(state, tx):
+    state.pending_ids.pop()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_drop_pair, "sender nonces of C1", id="pair-dropped"),
+    pytest.param(_add_pair, "sender nonces of C1", id="pair-added"),
+    pytest.param(_drop_pending_id, "pending ids of C1", id="pending-id-dropped"),
+])
+def test_replay_cache_edit_fails_audit(world, alice, bob, edit, message):
+    world.mint("C1", alice.pk, 10)
+    sealed = transfer(world, alice, bob, 4)
+    world.submit_tx("C1", sealed)
+    world.seal_block("C1")
+    world.submit_tx("C1", transfer(world, alice, bob, 1))
+    world.check_all()
+    edit(world.chains["C1"], sealed)
+    with pytest.raises(InvariantViolation, match=message):
+        world.check_all()
 
 
 def test_replay_guard_is_per_chain(world, alice, bob):

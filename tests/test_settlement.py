@@ -691,13 +691,13 @@ SETTLEMENT_REFUSALS = [
     ("update-bad-buyer-signature", _update_with_bad_buyer_signature, BadSignature, "buyer signature"),
     ("lock-already-locked", _lock_twice, WrongPhase, "is Locked"),
     ("lock-latest-not-cosigned", _lock_with_latest_missing_a_signature, BadSignature, "not co-signed"),
-    ("open-negative-deposit", _open_with_deposit(-1), InsufficientBalance, "deposit value"),
-    ("htlc-negative-escrow", _htlc_escrowing(-1), InsufficientBalance, "escrow value"),
+    ("open-negative-deposit", _open_with_deposit(-1), InsufficientBalance, "is not a non-negative int"),
+    ("htlc-negative-escrow", _htlc_escrowing(-1), InsufficientBalance, "is not a non-negative int"),
     # an amount is a non-negative int: a fraction, a bool or text is none
-    ("open-fractional-deposit", _open_with_deposit(2.5), InsufficientBalance, "deposit value"),
-    ("open-bool-deposit", _open_with_deposit(True), InsufficientBalance, "deposit value"),
-    ("htlc-fractional-escrow", _htlc_escrowing(2.5), InsufficientBalance, "escrow value"),
-    ("htlc-text-escrow", _htlc_escrowing("3"), InsufficientBalance, "escrow value"),
+    ("open-fractional-deposit", _open_with_deposit(2.5), InsufficientBalance, "is not a non-negative int"),
+    ("open-bool-deposit", _open_with_deposit(True), InsufficientBalance, "is not a non-negative int"),
+    ("htlc-fractional-escrow", _htlc_escrowing(2.5), InsufficientBalance, "is not a non-negative int"),
+    ("htlc-text-escrow", _htlc_escrowing("3"), InsufficientBalance, "is not a non-negative int"),
     ("update-fractional-payment", _update_paying(2.5), ConservationViolation, "net payment"),
     # a tick is a non-negative int as well: a timeout or a step's date too
     ("htlc-fractional-timeout", _htlc_timing_out(5.5), PastTimeout, "timeout 5.5 is not a tick"),

@@ -736,6 +736,7 @@ def inject_anchor(world, commitment, sender, logged=True):
     tx = Transaction.make("anchor", commitment.to_body(), sender, "injected-0")
     world.chains["C1"].pending.append(tx)
     world.chains["C1"].pending_ids.append(tx.tx_id)
+    world.chains["C1"].sender_nonces.add((tx.sender, tx.nonce))
     if logged:
         world.log_op("C1", "anchor", tx_id=tx.tx_id)
     world.seal_block("C1")
