@@ -100,6 +100,9 @@ def _try_refunds(world: World, channel: settlement.Channel,
 
 
 def run_schedule(schedule: Schedule, seed: int = 0) -> Outcome:
+    """Run `schedule` on a fork of the seed's template and read its outcome.
+    The fork is audited with `World.check_conservation` alone, not the whole
+    `scenarios.check_world`, because every schedule of a sweep runs it."""
     template_world, template, preimage = _locked_channel(seed)
     world = template_world.fork()
     channel = world.channels[template.channel_id]

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from math import ceil, log2, sqrt
 from statistics import fmean, linear_regression, pstdev
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from . import canonical, credential, identity, scenarios, settlement
 from .costs import DEFAULT_WEIGHTS, format_units
@@ -380,18 +380,10 @@ def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> Metri
 
 # -------------------------------------------------------------------- e2e --
 
-def e2e(
-    updates: int = 50, actors: Optional[dict[str, int]] = None, seed: int = 42
-) -> MetricsReport:
-    """The full cross-chain trade on a fresh world. `actors` maps an actor
-    name (issuer, holder, buyer) to the seed of its key, in place of `seed`."""
+def e2e(updates: int = 50, seed: int = 42) -> MetricsReport:
+    """The full cross-chain trade on a fresh world."""
     _check_ints("updates", [updates], 0)
-    actors = actors or {}
-    if not (isinstance(actors, dict) and set(actors) <= {"issuer", "holder", "buyer"}):
-        raise ConfigError(f"actors must map issuer, holder or buyer to a seed, got {actors!r}")
-    for name, actor_seed in actors.items():
-        _check_ints(f"{name} seed", [actor_seed], 0, 2**64 - 1)
-    out = scenarios.run_e2e(seed=seed, n_updates=updates, actor_seeds=actors)
+    out = scenarios.run_e2e(seed=seed, n_updates=updates)
     world: World = out["world"]
     return MetricsReport(
         experiment="e2e",

@@ -6,7 +6,11 @@ header views, and an append-only operation log with cost units. Replaying a
 scenario from the same seed reproduces the op log byte for byte. Every
 amount of value and every tick of the clock is one `is_natural` value: a
 non-negative int, and a bool is not one. Value moves only through `debit`
-and `credit`, which refuse any other amount before they move anything.
+and `credit`, which refuse any other amount before they move anything. An
+account is the 0x-hex of a 32-byte key, the size of an Ed25519 public key:
+the four movers (`debit`, `credit`, `take_asset`, `give_asset`) refuse any
+other key, and a transfer's `to` is refused before its debit. An asset id
+is non-empty text, and a chain mints an id once until `burn_asset` frees it.
 
 There is no consensus layer: a header is valid when it extends a chain by
 exactly one height with correct prev linkage from genesis. One canonical
@@ -27,10 +31,12 @@ from typing import Any, Optional
 from . import canonical, costs
 from .errors import (
     BadSignature,
+    ConservationViolation,
     EmptyPool,
     InsufficientBalance,
     InvariantViolation,
     IssuerDeactivated,
+    MalformedArtifact,
     ReplayedTransaction,
     UnknownChain,
 )
@@ -66,6 +72,27 @@ def is_natural(value: Any) -> bool:
     """A non-negative int; a bool is not one. Every amount of value and
     every tick (a timeout, a step's date, a clock advance) is one."""
     return type(value) is int and value >= 0
+
+
+def _account(pk: Any) -> str:
+    """The account of key `pk`: its 0x-hex. A key is 32 bytes, the size of
+    an Ed25519 public key; anything else is refused with `MalformedArtifact`."""
+    if type(pk) is not bytes or len(pk) != 32:
+        raise MalformedArtifact(f"an account key is 32 bytes, got {pk!r}")
+    return canonical.to_hex(pk)
+
+
+def _is_account(key: Any) -> bool:
+    """True iff `key` is the account `_account` makes of some key."""
+    try:
+        return _account(canonical.from_hex(key)) == key
+    except (ValueError, MalformedArtifact):
+        return False
+
+
+def _is_asset_id(asset_id: Any) -> bool:
+    """True iff `asset_id` is non-empty text, the one form of an asset id."""
+    return type(asset_id) is str and asset_id != ""
 
 
 # ------------------------------------------------------------ transactions --
@@ -420,9 +447,17 @@ class World:
         self.log_op(chain, "mint", descriptor={"to": canonical.to_hex(pk), "amount": amount})
 
     def mint_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
-        """World-setup asset grant; records the asset's origin chain."""
+        """World-setup asset grant; records the asset's origin chain. An id
+        that is not non-empty text (`MalformedArtifact`) or that the chain
+        has minted and not burned (`ConservationViolation`) is refused before
+        anything moves."""
+        state = self._chain(chain)
+        if not _is_asset_id(asset_id):
+            raise MalformedArtifact(f"an asset id is non-empty text, got {asset_id!r}")
+        if asset_id in state.minted_assets:
+            raise ConservationViolation(f"{chain} has already minted asset {asset_id}")
         self.give_asset(chain, pk, asset_id)
-        self._chain(chain).minted_assets.add(asset_id)
+        state.minted_assets.add(asset_id)
         self.asset_origins.setdefault(asset_id, chain)
         self.log_op(chain, "mint", descriptor={"to": canonical.to_hex(pk), "asset": asset_id})
 
@@ -441,7 +476,7 @@ class World:
     def debit(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """Take `amount`, an amount by `is_natural`, from `pk`'s balance."""
         state = self._chain(chain)
-        key = canonical.to_hex(pk)
+        key = _account(pk)
         if not is_natural(amount):
             raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         if state.balances.get(key, 0) < amount:
@@ -451,21 +486,21 @@ class World:
     def credit(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """Add `amount`, an amount by `is_natural`, to `pk`'s balance."""
         state = self._chain(chain)
-        key = canonical.to_hex(pk)
+        key = _account(pk)
         if not is_natural(amount):
             raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         state.balances[key] = state.balances.get(key, 0) + amount
 
     def take_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         state = self._chain(chain)
-        held = state.holdings.get(canonical.to_hex(pk), set())
+        held = state.holdings.get(_account(pk), set())
         if asset_id not in held:
             raise InsufficientBalance(f"account does not hold asset {asset_id}")
         held.discard(asset_id)
 
     def give_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         state = self._chain(chain)
-        state.holdings.setdefault(canonical.to_hex(pk), set()).add(asset_id)
+        state.holdings.setdefault(_account(pk), set()).add(asset_id)
 
     # -- genesis and blocks ------------------------------------------------------
 
@@ -497,9 +532,10 @@ class World:
         id. The signature is checked over the same bytes that are hashed
         into the id, so the id the block keeps is the one verified here. An
         anchor is refused unless its sender controls an active DID, a
-        transfer's `to` unless it is 0x-hex (`MalformedArtifact`), and a kind
-        the cost table does not weigh; each before anything moves. A transfer
-        moves its amount through `debit` and `credit`."""
+        transfer's `to` unless it is the 0x-hex of a 32-byte key
+        (`MalformedArtifact`), and a kind the cost table does not weigh; each
+        before anything moves. A transfer moves its amount through `debit`
+        and `credit`."""
         state = self._chain(chain)
         payload = tx.payload_bytes()
         if not verify_sig(tx.sender, payload, tx.sig):
@@ -512,6 +548,7 @@ class World:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
             to = read_field(tx.body, "to", bytes)
+            _account(to)  # before the debit, which would move value first
             self.debit(chain, tx.sender, tx.body.get("amount"))
             self.credit(chain, to, tx.body["amount"])
         tx_id = digest(payload)
@@ -692,7 +729,24 @@ class World:
             if len(assets) != len(state.minted_assets) or set(assets) != state.minted_assets:
                 raise InvariantViolation(f"asset multiset not conserved on {label}")
 
+    def check_accounts(self) -> None:
+        """Audit every chain: each balance and holding key is an account
+        (`_account`'s hex of a 32-byte key), and each minted and held asset
+        id is non-empty text. Not part of `check_conservation`, which every
+        atomicity schedule runs."""
+        for label, state in self.chains.items():
+            for key in [*state.balances, *state.holdings]:
+                if not _is_account(key):
+                    raise InvariantViolation(
+                        f"account {key!r} on {label} is not the hex of a 32-byte key"
+                    )
+            for assets in [state.minted_assets, *state.holdings.values()]:
+                for asset_id in assets:
+                    if not _is_asset_id(asset_id):
+                        raise InvariantViolation(f"asset id {asset_id!r} on {label} is not text")
+
     def check_all(self) -> None:
         self.check_header_chains()
         self.check_light_client_prefix()
         self.check_conservation()
+        self.check_accounts()

@@ -2,12 +2,15 @@
 
 One hash-timelock rule governs every lock, an HtlcLock and each channel
 leg alike: a Locked lock is claimed with a preimage whose digest is its
-hash condition strictly before its timeout (`_claim`), or refunded at or
-after the timeout (`_check_refund`; `chan_refund` checks every named leg
-before refunding any).
+hash condition strictly before its timeout (`_check_claim`), or refunded
+at or after the timeout (`_check_refund`; `chan_refund` checks every named
+leg before refunding any).
 No step lets a party assert that time has passed: a refund is judged at
 the world's clock, and a date `at` can only narrow a claim (`_dated`
-needs clock <= at, and `_claim` needs at < timeout).
+needs clock <= at, and `_check_claim` needs at < timeout). A claim pays
+out before it marks the lock Unlocked, so a payout the ledger refuses, such
+as one to a beneficiary that is not a 32-byte key, leaves the lock Locked
+and refundable.
 A timeout and a date are ticks, each `ledger.is_natural` like the clock;
 any other is refused before anything moves (`PastTimeout`, or
 `BadTimeouts` for a channel lock).
@@ -193,15 +196,15 @@ def htlc_lock(
     return lock
 
 
-def _claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
-    """Unlock a Locked lock with the preimage, strictly before its timeout."""
+def _check_claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
+    """Raise unless the lock is Locked, `preimage` opens it and `at` is
+    strictly before its timeout."""
     if lock.state != "Locked":
         raise NotLocked(f"{lock.contract_id} is {lock.state}")
     if digest(preimage) != lock.hash_cond:
         raise WrongPreimage("preimage does not hash to the lock condition")
     if at >= lock.timeout:
         raise Expired(f"claim at {at} not strictly before timeout {lock.timeout}")
-    lock.state = "Unlocked"
 
 
 def _check_refund(lock: HtlcLock | ChannelLeg, clock: int) -> None:
@@ -223,8 +226,9 @@ def _dated(world: World, at: Optional[int]) -> int:
 
 
 def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> None:
-    _claim(lock, preimage, _dated(world, at))
+    _check_claim(lock, preimage, _dated(world, at))
     _release_escrow(world, lock.chain, lock.beneficiary, lock.escrow)
+    lock.state = "Unlocked"
     world.log_op(lock.chain, "htlc_unlock", descriptor={"contract": lock.contract_id})
 
 
@@ -481,8 +485,9 @@ def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Op
     batch delta. The preimage becomes public knowledge on-chain."""
     funds, assets = _legs(world, channel)
     at = _dated(world, at)
-    _claim(assets, preimage, at)
+    _check_claim(assets, preimage, at)
     _settle_assets(world, channel, assets)
+    assets.state = "Unlocked"
     world.log_op(assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
     _maybe_reopen(channel, funds, assets)
 
@@ -492,8 +497,9 @@ def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Opt
     now-public preimage; allowed strictly before t1."""
     funds, assets = _legs(world, channel)
     at = _dated(world, at)
-    _claim(funds, preimage, at)
+    _check_claim(funds, preimage, at)
     _settle_payment(world, channel, funds)
+    funds.state = "Unlocked"
     world.log_op(funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
     _maybe_reopen(channel, funds, assets)
 

@@ -47,7 +47,7 @@ def test_run_chains_key_rejected_exit_two(tmp_path):
 
 
 def test_run_removed_top_level_keys_exit_two(tmp_path):
-    # relay_policy changed nothing; actors is an e2e param now
+    # relay_policy and actors changed nothing and are gone
     for key, value in (("relay_policy", 3), ("actors", {"buyer": 9001})):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "e2e", key: value}))
@@ -56,20 +56,29 @@ def test_run_removed_top_level_keys_exit_two(tmp_path):
         assert f"unknown config keys: ['{key}']" in result.output
 
 
-def test_run_config_actors_param(tmp_path):
+def test_run_config_param(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "e2e", "seed": 21, "params": {"actors": {"buyer": 9001}}}))
+    cfg.write_text(json.dumps({"experiment": "e2e", "seed": 21, "params": {"updates": 3}}))
     result = invoke("run", "--config", str(cfg))
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["rows"][0]["acceptanceRecords"] == 1
+    row = json.loads(result.output)["rows"][0]
+    assert row["updates"] == 3 and row["acceptanceRecords"] == 1
 
 
-def test_run_unknown_params_exit_two(tmp_path):
+@pytest.mark.parametrize(
+    "experiment, params, unknown",
+    [
+        ("cost_compare", {"n_values": [1]}, "['n_values']"),
+        # the actor key seeds are no longer settable
+        ("e2e", {"actors": {"buyer": 1}}, "['actors']"),
+    ],
+)
+def test_run_unknown_params_exit_two(tmp_path, experiment, params, unknown):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "cost_compare", "params": {"n_values": [1]}}))
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
     result = invoke("run", "--config", str(cfg))
     assert result.exit_code == 2
-    assert "unknown params for cost_compare: ['n_values']" in result.output
+    assert f"unknown params for {experiment}: {unknown}" in result.output
 
 
 @pytest.mark.parametrize(
@@ -77,9 +86,9 @@ def test_run_unknown_params_exit_two(tmp_path):
     [
         {"seed": True},
         {"experiment": "cost_compare", "params": {"n": [True, 2]}},
-        {"experiment": "e2e", "params": {"actors": {"buyer": True}}},
+        {"experiment": "e2e", "params": {"updates": True}},
     ],
-    ids=["seed", "param-item", "actor-seed"],
+    ids=["seed", "param-item", "scalar-param"],
 )
 def test_run_bool_for_an_integer_exit_two(tmp_path, config):
     # a JSON true is no integer, though Python's bool is an int

@@ -66,7 +66,7 @@ def test_unknown_params_rejected(experiment, params):
         ("vc_bench", {"n_creds", "iterations"}),
         ("spv_bench", {"sizes", "reps"}),
         ("cost_compare", {"n"}),
-        ("e2e", {"updates", "actors"}),
+        ("e2e", {"updates"}),
     ],
 )
 def test_params_are_the_signature_minus_seed(experiment, accepted):
@@ -96,8 +96,6 @@ def test_config_has_only_seed_experiment_params():
         ("cost_compare", {"n": []}),
         ("cost_compare", {"n": [1, 2.5]}),
         ("e2e", {"updates": -1}),
-        ("e2e", {"actors": {"seller": 1}}),
-        ("e2e", {"actors": {"buyer": -1}}),
     ],
 )
 def test_config_file_values_get_the_range_checks(experiment, params):
@@ -256,9 +254,3 @@ def test_rows_csv_shape():
     assert lines[0] == "n,htlc_total,channel_total,htlc_onchain_ops,channel_onchain_ops"
     assert lines[1].startswith("1,465426,917253")
 
-
-def test_e2e_actor_seed_override_changes_world():
-    base = run(ScenarioConfig(seed=21))
-    override = run(ScenarioConfig(seed=21, params={"actors": {"buyer": 9001}}))
-    assert base.derived["worldDigest"] != override.derived["worldDigest"]
-    assert override.rows[0]["acceptanceRecords"] == 1

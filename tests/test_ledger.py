@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xrwa import canonical, credential, identity, primitives, settlement, xauth
 from xrwa.errors import (
     BadSignature,
+    ConservationViolation,
     CostTableError,
     EmptyPool,
     InsufficientBalance,
@@ -20,7 +21,7 @@ from xrwa.errors import (
 from xrwa.fixtures import fixture_items, fixture_world
 from xrwa.ledger import BlockHeader, Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, merkle_prove, merkle_root, merkle_verify
-from xrwa.scenarios import TRANSFER_DISCLOSURE
+from xrwa.scenarios import TRANSFER_DISCLOSURE, check_world
 
 
 @pytest.fixture
@@ -87,9 +88,9 @@ MISSING = object()
 
 
 def _moved(world):
-    """What a refused submit must leave as it was: the state digest (which
-    must still encode), the replay cache and the op log's length."""
-    return world.world_digest(), set(world.chains["C1"].sender_nonces), len(world.op_log)
+    """What a refusal must leave as it was: the state digest (which must
+    still encode), the state outside it and the op log's length."""
+    return world.world_digest(), _unsnapshotted(world), len(world.op_log)
 
 
 @pytest.mark.parametrize("amount", [2.5, True, "3", pytest.param(MISSING, id="missing")])
@@ -107,13 +108,15 @@ def test_non_int_amount_refused_before_anything_moves(world, alice, bob, amount)
 
 @pytest.mark.parametrize("to", [
     5, pytest.param("22" * 32, id="unprefixed"), "0xzz", pytest.param(MISSING, id="missing"),
+    # 0x-hex, but no key pair signs for an account of another size than 32 bytes
+    "0x", "0x00",
 ])
 def test_recipient_that_is_not_a_key_refused_before_anything_moves(world, alice, to):
     world.mint("C1", alice.pk, 10)
     body = {"amount": 4} | ({} if to is MISSING else {"to": to})
     tx = Transaction.make("transfer", body, alice, world.next_nonce())
     before = _moved(world)
-    with pytest.raises(MalformedArtifact, match="'to'"):
+    with pytest.raises(MalformedArtifact, match="'to'|32 bytes"):
         world.submit_tx("C1", tx)
     assert _moved(world) == before
     assert world.balance("C1", alice.pk) == 10
@@ -146,6 +149,74 @@ def test_mint_refuses_an_amount_that_is_not_one(world, alice, amount):
     with pytest.raises(InsufficientBalance, match="not a non-negative int"):
         world.mint("C1", alice.pk, amount)
     assert (world.world_digest(), len(world.op_log)) == before
+
+
+@pytest.mark.parametrize("mover", ["debit", "credit", "take_asset", "give_asset"])
+@pytest.mark.parametrize("pk", [b"", b"\x11" * 31, b"\x11" * 33, "0x" + "11" * 32],
+                         ids=["empty", "short", "long", "hex-text"])
+def test_movers_refuse_a_key_that_is_not_32_bytes(world, alice, mover, pk):
+    world.mint("C1", alice.pk, 10)
+    world.mint_asset("C1", alice.pk, "did:xrwa:moved")
+    what = 1 if mover in ("debit", "credit") else "did:xrwa:moved"
+    before = _moved(world)
+    with pytest.raises(MalformedArtifact, match="32 bytes"):
+        getattr(world, mover)("C1", pk, what)
+    assert _moved(world) == before
+
+
+@pytest.mark.parametrize("asset_id", [5, "", None, b"did:xrwa:bytes"],
+                         ids=["int", "empty", "none", "bytes"])
+def test_mint_asset_refuses_an_id_that_is_not_text(world, alice, asset_id):
+    world.mint_asset("C1", alice.pk, "did:xrwa:text")
+    before = _moved(world)
+    with pytest.raises(MalformedArtifact, match="non-empty text"):
+        world.mint_asset("C1", alice.pk, asset_id)
+    assert _moved(world) == before
+
+
+def test_an_asset_is_minted_once_per_chain_until_burned(world, alice, bob):
+    world.mint_asset("C1", alice.pk, "did:xrwa:once")
+    before = _moved(world)
+    with pytest.raises(ConservationViolation, match="C1 has already minted asset did:xrwa:once"):
+        world.mint_asset("C1", bob.pk, "did:xrwa:once")
+    assert _moved(world) == before
+    # a burn frees the id, so the asset migrates to C2 and back
+    world.burn_asset("C1", alice.pk, "did:xrwa:once")
+    world.mint_asset("C2", bob.pk, "did:xrwa:once")
+    world.burn_asset("C2", bob.pk, "did:xrwa:once")
+    world.mint_asset("C1", bob.pk, "did:xrwa:once")
+    assert world.assets_of("C1", bob.pk) == {"did:xrwa:once"}
+    world.check_all()
+
+
+def _balance_under_short_key(state, key):
+    state.balances["0x00"] = state.balances.pop(key)
+
+
+def _holding_under_upper_case_key(state, key):
+    state.holdings["0x" + key[2:].upper()] = state.holdings.pop(key)
+
+
+def _asset_id_of(new_id):
+    def edit(state, key):
+        state.minted_assets = {new_id}
+        state.holdings[key] = {new_id}
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_balance_under_short_key, "account '0x00' on C1", id="balance-key"),
+    pytest.param(_holding_under_upper_case_key, "account '0x[0-9A-F]{64}' on C1", id="holding-key"),
+    pytest.param(_asset_id_of(5), "asset id 5 on C1 is not text", id="int-asset-id"),
+    pytest.param(_asset_id_of(""), "asset id '' on C1 is not text", id="empty-asset-id"),
+])
+def test_check_all_catches_an_account_or_asset_id_injected_into_state(world, alice, edit, message):
+    world.mint("C1", alice.pk, 10)
+    world.mint_asset("C1", alice.pk, "did:xrwa:held")
+    edit(world.chains["C1"], canonical.to_hex(alice.pk))
+    world.check_conservation()  # conservation alone cannot tell
+    with pytest.raises(InvariantViolation, match=message):
+        world.check_all()
 
 
 def test_transfer_moves_balance(world, alice, bob):
@@ -907,8 +978,7 @@ def test_fork_is_independent_of_its_origin():
     identity.did_deactivate(fork, holder_did, identity.deactivate_signature(
         holder, holder_did, identity.did_resolve(fork, holder_did).version
     ))
-    fork.check_all()
-    xauth.check_acceptance_soundness(fork)
+    check_world(fork)
 
     assert fork.world_digest() != digest_before
     assert world.world_digest() == digest_before
@@ -923,7 +993,7 @@ def test_fork_is_independent_of_its_origin():
         for c, leg in (("C1", "-funds"), ("C2", "-assets"))
     ] == legs_before
     assert world.acceptance_records["C2"] == []
-    world.check_all()
+    check_world(world)
     # the original goes on as if the fork never happened
     assert world.seal_block("C1").height == 1
     assert len(fork.chains["C1"].blocks) == 3

@@ -18,6 +18,7 @@ from xrwa.errors import (
     CostTableError,
     Expired,
     InsufficientBalance,
+    MalformedArtifact,
     NotLocked,
     NotYetExpired,
     PastTimeout,
@@ -113,6 +114,24 @@ def test_htlc_refund_boundaries(world):
     assert world.balance("C1", ALICE.pk) == 1_000
     with pytest.raises(NotLocked):
         htlc_unlock(world, lock, RHO)
+
+
+@pytest.mark.parametrize("chain, escrow", [("C1", {"value": 300}), ("C2", {"asset": "did:xrwa:asset-x"})])
+def test_htlc_claim_to_a_beneficiary_that_is_no_key_moves_nothing(world, chain, escrow):
+    depositor = ALICE.pk if chain == "C1" else BOB.pk
+    lock = htlc_lock(world, chain, depositor, b"\x00", escrow, H_RHO, timeout=5)
+    before = (world.world_digest(), len(world.op_log))
+    with pytest.raises(MalformedArtifact, match="32 bytes"):
+        htlc_unlock(world, lock, RHO, at=1)
+    assert (world.world_digest(), len(world.op_log)) == before
+    world.check_all()
+    # the lock stayed Locked, so its depositor gets the escrow back
+    world.advance_clock(5)
+    htlc_refund(world, lock)
+    assert (world.balance("C1", ALICE.pk), world.assets_of("C2", BOB.pk)) == (
+        1_000, {"did:xrwa:asset-x", "did:xrwa:asset-y", "did:xrwa:asset-z"}
+    )
+    world.check_all()
 
 
 def test_htlc_asset_escrow_roundtrip(world):
