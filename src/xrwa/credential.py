@@ -34,20 +34,25 @@ Revocation and suspension live in issuer-owned status lists held by the
 world. Each section is allocated one index, valid in both of the issuer's
 lists (revocation flips one way; suspension is reversible). `revoke`,
 `suspend` and `reinstate` name a section and act on the lists its status
-entry names, which must be the acting issuer's own. The asset
-section is always consulted during verification regardless of disclosure,
-since it carries the token binding that gives the credential meaning.
+entry names, which must be the acting issuer's own. A list is a frozen
+value (`StatusList`): `issue` stores both lists with their indices taken
+once both have room, and a status change stores and returns the list with
+its bit flipped. The asset section is always consulted during verification
+regardless of disclosure, since it carries the token binding that gives
+the credential meaning.
 
 Dates are ISO-8601 strings compared lexicographically after syntactic
-validation; there is no timezone arithmetic anywhere in this module.
+validation; there is no timezone arithmetic anywhere in this module. Every
+credential is issued on, and verified at, `CURRENT_DATE`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from . import canonical
@@ -157,6 +162,9 @@ _STATUS = {"statusPurpose": _TEXT, "statusListCredential": _TEXT, "statusListInd
 
 STATUS_LIST_CAPACITY = 4096
 
+# the date `issue` stamps and `verify` checks expiry and effective windows against
+CURRENT_DATE = "2025-06-15"
+
 
 # ------------------------------------------------------------ status lists --
 
@@ -169,13 +177,13 @@ def status_list_uri(issuer_did: str, purpose: str) -> str:
     return f"urn:xrwa:status:{suffix}:{purpose.lower()}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatusList:
     """Issuer-owned bit list; one bit per allocated section index."""
 
     issuer: str
     purpose: str  # "Revocation" | "Suspension"
-    bits: bytearray = field(default_factory=lambda: bytearray(STATUS_LIST_CAPACITY // 8))
+    bits: bytes = bytes(STATUS_LIST_CAPACITY // 8)
     version: int = 1
     next_index: int = 0
 
@@ -183,50 +191,43 @@ class StatusList:
     def uri(self) -> str:
         return status_list_uri(self.issuer, self.purpose)
 
-    def fork(self) -> "StatusList":
-        """The copy `World.fork` keeps: the same list with its own bits."""
-        return StatusList(self.issuer, self.purpose, bytearray(self.bits), self.version, self.next_index)
-
     def bit(self, index: int) -> int:
         return (self.bits[index // 8] >> (index % 8)) & 1
 
-    def set_bit(self, index: int) -> None:
-        self.bits[index // 8] |= 1 << (index % 8)
-        self.version += 1
-
-    def clear_bit(self, index: int) -> None:
-        if self.purpose == "Revocation":
+    def with_bit(self, index: int, value: bool) -> "StatusList":
+        """This list, one version on, with bit `index` set (`value` true) or
+        cleared; a revocation bit cannot be cleared (ValueError)."""
+        if not value and self.purpose == "Revocation":
             raise ValueError("revocation bits are one-directional")
-        self.bits[index // 8] &= ~(1 << (index % 8))
-        self.version += 1
+        bits = bytearray(self.bits)
+        bits[index // 8] &= ~(1 << (index % 8))
+        bits[index // 8] |= bool(value) << (index % 8)
+        return dataclasses.replace(self, bits=bytes(bits), version=self.version + 1)
 
-    def allocate(self, count: int) -> int:
-        """The first of the next `count` indices, or StatusListFull, moving nothing."""
+    def allocated(self, count: int) -> "StatusList":
+        """This list with the next `count` indices taken, the first of them
+        its `next_index`, or StatusListFull."""
         if self.next_index + count > STATUS_LIST_CAPACITY:
             raise StatusListFull(f"{self.uri} has fewer than {count} of {STATUS_LIST_CAPACITY} entries left")
-        self.next_index += count
-        return self.next_index - count
+        return dataclasses.replace(self, next_index=self.next_index + count)
 
     def to_json(self) -> dict:
         return {
             "issuer": self.issuer,
             "purpose": self.purpose,
-            "bits": canonical.to_hex(bytes(self.bits)),
+            "bits": canonical.to_hex(self.bits),
             "version": self.version,
             "nextIndex": self.next_index,
         }
 
 
 def _issuer_lists(world: World, issuer_did: str) -> tuple[StatusList, StatusList]:
-    """Fetch or create the issuer's revocation and suspension lists."""
-
-    def fetch(purpose: str) -> StatusList:
-        uri = status_list_uri(issuer_did, purpose)
-        if uri not in world.status_lists:
-            world.status_lists[uri] = StatusList(issuer=issuer_did, purpose=purpose)
-        return world.status_lists[uri]
-
-    return fetch("Revocation"), fetch("Suspension")
+    """The issuer's revocation and suspension lists, each a new empty one
+    until the world holds it; stores nothing."""
+    return tuple(
+        world.status_lists.get(status_list_uri(issuer_did, purpose)) or StatusList(issuer_did, purpose)
+        for purpose in ("Revocation", "Suspension")
+    )
 
 
 # ------------------------------------------------- commitments and hashing --
@@ -524,7 +525,8 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
     """Issue a four-section credential against a holder request.
 
     Decodes the sections from the signed body once the signature holds,
-    allocates one status-list index per section, computes per-field
+    stores the issuer's two status lists with one index per section taken
+    once both have room (StatusListFull otherwise), computes per-field
     commitments, keeps them on the credential (`commitments`), and signs
     four section proofs plus the top proof.
     """
@@ -535,11 +537,11 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
 
     sections = req.sections()
     _validate_sections(sections)
-    revocation, suspension = _issuer_lists(world, issuer_did)
-    first = revocation.allocate(len(SECTIONS))
-    if suspension.allocate(len(SECTIONS)) != first:
+    revocation, suspension = (held.allocated(len(SECTIONS)) for held in _issuer_lists(world, issuer_did))
+    if suspension.next_index != revocation.next_index:
         raise StatusListFull("status list index spaces diverged")
-    for index, name in enumerate(SECTIONS, first):
+    world.status_lists.update({revocation.uri: revocation, suspension.uri: suspension})
+    for index, name in enumerate(SECTIONS, revocation.next_index - len(SECTIONS)):
         sections[name]["sStatus"] = {
             "statusPurpose": "Revocation",
             "statusListCredential": revocation.uri,
@@ -551,9 +553,8 @@ def issue(world: World, req: CredentialRequest, issuer: KeyPair) -> CompositeCre
         b"xrwa/credid/v1" + nonce + issuer_did.encode() + sections["asset"]["assetId"].encode()
     ).hex()
 
-    issued = world.config.current_date + "T00:00:00Z"
-    year = int(world.config.current_date[:4])
-    expires = f"{year + 1}{world.config.current_date[4:]}T00:00:00Z"
+    issued = CURRENT_DATE + "T00:00:00Z"
+    expires = f"{int(CURRENT_DATE[:4]) + 1}{CURRENT_DATE[4:]}T00:00:00Z"
 
     commitments = section_commitments(sections, nonce)
     hashes = {**commitments.hashes, "top": top_hash(commitments.hashes)}
@@ -704,9 +705,6 @@ class VerifyResult:
     reason: Optional[str] = None
     detail: Optional[str] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def __str__(self) -> str:
         if self.ok:
             return "ok"
@@ -785,7 +783,7 @@ def verify(world: World, presentation: Presentation, chain: Optional[str] = None
     the top proof binding, issuer signature and registry status, holder
     signature, disclosed values against their rows (`check_disclosed`),
     status bits of consulted sections (disclosed plus asset), and disclosed
-    effective windows against the world's current date.
+    effective windows against `CURRENT_DATE`.
 
     Counts as one full credential-signature verification on `chain`.
     """
@@ -829,7 +827,7 @@ def verify(world: World, presentation: Presentation, chain: Optional[str] = None
     except MissingField as refusal:
         return _fail("MissingField", str(refusal))
 
-    now = world.config.current_date
+    now = CURRENT_DATE
     if presentation.top_proof.expires < now + "T00:00:00Z":
         return _fail("Expired")
 
@@ -874,10 +872,10 @@ def audit_credential(world: World, cred: CompositeCredential) -> VerifyResult:
 def _status_change(
     world: World, cred: CompositeCredential, section: str, issuer: KeyPair, purpose: str, op: str
 ) -> StatusList:
-    """Flip the section's bit in the issuer's list of `purpose` ("revoke"
-    sets it, "reinstate" clears it) once `issuer` is shown to control an
-    active DID and the section's status entry to name an allocated index of
-    that DID's revocation list; a refusal moves nothing."""
+    """Store and return the issuer's list of `purpose` with the section's
+    bit flipped ("revoke" sets it, "reinstate" clears it) once `issuer` is
+    shown to control an active DID and the section's status entry to name an
+    allocated index of that DID's revocation list; a refusal moves nothing."""
     try:
         owner_did = controlled_did(world, issuer.pk)
     except (NotFound, IssuerDeactivated):
@@ -889,11 +887,8 @@ def _status_change(
         raise NotOwner(f"{section} status entry names no list of {owner_did}")
     if not allocated:
         raise NotOwner(f"{section} status index {index} was never allocated in {revocation.uri}")
-    status_list = world.status_lists[status_list_uri(owner_did, purpose)]
-    if op == "revoke":
-        status_list.set_bit(index)
-    else:
-        status_list.clear_bit(index)
+    status_list = world.status_lists[status_list_uri(owner_did, purpose)].with_bit(index, op == "revoke")
+    world.status_lists[status_list.uri] = status_list
     world.log_op(
         REGISTRY_CHAIN, op,
         descriptor={"list": status_list.uri, "index": index, "v": status_list.version},

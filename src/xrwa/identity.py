@@ -14,13 +14,15 @@ controller key that another DID holds (`DuplicateController`), so
 `World.controller_index` maps each active head's controller key to its DID.
 
 The registry is world-level state hosted on `REGISTRY_CHAIN`, the first
-chain, where DID and credential status-list operations are logged.
+chain, where DID and credential status-list operations are logged. A
+registry entry (`DidEntry`) is a frozen value: each lifecycle step stores a
+new entry in `World.did_registry` and never edits one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
@@ -108,20 +110,15 @@ class DidDocument:
         return canonical.dumps_bytes(self.to_json())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DidEntry:
-    versions: list[DidDocument] = field(default_factory=list)
+    versions: tuple[DidDocument, ...]
     # (action, signature) per head change after creation, kept for audit
-    authorizations: list[tuple[str, bytes]] = field(default_factory=list)
+    authorizations: tuple[tuple[str, bytes], ...] = ()
 
     @property
     def head(self) -> DidDocument:
         return self.versions[-1]
-
-    def fork(self) -> "DidEntry":
-        """The copy `World.fork` keeps: new lists of the same immutable
-        documents and authorizations."""
-        return DidEntry(list(self.versions), list(self.authorizations))
 
     def to_json(self) -> dict:
         return {
@@ -164,7 +161,7 @@ def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
     suffix = digest(canonical.dumps_bytes(seed_doc.binding_json())).hex()
     did = Did(method=NATIVE_METHOD, id_string=suffix)
     doc = dataclasses.replace(seed_doc, did=did.text)
-    world.did_registry[did.text] = DidEntry(versions=[doc])
+    world.did_registry[did.text] = DidEntry(versions=(doc,))
     world.controller_index[controller_hex] = did.text
     world.log_op(REGISTRY_CHAIN, "did_create", descriptor={"did": did.text})
     return did, doc
@@ -229,8 +226,9 @@ def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: byt
     new_hex = canonical.to_hex(new_doc.controller_pk)
     if world.controller_index.get(new_hex, did) != did:
         raise DuplicateController(f"controller key already bound to {world.controller_index[new_hex]}")
-    entry.versions.append(new_doc)
-    entry.authorizations.append(("update", controller_sig))
+    world.did_registry[did] = DidEntry(
+        entry.versions + (new_doc,), entry.authorizations + (("update", controller_sig),)
+    )
     old_hex = canonical.to_hex(head.controller_pk)
     if old_hex != new_hex:
         del world.controller_index[old_hex]
@@ -250,8 +248,10 @@ def did_deactivate(world: World, did: str, controller_sig: bytes) -> None:
         raise AlreadyDeactivated(f"{did} is already deactivated")
     if not verify_sig(head.controller_pk, _deactivate_message(did, head.version), controller_sig):
         raise BadSignature("deactivation not authorized by the current controller")
-    entry.versions[-1] = dataclasses.replace(head, status="Deactivated")
-    entry.authorizations.append(("deactivate", controller_sig))
+    world.did_registry[did] = DidEntry(
+        entry.versions[:-1] + (dataclasses.replace(head, status="Deactivated"),),
+        entry.authorizations + (("deactivate", controller_sig),),
+    )
     del world.controller_index[canonical.to_hex(head.controller_pk)]
     world.log_op(REGISTRY_CHAIN, "did_deactivate", descriptor={"did": did})
 

@@ -7,10 +7,11 @@ scenario from the same seed reproduces the op log byte for byte. Every
 amount of value and every tick of the clock is one `is_natural` value: a
 non-negative int, and a bool is not one. Value moves only through `debit`
 and `credit`, which refuse any other amount before they move anything. An
-account is the 0x-hex of a 32-byte key, the size of an Ed25519 public key:
-the four movers (`debit`, `credit`, `take_asset`, `give_asset`) refuse any
-other key, and a transfer's `to` is refused before its debit. An asset id
-is non-empty text, and a chain mints an id once until `burn_asset` frees it.
+account is the 0x-hex of a 32-byte key, the size of an Ed25519 public key,
+and `account` is the one rule that makes it: the four movers (`debit`,
+`credit`, `take_asset`, `give_asset`) refuse any other key, and a
+transfer's `to` is refused before its debit. An asset id is non-empty
+text, and a chain mints an id once until `burn_asset` frees it.
 
 There is no consensus layer: a header is valid when it extends a chain by
 exactly one height with correct prev linkage from genesis. One canonical
@@ -25,7 +26,6 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field
-from operator import methodcaller
 from typing import Any, Optional
 
 from . import canonical, costs
@@ -49,6 +49,7 @@ __all__ = [
     "GENESIS_PREV",
     "header_links",
     "is_natural",
+    "account",
     "Transaction",
     "BlockHeader",
     "Block",
@@ -74,7 +75,7 @@ def is_natural(value: Any) -> bool:
     return type(value) is int and value >= 0
 
 
-def _account(pk: Any) -> str:
+def account(pk: Any) -> str:
     """The account of key `pk`: its 0x-hex. A key is 32 bytes, the size of
     an Ed25519 public key; anything else is refused with `MalformedArtifact`."""
     if type(pk) is not bytes or len(pk) != 32:
@@ -83,9 +84,9 @@ def _account(pk: Any) -> str:
 
 
 def _is_account(key: Any) -> bool:
-    """True iff `key` is the account `_account` makes of some key."""
+    """True iff `key` is the account `account` makes of some key."""
     try:
-        return _account(canonical.from_hex(key)) == key
+        return account(canonical.from_hex(key)) == key
     except (ValueError, MalformedArtifact):
         return False
 
@@ -299,10 +300,6 @@ def _shallow_copy(obj: Any) -> Any:
     return other
 
 
-# a registry entry's own copy (`DidEntry.fork`, `StatusList.fork`)
-_fork = methodcaller("fork")
-
-
 def _copy_values(mapping: dict, copy_value: Any) -> dict:
     """A copy of `mapping` whose every value is `copy_value(value)`."""
     other = mapping.copy()
@@ -316,7 +313,6 @@ def _copy_values(mapping: dict, copy_value: Any) -> dict:
 @dataclass(frozen=True)
 class WorldConfig:
     seed: int = 42
-    current_date: str = "2025-06-15"
 
     def jurisdiction(self, chain: ChainId) -> str:
         return JURISDICTIONS[chain]
@@ -371,13 +367,13 @@ class World:
         one. Contracts and channels are shallow copies (`_shallow_copy`),
         whole because settlement rebinds their fields and never edits a
         value one holds, so a channel is bound to its legs by id in any
-        world. Each registry entry copies itself with its own `fork()`,
-        which gives a `DidEntry` new lists and a `StatusList` a new
-        bytearray. The world and its chains are set up attribute by
-        attribute, not by copying their instance dicts: every step reads
-        them, and CPython 3.11 reads the attributes of an instance whose
-        dict was copied in more slowly, which made an atomicity schedule
-        slower, not faster."""
+        world. The DID and status-list registries hold frozen values that
+        identity and credential replace and never edit, so the copies of
+        those two dicts share their entries. The world and its chains are
+        set up attribute by attribute, not by copying their instance dicts:
+        every step reads them, and CPython 3.11 reads the attributes of an
+        instance whose dict was copied in more slowly, which made an
+        atomicity schedule slower, not faster."""
         other = object.__new__(World)
         other.config = self.config
         other.treasury = self.treasury
@@ -387,9 +383,9 @@ class World:
         other.chains = _copy_values(self.chains, _ChainState.fork)
         other.relayed = _copy_values(self.relayed, list.copy)
         other.op_log = self.op_log.copy()
-        other.did_registry = _copy_values(self.did_registry, _fork)
+        other.did_registry = self.did_registry.copy()
         other.controller_index = self.controller_index.copy()
-        other.status_lists = _copy_values(self.status_lists, _fork)
+        other.status_lists = self.status_lists.copy()
         other.acceptance_records = _copy_values(self.acceptance_records, list.copy)
         other.asset_origins = self.asset_origins.copy()
         other.channels = _copy_values(self.channels, _shallow_copy)
@@ -476,7 +472,7 @@ class World:
     def debit(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """Take `amount`, an amount by `is_natural`, from `pk`'s balance."""
         state = self._chain(chain)
-        key = _account(pk)
+        key = account(pk)
         if not is_natural(amount):
             raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         if state.balances.get(key, 0) < amount:
@@ -486,21 +482,21 @@ class World:
     def credit(self, chain: ChainId, pk: bytes, amount: int) -> None:
         """Add `amount`, an amount by `is_natural`, to `pk`'s balance."""
         state = self._chain(chain)
-        key = _account(pk)
+        key = account(pk)
         if not is_natural(amount):
             raise InsufficientBalance(f"amount {amount!r} is not a non-negative int")
         state.balances[key] = state.balances.get(key, 0) + amount
 
     def take_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         state = self._chain(chain)
-        held = state.holdings.get(_account(pk), set())
+        held = state.holdings.get(account(pk), set())
         if asset_id not in held:
             raise InsufficientBalance(f"account does not hold asset {asset_id}")
         held.discard(asset_id)
 
     def give_asset(self, chain: ChainId, pk: bytes, asset_id: str) -> None:
         state = self._chain(chain)
-        state.holdings.setdefault(_account(pk), set()).add(asset_id)
+        state.holdings.setdefault(account(pk), set()).add(asset_id)
 
     # -- genesis and blocks ------------------------------------------------------
 
@@ -548,7 +544,7 @@ class World:
             raise IssuerDeactivated("anchoring key controls no active did")
         if tx.kind == "transfer":
             to = read_field(tx.body, "to", bytes)
-            _account(to)  # before the debit, which would move value first
+            account(to)  # before the debit, which would move value first
             self.debit(chain, tx.sender, tx.body.get("amount"))
             self.credit(chain, to, tx.body["amount"])
         tx_id = digest(payload)
@@ -731,7 +727,7 @@ class World:
 
     def check_accounts(self) -> None:
         """Audit every chain: each balance and holding key is an account
-        (`_account`'s hex of a 32-byte key), and each minted and held asset
+        (`account`'s hex of a 32-byte key), and each minted and held asset
         id is non-empty text. Not part of `check_conservation`, which every
         atomicity schedule runs."""
         for label, state in self.chains.items():

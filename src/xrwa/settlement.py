@@ -7,10 +7,10 @@ at or after the timeout (`_check_refund`; `chan_refund` checks every named
 leg before refunding any).
 No step lets a party assert that time has passed: a refund is judged at
 the world's clock, and a date `at` can only narrow a claim (`_dated`
-needs clock <= at, and `_check_claim` needs at < timeout). A claim pays
-out before it marks the lock Unlocked, so a payout the ledger refuses, such
-as one to a beneficiary that is not a 32-byte key, leaves the lock Locked
-and refundable.
+needs clock <= at, and `_check_claim` needs at < timeout). `htlc_lock`
+refuses a beneficiary that is not a 32-byte key (`ledger.account`) before
+it escrows anything. A claim pays out before it marks the lock Unlocked,
+so a payout the ledger refuses leaves the lock Locked and refundable.
 A timeout and a date are ticks, each `ledger.is_natural` like the clock;
 any other is refused before anything moves (`PastTimeout`, or
 `BadTimeouts` for a channel lock).
@@ -80,7 +80,7 @@ from .errors import (
     WrongPhase,
     WrongPreimage,
 )
-from .ledger import CHAINS, ChainId, World, is_natural
+from .ledger import CHAINS, ChainId, World, account, is_natural
 from .primitives import KeyPair, digest, sign, verify_sig
 from .xauth import has_acceptance
 
@@ -175,6 +175,7 @@ def htlc_lock(
 ) -> HtlcLock:
     if not is_natural(timeout) or timeout <= world.clock:
         raise PastTimeout(f"timeout {timeout!r} is not a tick after clock {world.clock}")
+    account(beneficiary)  # before the escrow, which would move value first
     _take_escrow(world, chain, depositor, escrow)
     contract_id = _derived_id("htlc-", {
         "chain": chain,

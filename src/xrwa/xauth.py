@@ -35,7 +35,7 @@ from .errors import (
     TxNotInBlock,
 )
 from .identity import issuer_status
-from .ledger import BlockHeader, ChainId, Transaction, World, header_links
+from .ledger import Block, BlockHeader, ChainId, Transaction, World, header_links
 from .primitives import (
     KeyPair,
     MerklePath,
@@ -108,6 +108,11 @@ class Commitment:
             + self.epoch.to_bytes(8, "big")
             + length_prefixed(self.nonce)
         )
+
+    @property
+    def slot(self) -> tuple[str, int, bytes]:
+        """The (asset id, epoch, nonce) that one anchor at most may carry."""
+        return (self.asset_id, self.epoch, self.nonce)
 
     def to_body(self) -> dict:
         return {
@@ -237,7 +242,7 @@ def anchor(
     return the containing header. `World.submit_tx` refuses the anchor when
     `issuer` controls no active DID; a refused anchor takes no nonce slot."""
     # a nonce may serve one (asset, epoch) pair only
-    slot = (commitment.asset_id, commitment.epoch, commitment.nonce)
+    slot = commitment.slot
     if slot in world.anchor_nonces:
         raise CommitmentMismatch(
             f"nonce already anchored for {commitment.asset_id} at epoch {commitment.epoch}"
@@ -381,23 +386,37 @@ def check_acceptance_soundness(world: World) -> None:
     """Audit: every acceptance record must trace back to an anchor tx in a
     source-chain block whose header the destination accepted via relay, with
     its id as stored in `Block.tx_ids` (which `check_all` checks) in the op
-    log, sent by a key that controlled some version of a registered DID."""
+    log, sent by a key that controlled some version of a registered DID.
+    And the anchor-slot cache: no two anchor txs on any chain, sealed or
+    pending, carry one `Commitment.slot`, and `world.anchor_nonces` holds
+    only slots that anchors carry. An anchor whose body is no commitment
+    carries no slot and vouches for no acceptance."""
     anchor_log_ids = {
         rec.tx_id for rec in world.op_log if rec.op_kind == "anchor"
     }
     controller_keys = {
         doc.controller_pk for entry in world.did_registry.values() for doc in entry.versions
     }
-    sources = {rec.source_chain for records in world.acceptance_records.values() for rec in records}
-    # one pass over the source chains; a later anchor of the same commitment
-    # replaces an earlier one
-    carriers = {
-        (chain, tx.body.get("commitmentDigest")): (block, index)
-        for chain in sources
-        for block in world.chains[chain].blocks
-        for index, tx in enumerate(block.txs)
-        if tx.kind == "anchor"
-    }
+    # one pass over every anchor; a commitment fixes its slot, so two
+    # carriers of one commitment fail the slot check
+    carriers: dict[tuple[ChainId, str], tuple[Block, int]] = {}
+    slots: set[tuple[str, int, bytes]] = set()
+    for chain, state in world.chains.items():
+        sealed = [(block, index, tx) for block in state.blocks for index, tx in enumerate(block.txs)]
+        for block, index, tx in [*sealed, *((None, -1, tx) for tx in state.pending)]:
+            if tx.kind != "anchor":
+                continue
+            try:
+                slot = Commitment.from_body(tx.body).slot
+            except (MalformedArtifact, CommitmentMismatch):
+                continue
+            if slot in slots:
+                raise InvariantViolation(f"two anchor txs carry the slot of {slot[0]} at epoch {slot[1]}")
+            slots.add(slot)
+            if block is not None:
+                carriers[(chain, tx.body["commitmentDigest"])] = (block, index)
+    if not world.anchor_nonces <= slots:
+        raise InvariantViolation("anchor nonce cache holds a slot no anchor tx carries")
     for dest, records in world.acceptance_records.items():
         for rec in records:
             wanted = canonical.to_hex(rec.commitment_digest)

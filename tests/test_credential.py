@@ -358,12 +358,26 @@ def test_mutated_request_refused_before_allocating_or_issued_sound(data):
         pass
 
 
-@pytest.mark.parametrize("free", [0, 3])
-def test_status_lists_without_room_for_every_section_refuse_moving_nothing(free):
+def _fill_status_lists(world, free, purposes=("Revocation", "Suspension")):
+    """Store each of the world's lists of `purposes` with `free` indices left."""
+    for uri, status_list in world.status_lists.items():
+        if status_list.purpose in purposes:
+            world.status_lists[uri] = dataclasses.replace(
+                status_list, next_index=credential.STATUS_LIST_CAPACITY - free
+            )
+
+
+@pytest.mark.parametrize("free, purposes", [
+    pytest.param(0, ("Revocation", "Suspension"), id="0"),
+    pytest.param(3, ("Revocation", "Suspension"), id="3"),
+    # the revocation list has room, so only storing both lists after both
+    # allocations leaves it as it was
+    pytest.param(3, ("Suspension",), id="suspension-only"),
+])
+def test_status_lists_without_room_for_every_section_refuse_moving_nothing(free, purposes):
     world, issuer, holder = fixture_world()
     issue(world, request(fixture_items("Gold"), holder), issuer)
-    for status_list in world.status_lists.values():
-        status_list.next_index = credential.STATUS_LIST_CAPACITY - free
+    _fill_status_lists(world, free, purposes)
     before = {uri: sl.to_json() for uri, sl in world.status_lists.items()}
     with pytest.raises(StatusListFull):
         issue(world, request(fixture_items("Gold"), holder), issuer)
@@ -373,8 +387,7 @@ def test_status_lists_without_room_for_every_section_refuse_moving_nothing(free)
 def test_issue_takes_the_last_status_indices():
     world, issuer, holder = fixture_world()
     issue(world, request(fixture_items("Gold"), holder), issuer)
-    for status_list in world.status_lists.values():
-        status_list.next_index = credential.STATUS_LIST_CAPACITY - 4
+    _fill_status_lists(world, 4)
     cred = issue(world, request(fixture_items("Gold"), holder), issuer)
     assert [cred.status_ref(s)["statusListIndex"] for s in credential.SECTIONS] == [4092, 4093, 4094, 4095]
     assert audit_credential(world, cred).ok
@@ -502,22 +515,22 @@ def test_verify_deactivated_issuer(setup):
     assert result.reason == "IssuerDeactivated"
 
 
-def test_verify_outside_effective_window(setup):
+def test_verify_outside_effective_window(setup, monkeypatch):
     world, _, holder, cred = setup
     pres = prove(cred, holder, ["compliance.effectiveFrom", "compliance.effectiveTo"])
     assert verify(world, pres).ok
-    world.config = dataclasses.replace(world.config, current_date="2026-03-01")
+    monkeypatch.setattr(credential, "CURRENT_DATE", "2026-03-01")
     late = verify(world, pres)
     assert not late.ok and late.reason in ("OutsideEffectiveWindow", "Expired")
 
 
-def test_verify_expired_credential_rejected(setup):
+def test_verify_expired_credential_rejected(setup, monkeypatch):
     # no compliance window disclosed, so the top proof's expiry alone refuses
     world, _, holder, cred = setup
     pres = prove(cred, holder, ["asset.assetType"])
-    world.config = dataclasses.replace(world.config, current_date="2026-06-14")
+    monkeypatch.setattr(credential, "CURRENT_DATE", "2026-06-14")
     assert verify(world, pres).ok
-    world.config = dataclasses.replace(world.config, current_date="2026-06-16")
+    monkeypatch.setattr(credential, "CURRENT_DATE", "2026-06-16")
     assert cred.top_proof.expires < "2026-06-16T00:00:00Z"
     assert verify(world, pres).reason == "Expired"
 
@@ -561,23 +574,27 @@ def test_revoke_4x2_disclosed_vs_other(setup):
 
 def test_revoke_idempotent_version_still_increments(setup):
     world, issuer, _, cred = setup
-    rev_list = world.status_lists[cred.status_ref("custody")["statusListCredential"]]
-    v0 = rev_list.version
-    assert revoke(world, cred, "custody", issuer) is rev_list
-    v1 = rev_list.version
-    revoke(world, cred, "custody", issuer)
-    assert rev_list.version > v1 > v0
+    uri = cred.status_ref("custody")["statusListCredential"]
     index = cred.status_ref("custody")["statusListIndex"]
-    assert rev_list.bit(index) == 1
+    unrevoked = world.status_lists[uri]
+    revoked = revoke(world, cred, "custody", issuer)
+    assert world.status_lists[uri] is revoked
+    again = revoke(world, cred, "custody", issuer)
+    assert world.status_lists[uri] is again
+    assert again.version > revoked.version > unrevoked.version
+    assert (unrevoked.bit(index), revoked.bit(index), again.bit(index)) == (0, 1, 1)
 
 
 def test_suspension_set_then_cleared(setup):
     world, issuer, holder, cred = setup
     pres = prove(cred, holder, [])
+    index = cred.status_ref("asset")["statusListIndex"]
     susp = suspend(world, cred, "asset", issuer)
     assert susp.uri == credential.status_list_uri(cred.issuer, "Suspension")
     assert verify(world, pres).reason == "SectionSuspended"
-    assert reinstate(world, cred, "asset", issuer) is susp
+    cleared = reinstate(world, cred, "asset", issuer)
+    assert world.status_lists[susp.uri] is cleared
+    assert (susp.bit(index), cleared.bit(index)) == (1, 0)
     assert verify(world, pres).ok
 
 
@@ -585,7 +602,7 @@ def test_revocation_bits_one_directional(setup):
     world, issuer, _, cred = setup
     rev_list = revoke(world, cred, "asset", issuer)
     with pytest.raises(ValueError):
-        rev_list.clear_bit(cred.status_ref("asset")["statusListIndex"])
+        rev_list.with_bit(cred.status_ref("asset")["statusListIndex"], False)
 
 
 def test_revoke_requires_owner(setup):

@@ -181,7 +181,7 @@ def test_authorization_audit_catches_tampered_registry(world):
     identity.did_update(world, did.text, new_doc, identity.update_signature(controller, new_doc))
     # forge a head change behind the registry's back
     entry = world.did_registry[did.text]
-    entry.versions.append(bump(new_doc))
+    world.did_registry[did.text] = dataclasses.replace(entry, versions=entry.versions + (bump(new_doc),))
     with pytest.raises(InvariantViolation, match="2 head changes, 1 authorizations"):
         identity.check_authorization(world)
 
@@ -201,13 +201,15 @@ def test_authorization_audit_catches_a_forged_authorization(world, forged, messa
     identity.check_authorization(world)
     # each change keeps its action but carries the forger's signature
     entry = world.did_registry[did.text]
-    action, _ = entry.authorizations[forged]
+    authorizations = list(entry.authorizations)
+    action, _ = authorizations[forged]
     sig = (
         identity.update_signature(forger, rotated)
         if action == "update"
         else identity.deactivate_signature(forger, did.text, rotated.version)
     )
-    entry.authorizations[forged] = (action, sig)
+    authorizations[forged] = (action, sig)
+    world.did_registry[did.text] = dataclasses.replace(entry, authorizations=tuple(authorizations))
     with pytest.raises(InvariantViolation, match=message):
         identity.check_authorization(world)
 

@@ -942,6 +942,7 @@ def test_fork_is_independent_of_its_origin():
     assert _unsnapshotted(fork) == _unsnapshotted(world)
     digest_before, csv_before = world.world_digest(), world.op_log_csv()
     rng_before, hidden_before = world.rng.getstate(), _unsnapshotted(world)
+    registries_before = {name: dict(getattr(world, name)) for name in ("did_registry", "status_lists")}
 
     # ledger: submit and seal, relay, balances, holdings, contracts, rng
     fork.submit_tx("C1", Transaction.make(
@@ -965,6 +966,13 @@ def test_fork_is_independent_of_its_origin():
     assert forked.phase == "Locked" and "did:xrwa:fork-d" in fork.assets_of("C2", buyer.pk)
     # identity and credential registries
     identity.did_create(fork, keygen(digest(b"fork-newcomer")))
+    issuer_did = fork.controller_index[canonical.to_hex(issuer.pk)]
+    head = identity.did_resolve(fork, issuer_did)
+    updated = dataclasses.replace(head, version=head.version + 1, service_endpoints=(("s", "Fork", "https://fork"),))
+    identity.did_update(fork, issuer_did, updated, identity.update_signature(issuer, updated))
+    fresh = credential.issue(fork, credential.request(fixture_items("Gold"), holder), issuer)
+    credential.suspend(fork, fresh, "asset", issuer)
+    credential.reinstate(fork, fresh, "asset", issuer)
     # anchor and accept on the fork
     commitment = xauth.make_commitment(
         fork, "C1", pres, cred.asset["tokenBinding"], len(fork.chains["C1"].blocks), b"\x0f" * 16
@@ -985,6 +993,9 @@ def test_fork_is_independent_of_its_origin():
     assert world.op_log_csv() == csv_before
     assert world.rng.getstate() == rng_before
     assert _unsnapshotted(world) == hidden_before
+    for name, entries in registries_before.items():
+        assert getattr(world, name).keys() == entries.keys()
+        assert all(getattr(world, name)[key] is entry for key, entry in entries.items())
     assert world.chains["C2"].contracts[lock.contract_id].state == "Locked"
     assert world.channels == {channel.channel_id: channel}
     assert dataclasses.asdict(channel) == channel_before
@@ -1006,12 +1017,11 @@ def _unshareable(world):
     """(path, object) of everything a fork must hold its own of: each list,
     dict, set or bytearray a `World` attribute or a `_ChainState` field
     holds, with each one a dict of these holds in turn (holdings sets
-    among them); each chain state, contract, channel, `DidEntry` and
-    `StatusList`, and the containers of the last two, which change in
-    place. Sealed blocks, `config`, `treasury`, op-log entries and the
-    generator are left out, and so are the values a contract's or a
-    channel's fields hold: settlement rebinds those fields and never edits
-    what one holds."""
+    among them); each chain state, contract and channel. Sealed blocks,
+    `config`, `treasury`, op-log entries, the generator and the registry
+    entries (`DidEntry`, `StatusList`, values by `_is_value`) are left out,
+    and so are the values a contract's or a channel's fields hold:
+    settlement rebinds those fields and never edits what one holds."""
     found = []
 
     def add(path, value):
@@ -1034,11 +1044,33 @@ def _unshareable(world):
             found.append((f"chains[{label!r}].contracts[{cid!r}]", contract))
     for cid, channel in world.channels.items():
         found.append((f"channels[{cid!r}]", channel))
-    for did, entry in world.did_registry.items():
-        add_fields(f"did_registry[{did!r}]", entry)
-    for uri, status_list in world.status_lists.items():
-        add_fields(f"status_lists[{uri!r}]", status_list)
     return found
+
+
+def _is_value(value):
+    """True iff `value` is a str, int or bytes, or a tuple or frozen
+    dataclass of values, all the way down."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__dataclass_params__.frozen and all(
+            _is_value(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if type(value) is tuple:
+        return all(_is_value(item) for item in value)
+    return type(value) in (str, int, bytes)
+
+
+def test_registry_entries_are_values_all_the_way_down():
+    world, issuer, holder, cred = _busy_world()[:4]
+    credential.suspend(world, cred, "asset", issuer)
+    holder_did = world.controller_index[canonical.to_hex(holder.pk)]
+    identity.did_deactivate(world, holder_did, identity.deactivate_signature(
+        holder, holder_did, identity.did_resolve(world, holder_did).version
+    ))
+    entries = [*world.did_registry.values(), *world.status_lists.values()]
+    assert {type(entry).__name__ for entry in entries} == {"DidEntry", "StatusList"}
+    assert any(entry.authorizations for entry in world.did_registry.values())
+    assert all(_is_value(entry) for entry in entries)
+    assert not _is_value(dataclasses.replace(entries[-1], bits=bytearray(entries[-1].bits)))
 
 
 def test_a_fork_shares_nothing_mutable_with_its_origin():
@@ -1047,12 +1079,14 @@ def test_a_fork_shares_nothing_mutable_with_its_origin():
     origin_parts, fork_parts = _unshareable(world), _unshareable(fork)
     assert [path for path, _ in fork_parts] == [path for path, _ in origin_parts]
     kinds = {type(value).__name__ for _, value in origin_parts}
-    assert {"_ChainState", "HtlcLock", "ChannelLeg", "Channel", "DidEntry", "StatusList",
-            "bytearray", "set"} <= kinds
+    assert {"_ChainState", "HtlcLock", "ChannelLeg", "Channel", "set"} <= kinds
     shared = [path for (path, mine), (_, theirs) in zip(fork_parts, origin_parts) if mine is theirs]
     assert shared == []
     # what a fork may share
     assert fork.config is world.config and fork.treasury is world.treasury
+    for name in ("did_registry", "status_lists"):
+        assert all(getattr(fork, name)[key] is entry and _is_value(entry)
+                   for key, entry in getattr(world, name).items())
     assert all(a is b for a, b in zip(fork.op_log, world.op_log, strict=True))
     assert all(
         a is b

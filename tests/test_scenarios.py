@@ -20,8 +20,9 @@ def _acceptance_with_no_anchor(world):
 
 
 def _unauthorized_did_head(world):
-    entry = next(iter(world.did_registry.values()))
-    entry.versions.append(dataclasses.replace(entry.head, version=entry.head.version + 1))
+    did, entry = next(iter(world.did_registry.items()))
+    head = dataclasses.replace(entry.head, version=entry.head.version + 1)
+    world.did_registry[did] = dataclasses.replace(entry, versions=entry.versions + (head,))
 
 
 @pytest.mark.parametrize("inject, message", [

@@ -118,8 +118,15 @@ def test_htlc_refund_boundaries(world):
 
 @pytest.mark.parametrize("chain, escrow", [("C1", {"value": 300}), ("C2", {"asset": "did:xrwa:asset-x"})])
 def test_htlc_claim_to_a_beneficiary_that_is_no_key_moves_nothing(world, chain, escrow):
-    depositor = ALICE.pk if chain == "C1" else BOB.pk
-    lock = htlc_lock(world, chain, depositor, b"\x00", escrow, H_RHO, timeout=5)
+    depositor, beneficiary = (ALICE.pk, BOB.pk) if chain == "C1" else (BOB.pk, ALICE.pk)
+    before = (world.world_digest(), len(world.op_log))
+    with pytest.raises(MalformedArtifact, match="32 bytes"):
+        htlc_lock(world, chain, depositor, b"\x00", escrow, H_RHO, timeout=5)
+    assert (world.world_digest(), len(world.op_log)) == before
+    # a claim pays out before it marks the lock, so a Locked lock whose
+    # beneficiary is no key stays Locked when the payout is refused
+    lock = htlc_lock(world, chain, depositor, beneficiary, escrow, H_RHO, timeout=5)
+    lock.beneficiary = b"\x00"
     before = (world.world_digest(), len(world.op_log))
     with pytest.raises(MalformedArtifact, match="32 bytes"):
         htlc_unlock(world, lock, RHO, at=1)

@@ -27,7 +27,7 @@ from xrwa.errors import (
 from xrwa.fixtures import FIXTURE_TYPES, fixture_items, fixture_world
 from xrwa.ledger import Transaction, World, WorldConfig
 from xrwa.primitives import digest, keygen, sign
-from xrwa.scenarios import TRANSFER_DISCLOSURE
+from xrwa.scenarios import TRANSFER_DISCLOSURE, check_world
 
 from mutations import locations, mutate
 
@@ -442,6 +442,32 @@ def test_anchor_nonce_unique_per_asset_epoch(flow):
     xauth.anchor(world, "C1", c2, issuer)
 
 
+@pytest.mark.parametrize("seal", [True, False])
+def test_a_slot_anchored_twice_fails_audit(flow, seal):
+    # with the cache cleared, anchor lets a second tx, sealed or pending,
+    # carry a slot a sealed anchor already carries
+    world, issuer, _, cred, pres = flow
+    c = xauth.make_commitment(world, "C1", pres, cred.asset["tokenBinding"], 9, b"\x0c" * 16)
+    xauth.anchor(world, "C1", c, issuer)
+    world.relay_chain("C2", "C1")
+    check_world(world)
+    world.anchor_nonces.clear()
+    xauth.anchor(world, "C1", c, issuer, seal=seal)
+    world.relay_chain("C2", "C1")
+    world.check_all()  # the ledger alone cannot tell
+    with pytest.raises(InvariantViolation, match="two anchor txs carry the slot"):
+        check_world(world)
+
+
+def test_a_cached_slot_no_anchor_carries_fails_audit(flow):
+    world, issuer, _, cred, pres = flow
+    anchored(world, issuer, pres, cred)
+    check_world(world)
+    world.anchor_nonces.add((cred.asset["assetId"], 9, b"\x0c" * 16))
+    with pytest.raises(InvariantViolation, match="holds a slot no anchor tx carries"):
+        check_world(world)
+
+
 def test_authenticate_after_issuer_deactivated_rejected(flow):
     world, issuer, _, cred, pres = flow
     _, tx, proof = anchored(world, issuer, pres, cred)
@@ -613,6 +639,20 @@ def test_anchor_body_not_a_commitment_refused_before_anything_is_logged(flow, ma
     with pytest.raises(MalformedArtifact):
         xauth.authenticate(world, "C2", tx, proof, pres)
     assert world.acceptance_records["C2"] == [] and len(world.op_log) == ops_before
+
+
+def test_anchors_whose_body_is_no_commitment_pass_the_audit(flow):
+    # such a body carries no slot and vouches for no acceptance; a digest
+    # that is a list made the carrier lookup raise TypeError
+    world, issuer, _, cred, pres = flow
+    commitment, tx, proof = anchored(world, issuer, pres, cred)
+    xauth.authenticate(world, "C2", tx, proof, pres)
+    body = commitment.to_body()
+    for mangled in (_bare_asset_id(body), _negative_epoch(body), _digest_not_hex(body),
+                    {**body, "commitmentDigest": [body["commitmentDigest"]]}):
+        world.submit_tx("C1", Transaction.make("anchor", mangled, issuer, world.next_nonce()))
+    world.seal_block("C1")
+    check_world(world)
 
 
 # ------------------------------------------------------------- refusals ----
