@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import xauth
 from .credential import canonical_serialize
@@ -96,8 +97,18 @@ def main() -> None:
 @out_option
 @format_option
 def run_cmd(config_path: str | None, seed: int, out: str | None, fmt: str) -> None:
-    """Run a configured experiment (default: the end-to-end trade)."""
-    _run(out, fmt, lambda: ScenarioConfig.from_file(config_path) if config_path else ScenarioConfig(seed=seed))
+    """Run a configured experiment (default: the end-to-end trade). A config
+    file sets the seed itself, so a typed `--seed` with `--config` is refused."""
+    seed_typed = click.get_current_context().get_parameter_source("seed") is not ParameterSource.DEFAULT
+
+    def config() -> ScenarioConfig:
+        if not config_path:
+            return ScenarioConfig(seed=seed)
+        if seed_typed:
+            raise ConfigError("--seed cannot be given with --config; set the seed in the config file")
+        return ScenarioConfig.from_file(config_path)
+
+    _run(out, fmt, config)
 
 
 @main.command("bench-vc")

@@ -10,8 +10,9 @@ must be able to distinguish revoked from never-existed, so "non-resolvable"
 is realized as "unusable for authorization" rather than as deletion.
 
 A key controls at most one DID: `did_create` and `did_update` refuse a
-controller key that another DID holds (`DuplicateController`), so
-`World.controller_index` maps each active head's controller key to its DID.
+controller key that another DID holds (`DuplicateController`). The registry
+is the one record of key control: `World.controller_index` is a view that
+maps each active head's controller key to its DID, built on each read.
 
 The registry is world-level state hosted on `REGISTRY_CHAIN`, the first
 chain, where DID and credential status-list operations are logged. A
@@ -145,11 +146,9 @@ def _deactivate_message(did: str, version: int) -> bytes:
 
 
 def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
-    controller_hex = canonical.to_hex(keypair.pk)
-    if controller_hex in world.controller_index:
-        raise DuplicateController(
-            f"controller key already bound to {world.controller_index[controller_hex]}"
-        )
+    bound = world.controller_index.get(canonical.to_hex(keypair.pk))
+    if bound is not None:
+        raise DuplicateController(f"controller key already bound to {bound}")
     seed_doc = DidDocument(
         did="",
         controller_pk=keypair.pk,
@@ -162,7 +161,6 @@ def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
     did = Did(method=NATIVE_METHOD, id_string=suffix)
     doc = dataclasses.replace(seed_doc, did=did.text)
     world.did_registry[did.text] = DidEntry(versions=(doc,))
-    world.controller_index[controller_hex] = did.text
     world.log_op(REGISTRY_CHAIN, "did_create", descriptor={"did": did.text})
     return did, doc
 
@@ -223,16 +221,12 @@ def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: byt
         raise BadSignature("updates cannot change lifecycle status")
     if not verify_sig(head.controller_pk, new_doc.canonical_bytes(), controller_sig):
         raise BadSignature("update not authorized by the current controller")
-    new_hex = canonical.to_hex(new_doc.controller_pk)
-    if world.controller_index.get(new_hex, did) != did:
-        raise DuplicateController(f"controller key already bound to {world.controller_index[new_hex]}")
+    bound = world.controller_index.get(canonical.to_hex(new_doc.controller_pk), did)
+    if bound != did:
+        raise DuplicateController(f"controller key already bound to {bound}")
     world.did_registry[did] = DidEntry(
         entry.versions + (new_doc,), entry.authorizations + (("update", controller_sig),)
     )
-    old_hex = canonical.to_hex(head.controller_pk)
-    if old_hex != new_hex:
-        del world.controller_index[old_hex]
-        world.controller_index[new_hex] = did
     world.log_op(REGISTRY_CHAIN, "did_update", descriptor={"did": did, "v": new_doc.version})
     return new_doc
 
@@ -252,21 +246,16 @@ def did_deactivate(world: World, did: str, controller_sig: bytes) -> None:
         entry.versions[:-1] + (dataclasses.replace(head, status="Deactivated"),),
         entry.authorizations + (("deactivate", controller_sig),),
     )
-    del world.controller_index[canonical.to_hex(head.controller_pk)]
     world.log_op(REGISTRY_CHAIN, "did_deactivate", descriptor={"did": did})
 
 
 def check_authorization(world: World) -> None:
-    """Audit: replay every head change and confirm it carries a signature
-    verifying under the controller key it replaced (or deactivated), and that
-    `controller_index` maps exactly each active head's key to its DID."""
-    active = sorted(
-        (canonical.to_hex(entry.head.controller_pk), did)
-        for did, entry in world.did_registry.items()
-        if entry.head.status == "Active"
-    )
-    if sorted(world.controller_index.items()) != active:
-        raise InvariantViolation("controller index differs from the active heads' controller keys")
+    """Audit: no two active heads share a controller key, and every head
+    change carries a signature verifying under the controller key it
+    replaced (or deactivated)."""
+    keys = [canonical.to_hex(e.head.controller_pk) for e in world.did_registry.values() if e.head.status == "Active"]
+    if len(set(keys)) != len(keys):
+        raise InvariantViolation("two active dids share a controller key")
     for did, entry in world.did_registry.items():
         deactivated = entry.head.status == "Deactivated"
         transitions = len(entry.versions) - 1 + (1 if deactivated else 0)

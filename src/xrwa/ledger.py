@@ -330,9 +330,8 @@ class World:
         self.relayed: dict[tuple[ChainId, ChainId], list[BlockHeader]] = {}
         self.op_log: list[OpRecord] = []
 
-        # registries owned by the identity / credential / xauth / settlement modules
+        # registries owned by identity, credential, xauth and settlement (`controller_index` is a view)
         self.did_registry: dict[str, Any] = {}
-        self.controller_index: dict[str, str] = {}
         self.status_lists: dict[str, Any] = {}
         self.acceptance_records: dict[ChainId, list[Any]] = {c: [] for c in CHAINS}
         self.asset_origins: dict[str, ChainId] = {}
@@ -384,7 +383,6 @@ class World:
         other.relayed = _copy_values(self.relayed, list.copy)
         other.op_log = self.op_log.copy()
         other.did_registry = self.did_registry.copy()
-        other.controller_index = self.controller_index.copy()
         other.status_lists = self.status_lists.copy()
         other.acceptance_records = _copy_values(self.acceptance_records, list.copy)
         other.asset_origins = self.asset_origins.copy()
@@ -392,6 +390,16 @@ class World:
         other.anchor_nonces = self.anchor_nonces.copy()
         other.verify_counts = self.verify_counts.copy()
         return other
+
+    @property
+    def controller_index(self) -> dict[str, str]:
+        """The registry's record of key control, built on each read (so read
+        it once): each active DID head's controller key, as 0x-hex, to its DID."""
+        return {
+            canonical.to_hex(entry.head.controller_pk): did
+            for did, entry in self.did_registry.items()
+            if entry.head.status == "Active"
+        }
 
     # -- plumbing ------------------------------------------------------------
 

@@ -131,11 +131,12 @@ def _public_key(pk: bytes) -> Ed25519PublicKey:
 
 def verify_sig(pk: bytes, message: bytes, sig: bytes) -> bool:
     """True iff sig was produced by the matching sk over these exact bytes.
-    A key that is not `bytes` (a bytearray, say) cannot key the cache and is
-    parsed on each call, so it gets the answer the library gives it."""
+    A key or a signature that is not `bytes` (a bytearray, str or None, say)
+    verifies nothing: False, before the key cache is consulted."""
+    if type(pk) is not bytes or type(sig) is not bytes:
+        return False
     try:
-        key = _public_key(pk) if type(pk) is bytes else Ed25519PublicKey.from_public_bytes(pk)
-        key.verify(sig, message)
+        _public_key(pk).verify(sig, message)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -422,7 +422,10 @@ def chan_update(channel: Channel, proposed: ChannelState) -> None:
         raise BadSignature("state names a different channel")
     if proposed.seq != channel.latest.seq + 1:
         raise StaleSeq(f"expected seq {channel.latest.seq + 1}, got {proposed.seq}")
-    body = proposed.canonical_bytes()
+    try:
+        body = proposed.canonical_bytes()
+    except (TypeError, ValueError):  # a set batch, say: no party can have signed it
+        raise BadSignature("state has no canonical encoding") from None
     if not verify_sig(channel.buyer_pk, body, proposed.sig_a):
         raise BadSignature("buyer signature invalid")
     if not verify_sig(channel.seller_pk, body, proposed.sig_b):
@@ -481,28 +484,27 @@ def _settle_payment(world: World, channel: Channel, leg: ChannelLeg) -> None:
     channel.settled_payment += delta
 
 
+def _claim_leg(world: World, channel: Channel, name: str, preimage: bytes, at: Optional[int]) -> None:
+    """Claim leg `name` with `preimage` at `at`, paying the latest state's unsettled delta."""
+    funds, assets = _legs(world, channel)
+    leg, settle = (assets, _settle_assets) if name == "assets" else (funds, _settle_payment)
+    _check_claim(leg, preimage, _dated(world, at))
+    settle(world, channel, leg)
+    leg.state = "Unlocked"
+    world.log_op(leg.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": name})
+    _maybe_reopen(channel, funds, assets)
+
+
 def reveal_on_assets_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Buyer reveals the preimage on the asset contract, taking the committed
     batch delta. The preimage becomes public knowledge on-chain."""
-    funds, assets = _legs(world, channel)
-    at = _dated(world, at)
-    _check_claim(assets, preimage, at)
-    _settle_assets(world, channel, assets)
-    assets.state = "Unlocked"
-    world.log_op(assets.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "assets"})
-    _maybe_reopen(channel, funds, assets)
+    _claim_leg(world, channel, "assets", preimage, at)
 
 
 def redeem_on_funds_leg(world: World, channel: Channel, preimage: bytes, at: Optional[int] = None) -> None:
     """Seller redeems the aggregated payment on the funds contract with the
     now-public preimage; allowed strictly before t1."""
-    funds, assets = _legs(world, channel)
-    at = _dated(world, at)
-    _check_claim(funds, preimage, at)
-    _settle_payment(world, channel, funds)
-    funds.state = "Unlocked"
-    world.log_op(funds.chain, "chan_unlock", descriptor={"channel": channel.channel_id, "leg": "funds"})
-    _maybe_reopen(channel, funds, assets)
+    _claim_leg(world, channel, "funds", preimage, at)
 
 
 def _maybe_reopen(channel: Channel, funds: ChannelLeg, assets: ChannelLeg) -> None:
@@ -531,7 +533,7 @@ def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> No
     is a ValueError. Every named leg is checked before any is refunded.
     Escrow stays in the channel and the committed assignment is reverted."""
     funds, assets = _legs(world, channel)
-    if leg is None:
+    if leg is None:  # a chain of ifs, not a filtered list: every sweep schedule refunds here
         named = (("assets", assets), ("funds", funds))
     elif leg == "assets":
         named = (("assets", assets),)

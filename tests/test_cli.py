@@ -56,6 +56,16 @@ def test_run_removed_top_level_keys_exit_two(tmp_path):
         assert f"unknown config keys: ['{key}']" in result.output
 
 
+def test_run_seed_with_config_exit_two(tmp_path):
+    # the config file sets the seed, so a typed --seed would be dropped silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "e2e"}))
+    for seed in ("7", "42"):
+        result = invoke("run", "--config", str(cfg), "--seed", seed)
+        assert result.exit_code == 2
+        assert "config error: --seed cannot be given with --config" in result.output
+
+
 def test_run_config_param(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "e2e", "seed": 21, "params": {"updates": 3}}))

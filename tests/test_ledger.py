@@ -895,7 +895,6 @@ def _unsnapshotted(world):
     return (
         {c: set(s.sender_nonces) for c, s in world.chains.items()},
         {c: list(s.pending_ids) for c, s in world.chains.items()},
-        dict(world.controller_index),
         dict(world.asset_origins),
         set(world.anchor_nonces),
         dict(world.verify_counts),

@@ -2,8 +2,10 @@ import dataclasses
 
 import pytest
 
-from xrwa import scenarios
-from xrwa.errors import InvariantViolation
+from xrwa import canonical, credential, identity, scenarios, settlement
+from xrwa.errors import BadSignature, InvariantViolation
+from xrwa.fixtures import fixture_items, fixture_world
+from xrwa.ledger import Transaction
 from xrwa.primitives import digest
 from xrwa.scenarios import check_world
 
@@ -49,3 +51,63 @@ def test_each_scenario_ends_with_check_world(monkeypatch, run_scenario):
     world = run_scenario()
     assert audited == [world]
     check_world(world)
+
+
+def _tx_with_text_signature(world, issuer, holder, channel):
+    tx = Transaction.make("transfer", {"to": canonical.to_hex(issuer.pk), "amount": 1}, holder, "n-1")
+    world.submit_tx("C1", dataclasses.replace(tx, sig=tx.sig.hex()))
+
+
+def _update_with_text_signature(world, issuer, holder, channel):
+    did = identity.controlled_did(world, issuer.pk)
+    doc = identity.did_resolve(world, did)
+    new = dataclasses.replace(doc, version=doc.version + 1)
+    identity.did_update(world, did, new, identity.update_signature(issuer, new).hex())
+
+
+def _deactivate_with_no_signature(world, issuer, holder, channel):
+    identity.did_deactivate(world, identity.controlled_did(world, issuer.pk), None)
+
+
+def _issue_with_text_request_signature(world, issuer, holder, channel):
+    req = credential.request(fixture_items("RE"), holder)
+    credential.issue(world, dataclasses.replace(req, sig=req.sig.hex()), issuer)
+
+
+def _state(channel, issuer, holder):
+    return settlement.make_state(channel, ["asset-1"], 10, holder, issuer)
+
+
+def _state_with_text_seller_signature(world, issuer, holder, channel):
+    state = _state(channel, issuer, holder)
+    settlement.chan_update(channel, dataclasses.replace(state, sig_b=state.sig_b.hex()))
+
+
+def _state_with_set_batch(world, issuer, holder, channel):
+    state = _state(channel, issuer, holder)
+    settlement.chan_update(channel, dataclasses.replace(state, batch=set(state.batch)))
+
+
+def _state_with_text_utf8_cannot_encode(world, issuer, holder, channel):
+    state = _state(channel, issuer, holder)
+    settlement.chan_update(channel, dataclasses.replace(state, batch=["\ud800"]))
+
+
+@pytest.mark.parametrize("step", [
+    _tx_with_text_signature,
+    _update_with_text_signature,
+    _deactivate_with_no_signature,
+    _issue_with_text_request_signature,
+    _state_with_text_seller_signature,
+    _state_with_set_batch,
+    _state_with_text_utf8_cannot_encode,
+])
+def test_signed_step_refuses_what_no_party_signed(step):
+    world, issuer, holder = fixture_world()
+    world.mint("C1", holder.pk, 100)
+    world.mint_asset("C2", issuer.pk, "asset-1")
+    channel = settlement.chan_open(world, holder, issuer, 100, ["asset-1"])
+    before = (world.world_digest(), world.op_log_csv(), channel.latest)
+    with pytest.raises(BadSignature):
+        step(world, issuer, holder, channel)
+    assert (world.world_digest(), world.op_log_csv(), channel.latest) == before
