@@ -10,9 +10,11 @@ must be able to distinguish revoked from never-existed, so "non-resolvable"
 is realized as "unusable for authorization" rather than as deletion.
 
 A key controls at most one DID: `did_create` and `did_update` refuse a
-controller key that another DID holds (`DuplicateController`). The registry
-is the one record of key control: `World.controller_index` is a view that
-maps each active head's controller key to its DID, built on each read.
+controller key that another DID holds (`DuplicateController`), and a key
+that is not an account key (`ledger.account`: 32 `bytes`) with
+`MalformedArtifact`. The registry is the one record of key control:
+`World.controller_index` is a view that maps each active head's controller
+key to its DID, built on each read.
 
 The registry is world-level state hosted on `REGISTRY_CHAIN`, the first
 chain, where DID and credential status-list operations are logged. A
@@ -37,7 +39,7 @@ from .errors import (
     NotFound,
     VersionSkew,
 )
-from .ledger import CHAINS, World
+from .ledger import CHAINS, World, account
 from .primitives import KeyPair, digest, sign, verify_sig
 
 __all__ = [
@@ -146,7 +148,7 @@ def _deactivate_message(did: str, version: int) -> bytes:
 
 
 def did_create(world: World, keypair: KeyPair) -> tuple[Did, DidDocument]:
-    bound = world.controller_index.get(canonical.to_hex(keypair.pk))
+    bound = world.controller_index.get(account(keypair.pk))
     if bound is not None:
         raise DuplicateController(f"controller key already bound to {bound}")
     seed_doc = DidDocument(
@@ -219,9 +221,10 @@ def did_update(world: World, did: str, new_doc: DidDocument, controller_sig: byt
         raise BadSignature("update document names a different did")
     if new_doc.status != "Active":
         raise BadSignature("updates cannot change lifecycle status")
+    key = account(new_doc.controller_pk)
     if not verify_sig(head.controller_pk, new_doc.canonical_bytes(), controller_sig):
         raise BadSignature("update not authorized by the current controller")
-    bound = world.controller_index.get(canonical.to_hex(new_doc.controller_pk), did)
+    bound = world.controller_index.get(key, did)
     if bound != did:
         raise DuplicateController(f"controller key already bound to {bound}")
     world.did_registry[did] = DidEntry(

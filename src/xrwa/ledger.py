@@ -225,13 +225,15 @@ class OpRecord:
     the digest of the canonical encoding of the op-tagged descriptor
     `{"op": op_kind, **descriptor}`.
 
-    The id is computed when `tx_id` is first read and kept; until then the
-    entry holds the raw 32-byte id or its own op-tagged dict, which that
-    read drops. So a world nobody reports on, such as a schedule's fork,
-    never encodes or hashes its entries. A fork shares its origin's entries,
-    and the id is the same whichever world reads it first. Descriptors hold
-    only str, int and list values built by this package; an unencodable one
-    would raise when the entry is read, not when it is logged."""
+    The entry holds the raw 32-byte id or its own op-tagged dict, never hex.
+    The first read of `tx_id` hashes a dict once and keeps the 32-byte
+    digest in its place; each read renders the hex afresh, so a report that
+    reads every entry keeps no text per entry. A world nobody reports on,
+    such as a schedule's fork, never encodes or hashes its entries. A fork
+    shares its origin's entries, and the id is the same whichever world
+    reads it first. Descriptors hold only str, int and list values built by
+    this package; an unencodable one would raise when the entry is read,
+    not when it is logged."""
 
     __slots__ = ("tick", "chain", "op_kind", "cost_units", "_id")
 
@@ -241,17 +243,14 @@ class OpRecord:
         self.chain = chain
         self.op_kind = op_kind
         self.cost_units = cost_units
-        self._id: bytes | dict | str = source
+        self._id: bytes | dict = source
 
     @property
     def tx_id(self) -> str:
         source = self._id
-        if type(source) is str:
-            return source
         if type(source) is dict:
-            source = digest(canonical.dumps_bytes(source))
-        self._id = canonical.to_hex(source)
-        return self._id
+            source = self._id = digest(canonical.dumps_bytes(source))
+        return canonical.to_hex(source)
 
     def csv_row(self) -> str:
         return f"{self.tick},{self.chain},{self.op_kind},{costs.format_units(self.cost_units)},{self.tx_id}"

@@ -9,6 +9,8 @@ attributable):
 - digest: SHA-256, 32 bytes.
 - signatures: Ed25519; key generation is deterministic from a 32-byte seed
   so fixtures are reproducible. Production entropy handling is out of scope.
+  The public key is read as its 32 raw bytes, so cryptography's
+  serialization package (PEM, SSH, RSA and more) is never loaded.
   Private-key objects are kept in a bounded cache keyed by the secret, and
   public-key objects in one keyed by the key's bytes, so a key is expanded
   or parsed once rather than per signature or verification; signatures and
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -111,10 +112,7 @@ def keygen(seed: bytes) -> KeyPair:
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_SIZE:
         raise SeedError(f"seed must be exactly {SEED_SIZE} bytes")
     seed = bytes(seed)
-    pk = _private_key(seed).public_key().public_bytes(
-        encoding=serialization.Encoding.Raw, format=serialization.PublicFormat.Raw
-    )
-    return KeyPair(pk=pk, sk=seed)
+    return KeyPair(pk=_private_key(seed).public_key().public_bytes_raw(), sk=seed)
 
 
 def sign(sk: bytes, message: bytes) -> bytes:

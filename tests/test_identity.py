@@ -10,11 +10,12 @@ from xrwa.errors import (
     Deactivated,
     DuplicateController,
     InvariantViolation,
+    MalformedArtifact,
     NotFound,
     VersionSkew,
 )
 from xrwa.ledger import World, WorldConfig
-from xrwa.primitives import digest, keygen
+from xrwa.primitives import KeyPair, digest, keygen
 from xrwa import canonical
 
 
@@ -239,6 +240,25 @@ def test_update_cannot_take_another_dids_controller_key(world):
     identity.did_update(world, did_a.text, keeping, identity.update_signature(a, keeping))
     assert identity.controlled_did(world, a.pk) == did_a.text
     identity.check_authorization(world)
+
+
+@pytest.mark.parametrize("step", ["create", "update"])
+@pytest.mark.parametrize("not_a_key", [bytearray, bytes.hex, lambda pk: pk[:31]], ids=["bytearray", "str", "31-bytes"])
+def test_controller_key_that_is_not_an_account_key_refused_and_moves_nothing(world, step, not_a_key):
+    # a stored bytearray key would lock its DID: no later update or deactivation would verify
+    a = kp(b"key-a")
+    did_a, doc_a = identity.did_create(world, a)
+    key = not_a_key(kp(b"key-b").pk)
+    before = (world.world_digest(), dict(world.did_registry), world.op_log_csv())
+    with pytest.raises(MalformedArtifact, match="account key"):
+        if step == "create":
+            identity.did_create(world, KeyPair(pk=key, sk=a.sk))
+        else:
+            new_doc = dataclasses.replace(bump(doc_a), controller_pk=key)
+            # a str key has no canonical encoding, so nothing can sign its document
+            sig = bytes(64) if type(key) is str else identity.update_signature(a, new_doc)
+            identity.did_update(world, did_a.text, new_doc, sig)
+    assert (world.world_digest(), dict(world.did_registry), world.op_log_csv()) == before
 
 
 def test_controller_index_is_a_view_of_the_active_heads(world):

@@ -551,14 +551,25 @@ def test_oplog_csv_shape(world, alice):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
-def test_descriptor_edited_after_logging_leaves_the_entry_id(world):
+def test_descriptor_edited_after_logging_leaves_the_entry_id(world, monkeypatch):
     descriptor = {"channel": "ch-1", "leg": "funds"}
     rec = world.log_op("C1", "chan_unlock", descriptor=descriptor)
     descriptor["leg"] = "assets"
     descriptor["extra"] = [1]
     tagged = {"op": "chan_unlock", "channel": "ch-1", "leg": "funds"}
-    assert rec.tx_id == canonical.to_hex(digest(canonical.dumps_bytes(tagged)))
-    assert rec.tx_id is rec.tx_id
+    expected = canonical.to_hex(digest(canonical.dumps_bytes(tagged)))
+    encoded = []
+    real_dumps_bytes = canonical.dumps_bytes
+
+    def counting(value):
+        encoded.append(value)
+        return real_dumps_bytes(value)
+
+    monkeypatch.setattr(canonical, "dumps_bytes", counting)
+    assert rec.tx_id == expected
+    assert rec.tx_id == expected
+    # the first read hashes the descriptor; the second renders the kept digest
+    assert encoded == [tagged]
     raw = digest(b"a transaction id")
     assert world.log_op("C1", "anchor", tx_id=raw).tx_id == canonical.to_hex(raw)
 
