@@ -13,8 +13,9 @@ best-batch floors over interleaved batches, which resist ambient load far
 better than means. Everything runs on one thread.
 
 `EXPERIMENTS` maps each experiment name to its function; the function's
-keyword parameters other than `seed` are the experiment's config `params`,
-and their defaults are the only ones.
+parameters other than its keyword-only `seed` are the experiment's config
+`params`, and their defaults are the only ones. `seed` has no default:
+`run` passes the config's, so `ScenarioConfig.seed` is the one default.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ __all__ = [
     "run",
 ]
 
+# what every report says it ran on, the same for each
+ENVIRONMENT = {
+    "digest": DIGEST_ALGORITHM,
+    "signature": SIGNATURE_SCHEME,
+    "python": platform.python_version(),
+}
 REFERENCE_VC_LATENCY = {
     "issuanceMeanMs": 8.16,
     "issuanceP95Ms": 9.04,
@@ -121,15 +128,6 @@ class MetricsReport:
     timing: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
     invariants: dict = field(default_factory=lambda: {"checked": [], "ok": True})
-    environment: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.environment:
-            self.environment = {
-                "digest": DIGEST_ALGORITHM,
-                "signature": SIGNATURE_SCHEME,
-                "python": platform.python_version(),
-            }
 
     def fingerprint(self) -> str:
         stable = {
@@ -144,7 +142,7 @@ class MetricsReport:
     def to_json(self) -> dict:
         return {
             "experiment": self.experiment,
-            "environment": self.environment,
+            "environment": dict(ENVIRONMENT),
             "rows": self.rows,
             "derived": self.derived,
             "timing": self.timing,
@@ -198,7 +196,7 @@ def _check_ints(name: str, values: Any, low: int, high: float = float("inf")) ->
 
 # ---------------------------------------------------------------- vc bench --
 
-def bench_vc(n_creds: int = 500, iterations: int = 10, seed: int = 42) -> MetricsReport:
+def bench_vc(n_creds: int = 500, iterations: int = 10, *, seed: int) -> MetricsReport:
     """Issuance/verification latency plus per-type canonical sizes.
 
     Sizes and counts are deterministic; latency is machine-dependent and
@@ -257,7 +255,7 @@ def bench_vc(n_creds: int = 500, iterations: int = 10, seed: int = 42) -> Metric
 # --------------------------------------------------------------- spv bench --
 
 def bench_spv(
-    sizes: Sequence[int] = tuple(2**k for k in range(5, 14)), reps: int = 10_000, seed: int = 42
+    sizes: Sequence[int] = tuple(2**k for k in range(5, 14)), reps: int = 10_000, *, seed: int
 ) -> MetricsReport:
     """Inclusion-proof verification time across block sizes, with a
     least-squares fit against log2(n)."""
@@ -339,7 +337,7 @@ def bench_spv(
 
 # ------------------------------------------------------------ cost compare --
 
-def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> MetricsReport:
+def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), *, seed: int) -> MetricsReport:
     """Simulated op counts priced by the calibrated table, per route, for
     each interaction count in `n`."""
     _check_ints("interaction counts n", n, 1)
@@ -380,7 +378,7 @@ def cost_compare(n: Sequence[int] = (1, 2, 5, 10, 100), seed: int = 42) -> Metri
 
 # -------------------------------------------------------------------- e2e --
 
-def e2e(updates: int = 50, seed: int = 42) -> MetricsReport:
+def e2e(updates: int = 50, *, seed: int) -> MetricsReport:
     """The full cross-chain trade on a fresh world."""
     _check_ints("updates", [updates], 0)
     out = scenarios.run_e2e(seed=seed, n_updates=updates)

@@ -311,7 +311,7 @@ def _copy_values(mapping: dict, copy_value: Any) -> dict:
 
 @dataclass(frozen=True)
 class WorldConfig:
-    seed: int = 42
+    seed: int
 
     def jurisdiction(self, chain: ChainId) -> str:
         return JURISDICTIONS[chain]
@@ -320,8 +320,8 @@ class WorldConfig:
 class World:
     """Single-writer simulation state shared by every protocol module."""
 
-    def __init__(self, config: WorldConfig | None = None):
-        self.config = config or WorldConfig()
+    def __init__(self, config: WorldConfig):
+        self.config = config
         self.clock = 0
         self._rng = random.Random(self.config.seed)
         self._rng_shared = False

@@ -3,8 +3,13 @@
 One hash-timelock rule governs every lock, an HtlcLock and each channel
 leg alike: a Locked lock is claimed with a preimage whose digest is its
 hash condition strictly before its timeout (`_check_claim`), or refunded
-at or after the timeout (`_check_refund`; `chan_refund` checks every named
-leg before refunding any).
+at or after the timeout (`_check_refund`). Each channel leg is a contract
+on its own chain, so `chan_refund` refunds the one leg it names.
+A hash condition is 32 bytes, the size of a digest; `htlc_lock` and
+`chan_lock` refuse any other with MalformedArtifact before anything moves.
+A step acts only on a lock or channel its world holds (`_held`): handed
+the template of a fork, say, it refuses with ValueError before anything
+moves in either world.
 No step lets a party assert that time has passed: a refund is judged at
 the world's clock, and a date `at` can only narrow a claim (`_dated`
 needs clock <= at, and `_check_claim` needs at < timeout). `htlc_lock`
@@ -26,8 +31,7 @@ A Channel pairs two contracts: a funds leg (buyer's deposit) on C1 and an
 assets leg (seller's asset set) on C2, the two chains of `ledger.CHAINS`,
 with the ids `<channel id>-funds` and `<channel id>-assets`. The channel is
 world state: `chan_open` registers it in `World.channels`, and each step
-that touches a leg reads both legs from the world once (`_legs`), refusing
-a channel the world does not hold with ValueError. A
+that touches a leg reads both legs from the world once (`_legs`). A
 signed off-chain state is its batch and its net payment, under the channel
 id and a strictly increasing sequence number: `batch` is every deposited
 asset the buyer should own so far and `net_payment` everything the seller
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from . import canonical
 from .errors import (
@@ -71,6 +75,7 @@ from .errors import (
     ConservationViolation,
     Expired,
     InsufficientBalance,
+    MalformedArtifact,
     NotLocked,
     NotYetExpired,
     PastTimeout,
@@ -158,6 +163,21 @@ def _release_escrow(world: World, chain: ChainId, receiver: bytes, escrow: dict)
         world.give_asset(chain, receiver, escrow["asset"])
 
 
+def _check_hash_cond(hash_cond: Any) -> None:
+    """Raise MalformedArtifact unless `hash_cond` is 32 bytes, the size of
+    the digest a claim's preimage must hash to."""
+    if type(hash_cond) is not bytes or len(hash_cond) != 32:
+        raise MalformedArtifact(f"a hash condition is 32 bytes, got {hash_cond!r}")
+
+
+def _held(registry: dict, key: str, obj: Any, kind: str) -> None:
+    """Raise ValueError unless `registry` holds `obj` under `key`. A lock or
+    channel of another world, such as the template of a fork, is refused so,
+    not with WrongPhase, which schedule callers ignore."""
+    if registry.get(key) is not obj:
+        raise ValueError(f"{key} is not a {kind} of this world")
+
+
 def _derived_id(prefix: str, fields: dict) -> str:
     """A contract or channel id: `prefix` and 16 hex digits of the digest of
     the canonical encoding of `fields`."""
@@ -176,6 +196,7 @@ def htlc_lock(
     if not is_natural(timeout) or timeout <= world.clock:
         raise PastTimeout(f"timeout {timeout!r} is not a tick after clock {world.clock}")
     account(beneficiary)  # before the escrow, which would move value first
+    _check_hash_cond(hash_cond)
     _take_escrow(world, chain, depositor, escrow)
     contract_id = _derived_id("htlc-", {
         "chain": chain,
@@ -227,6 +248,7 @@ def _dated(world: World, at: Optional[int]) -> int:
 
 
 def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int] = None) -> None:
+    _held(world.chains[lock.chain].contracts, lock.contract_id, lock, "contract")
     _check_claim(lock, preimage, _dated(world, at))
     _release_escrow(world, lock.chain, lock.beneficiary, lock.escrow)
     lock.state = "Unlocked"
@@ -234,6 +256,7 @@ def htlc_unlock(world: World, lock: HtlcLock, preimage: bytes, at: Optional[int]
 
 
 def htlc_refund(world: World, lock: HtlcLock) -> None:
+    _held(world.chains[lock.chain].contracts, lock.contract_id, lock, "contract")
     _check_refund(lock, world.clock)
     lock.state = "Refunded"
     _release_escrow(world, lock.chain, lock.depositor, lock.escrow)
@@ -312,12 +335,10 @@ _FUNDS_CHAIN, _ASSETS_CHAIN = CHAINS
 
 
 def _legs(world: World, channel: Channel) -> tuple[ChannelLeg, ChannelLeg]:
-    """The (funds, assets) legs `world` holds for `channel`. A channel that
-    `world.channels` does not hold, such as the template of a fork, is
-    refused with ValueError, not WrongPhase, which schedule callers ignore."""
+    """The (funds, assets) legs `world` holds for `channel`, which must be
+    a channel of `world` (`_held`)."""
     channel_id = channel.channel_id
-    if world.channels.get(channel_id) is not channel:
-        raise ValueError(f"{channel_id} is not a channel of this world")
+    _held(world.channels, channel_id, channel, "channel")
     chains = world.chains
     return (
         chains[_FUNDS_CHAIN].contracts[channel_id + "-funds"],
@@ -443,6 +464,7 @@ def chan_lock(world: World, channel: Channel, hash_cond: bytes, t1: int, t2: int
         raise BadTimeouts(f"need ticks t1 > t2 > clock, got t1={t1!r} t2={t2!r} clock={world.clock}")
     if not channel.latest.sig_a or not channel.latest.sig_b:
         raise BadSignature("latest state is not co-signed")
+    _check_hash_cond(hash_cond)
     if hash_cond in channel.used_hash_conds:
         # an earlier round may have made its preimage public
         raise ReusedHashLock("an earlier round of this channel used this hash condition")
@@ -527,25 +549,17 @@ def chan_unlock(world: World, channel: Channel, preimage: bytes, at: Optional[in
     redeem_on_funds_leg(world, channel, preimage, at)
 
 
-def chan_refund(world: World, channel: Channel, leg: Optional[str] = None) -> None:
-    """Refund one leg (leg="assets" or "funds") or, with leg None, both,
-    once the world's clock is at or after each one's timeout; any other leg
-    is a ValueError. Every named leg is checked before any is refunded.
-    Escrow stays in the channel and the committed assignment is reverted."""
+def chan_refund(world: World, channel: Channel, leg: str) -> None:
+    """Refund leg `leg`, "assets" or "funds", once the world's clock is at
+    or after its timeout; any other leg is a ValueError. Escrow stays in the
+    channel and the committed assignment is reverted."""
     funds, assets = _legs(world, channel)
-    if leg is None:  # a chain of ifs, not a filtered list: every sweep schedule refunds here
-        named = (("assets", assets), ("funds", funds))
-    elif leg == "assets":
-        named = (("assets", assets),)
-    elif leg == "funds":
-        named = (("funds", funds),)
-    else:
+    if leg not in ("assets", "funds"):
         raise ValueError(f"unknown leg {leg!r}; expected 'assets' or 'funds'")
-    for _, lock in named:
-        _check_refund(lock, world.clock)
-    for name, lock in named:
-        lock.state = "Refunded"
-        world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": name})
+    lock = assets if leg == "assets" else funds
+    _check_refund(lock, world.clock)
+    lock.state = "Refunded"
+    world.log_op(lock.chain, "chan_refund", descriptor={"channel": channel.channel_id, "leg": leg})
     _maybe_reopen(channel, funds, assets)
 
 

@@ -45,7 +45,7 @@ def test_criterion_size_reproduction():
 
 def test_criterion_spv_logarithmic_scaling():
     with criterion("spv-logarithmic-scaling", budget_s=120.0) as detail:
-        report = bench_spv(sizes=[2**k for k in range(5, 14)], reps=10_000)
+        report = bench_spv(sizes=[2**k for k in range(5, 14)], reps=10_000, seed=42)
         assert [row["pathLength"] for row in report.rows] == list(range(5, 14))
         ratio = report.timing["growthRatio"]
         assert ratio <= 3.1, f"growth ratio {ratio} exceeds 3.1"
@@ -82,7 +82,7 @@ def test_spv_verify_hashes_one_node_per_level(monkeypatch):
 def test_criterion_cost_comparison():
     with criterion("cost-comparison", budget_s=10.0) as detail:
         ns = [1, 2, 5, 10, 100]
-        report = cost_compare(n=ns)
+        report = cost_compare(n=ns, seed=42)
         by_n = {row["n"]: row for row in report.rows}
         for n in ns:
             assert by_n[n]["htlc_total"] == 465_426 * n, f"htlc total at n={n}"

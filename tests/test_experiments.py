@@ -72,6 +72,9 @@ def test_unknown_params_rejected(experiment, params):
 def test_params_are_the_signature_minus_seed(experiment, accepted):
     signature = inspect.signature(EXPERIMENTS[experiment])
     assert set(signature.parameters) - {"seed"} == accepted
+    # the config's seed is the one default, and `run` always passes it
+    seed = signature.parameters["seed"]
+    assert (seed.kind, seed.default) == (inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty)
     defaults = {name: p.default for name, p in signature.parameters.items() if name != "seed"}
     ScenarioConfig(experiment=experiment, params=defaults)
     with pytest.raises(ConfigError, match="unknown params"):
@@ -170,7 +173,7 @@ def test_cost_compare_deterministic():
 
 def test_cost_compare_rejects_bad_n():
     with pytest.raises(ConfigError):
-        cost_compare([0])
+        cost_compare([0], seed=42)
 
 
 # --------------------------------------------------------------- vc bench ----
@@ -206,9 +209,9 @@ def test_spv_bench_path_lengths_exact():
 
 def test_spv_bench_rejects_out_of_range_sizes():
     with pytest.raises(ConfigError):
-        bench_spv(sizes=[1])
+        bench_spv(sizes=[1], seed=42)
     with pytest.raises(ConfigError):
-        bench_spv(sizes=[2**21])
+        bench_spv(sizes=[2**21], seed=42)
 
 
 @pytest.mark.parametrize("sizes", [[32], [64, 64], [32, 64, 64]])
@@ -216,13 +219,13 @@ def test_spv_bench_needs_two_distinct_sizes(sizes):
     # one distinct size leaves the log2(n) fit with a zero denominator, and a
     # repeated size would pool its batches into one point listed twice
     with pytest.raises(ConfigError, match="two distinct sizes"):
-        bench_spv(sizes=sizes, reps=100)
+        bench_spv(sizes=sizes, reps=100, seed=42)
 
 
 def test_spv_bench_reps_floor():
     with pytest.raises(ConfigError, match="reps"):
-        bench_spv(sizes=[32, 64], reps=9)
-    assert bench_spv(sizes=[32, 64], reps=10).timing["points"][0]["reps"] == 10
+        bench_spv(sizes=[32, 64], reps=9, seed=42)
+    assert bench_spv(sizes=[32, 64], reps=10, seed=42).timing["points"][0]["reps"] == 10
 
 
 def test_spv_bench_deterministic_rows():
@@ -237,9 +240,9 @@ def test_spv_bench_deterministic_rows():
 @pytest.mark.parametrize(
     "name,builder",
     [
-        ("vc_bench", lambda: bench_vc(n_creds=4, iterations=1)),
-        ("spv_bench", lambda: bench_spv(sizes=[32, 64], reps=100)),
-        ("cost_compare", lambda: cost_compare(n=[1, 2])),
+        ("vc_bench", lambda: bench_vc(n_creds=4, iterations=1, seed=42)),
+        ("spv_bench", lambda: bench_spv(sizes=[32, 64], reps=100, seed=42)),
+        ("cost_compare", lambda: cost_compare(n=[1, 2], seed=42)),
         ("e2e", lambda: run(ScenarioConfig(seed=1))),
     ],
 )

@@ -1020,6 +1020,23 @@ def test_fork_is_independent_of_its_origin():
     assert len(fork.chains["C1"].blocks) == 3
 
 
+@pytest.mark.parametrize(
+    "hash_cond", ["x", None, 5, b"short", bytearray(32)], ids=["str", "None", "int", "short", "bytearray"]
+)
+def test_hash_condition_that_is_not_32_bytes_refused_before_anything_moves(hash_cond):
+    # an HTLC lock used to take the escrow and then raise AttributeError,
+    # and a channel lock took "x", which no digest encodes, or None, which
+    # no preimage opens
+    world, issuer, holder, cred, pres, lock, buyer, seller, channel = _busy_world()
+    before = (world.world_digest(), world.op_log_csv(), _unsnapshotted(world))
+    with pytest.raises(MalformedArtifact, match="hash condition is 32 bytes"):
+        settlement.htlc_lock(world, "C1", holder.pk, issuer.pk, {"value": 10}, hash_cond, world.clock + 5)
+    with pytest.raises(MalformedArtifact, match="hash condition is 32 bytes"):
+        settlement.chan_lock(world, channel, hash_cond, world.clock + 4, world.clock + 2)
+    assert (world.world_digest(), world.op_log_csv(), _unsnapshotted(world)) == before
+    check_world(world)
+
+
 _CONTAINERS = (list, dict, set, bytearray)
 
 

@@ -401,7 +401,8 @@ def test_unlock_after_t2_expired(world):
     with pytest.raises(Expired):
         chan_unlock(world, ch, RHO, at=5)
     world.advance_clock(8)
-    chan_refund(world, ch)
+    chan_refund(world, ch, leg="assets")
+    chan_refund(world, ch, leg="funds")
     assert ch.phase == "Open"
 
 
@@ -429,19 +430,6 @@ def test_refund_c2_at_t2_then_c1_before_t1_rejected(world):
     assert ch.phase == "Open"
 
 
-def test_refund_both_legs_refused_before_t1_moves_nothing(world):
-    # past t2 but before t1: the assets leg could refund, the funds leg cannot
-    ch = locked_channel(world, t1=8, t2=5)
-    world.advance_clock(6)
-    with pytest.raises(NotYetExpired):
-        chan_refund(world, ch)
-    assert [leg.state for leg in legs(world, ch)] == ["Locked", "Locked"]
-    assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
-    world.advance_clock(2)
-    chan_refund(world, ch)
-    assert ch.phase == "Open"
-
-
 def test_step_dated_before_the_clock_refused(world):
     # unguarded, a reveal dated 0 after the clock passed both timeouts took
     # the assets, the honest seller's redeem then expired and the buyer
@@ -452,7 +440,8 @@ def test_step_dated_before_the_clock_refused(world):
     with pytest.raises(PastTimeout):
         settlement.reveal_on_assets_leg(world, ch, RHO, at=0)
     assert (world.world_digest(), world.op_log_csv()) == before
-    chan_refund(world, ch)
+    chan_refund(world, ch, leg="assets")
+    chan_refund(world, ch, leg="funds")
     assert ch.phase == "Open" and ch.settled_assets == frozenset()
 
     # the dated claim below would pass its lock's timeout check
@@ -509,11 +498,13 @@ def test_funds_leg_refund_refused_inside_the_sellers_window():
 
 @pytest.mark.parametrize("leg", ["asset", ""])
 def test_refund_unknown_leg_name_rejected(world, leg):
-    # only None names both legs; an empty name used to refund both
+    # a refund names its one leg, and only "assets" or "funds" names one
     ch = locked_channel(world, t1=8, t2=5)
     world.advance_clock(8)
     with pytest.raises(ValueError):
         chan_refund(world, ch, leg=leg)
+    with pytest.raises(TypeError):
+        chan_refund(world, ch)
     assert [leg.state for leg in legs(world, ch)] == ["Locked", "Locked"]
     assert not [r for r in world.op_log if r.op_kind == "chan_refund"]
 
@@ -526,7 +517,8 @@ def test_refund_restores_pre_lock_assignment(world):
         "escrow": set(legs(world, ch)[1].escrowed_assets),
     }
     world.advance_clock(8)
-    chan_refund(world, ch)
+    chan_refund(world, ch, leg="assets")
+    chan_refund(world, ch, leg="funds")
     assert world.assets_of("C2", ALICE.pk) == holdings_before["buyer"]
     assert world.assets_of("C2", BOB.pk) == holdings_before["seller"]
     assert set(legs(world, ch)[1].escrowed_assets) == holdings_before["escrow"]
@@ -537,7 +529,8 @@ def test_refund_restores_pre_lock_assignment(world):
 def test_refund_then_three_more_update_rounds(world):
     ch = locked_channel(world, t1=8, t2=5)
     world.advance_clock(8)
-    chan_refund(world, ch)
+    chan_refund(world, ch, leg="assets")
+    chan_refund(world, ch, leg="funds")
     for i in range(3):
         state = make_state(ch, batch=["did:xrwa:asset-y"], net_payment=100 + i, buyer=ALICE, seller=BOB)
         chan_update(ch, state)
@@ -620,7 +613,8 @@ def test_settled_totals_account_for_the_escrow_at_every_step(world):
     chan_lock(world, ch, digest(b"second-round"), 8, 5)
     holds()
     world.advance_clock(8)
-    chan_refund(world, ch)
+    chan_refund(world, ch, leg="assets")
+    chan_refund(world, ch, leg="funds")
     assert ch.phase == "Open" and (ch.settled_assets, ch.settled_payment) == ({"did:xrwa:asset-x"}, 250)
     holds()
     summary = chan_close(world, ch)
@@ -914,7 +908,8 @@ def test_two_rounds_on_a_fork_leave_the_template_untouched():
         chan_lock(fork, ch, digest(preimage), 8, 6)
     chan_lock(fork, ch, digest(b"round-two-on-a-fork"), 8, 6)
     fork.advance_clock(8)
-    chan_refund(fork, ch)
+    chan_refund(fork, ch, leg="assets")
+    chan_refund(fork, ch, leg="funds")
     assert ch.phase == "Open" and ch.latest.seq == 2
     assert (ch.settled_assets, ch.settled_payment) == ({ch.deposit_assets[0]}, 600)
     fork.check_all()
@@ -961,37 +956,50 @@ def test_sibling_forks_of_the_template_step_apart():
     assert (world.world_digest(), world.op_log_csv(), dataclasses.asdict(template)) == before
 
 
-def test_fork_refuses_the_template_channel():
-    """A channel is stepped in the world that holds it. Handed the template
-    of a fork, a reveal in the fork used to claim the template's assets leg
-    while it paid the assets out in the fork."""
-    world, template, preimage = atomicity._locked_channel(0)
+def test_fork_refuses_the_template_contracts():
+    """A channel or an HTLC is stepped in the world that holds it. Handed
+    the template of a fork, a reveal in the fork used to claim the
+    template's assets leg while it paid the assets out in the fork, and an
+    HTLC claim paid the fork's beneficiary while it marked the template's
+    lock Unlocked."""
+    sweep_world, sweep_template, preimage = atomicity._locked_channel(0)
+    world = sweep_world.fork()
+    template = world.channels[sweep_template.channel_id]
+    world.mint("C1", ALICE.pk, 100)
+    lock = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 40}, H_RHO, timeout=5)
     fork = world.fork()
-    before = (
-        world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
-        dataclasses.asdict(template),
-    )
+
+    def state():
+        return (
+            world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
+            dataclasses.asdict(template), dataclasses.asdict(lock),
+        )
+
+    before = state()
     # each step refuses before it reads the clock or the phase, so the
     # refusal is never a WrongPhase that a schedule would ignore
     for step in (
         lambda: settlement.reveal_on_assets_leg(fork, template, preimage),
         lambda: settlement.redeem_on_funds_leg(fork, template, preimage),
         lambda: chan_unlock(fork, template, preimage),
-        lambda: chan_refund(fork, template),
+        lambda: chan_refund(fork, template, leg="assets"),
         lambda: chan_lock(fork, template, digest(b"another-round"), 8, 6),
         lambda: chan_close(fork, template),
+        lambda: htlc_unlock(fork, lock, RHO),
+        lambda: htlc_refund(fork, lock),
     ):
-        with pytest.raises(ValueError, match="not a channel of this world"):
+        with pytest.raises(ValueError, match="not a (channel|contract) of this world"):
             step()
-    after = (
-        world.world_digest(), world.op_log_csv(), fork.world_digest(), fork.op_log_csv(),
-        dataclasses.asdict(template),
-    )
-    assert after == before
-    # the fork's own copy of the channel settles
+    assert state() == before
+    # the fork's own copies of the channel and the lock settle
     chan_unlock(fork, fork.channels[template.channel_id], preimage)
     assert fork.channels[template.channel_id].settled_payment == 600
+    htlc_unlock(fork, fork.chains["C1"].contracts[lock.contract_id], RHO)
+    assert fork.balance("C1", BOB.pk) == 40
+    fork.check_all()
     assert template.phase == "Locked" and legs(world, template)[1].state == "Locked"
+    assert lock.state == "Locked" and world.balance("C1", BOB.pk) == 0
+    world.check_all()
 
 
 def test_sweep_builds_each_channel_once_and_each_key_object_once(monkeypatch):
