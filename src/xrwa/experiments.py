@@ -391,15 +391,7 @@ def e2e(updates: int = 50, *, seed: int) -> MetricsReport:
             "worldDigest": canonical.to_hex(world.world_digest()),
             "artifacts": out["proofBundle"],
         },
-        invariants={
-            "checked": [
-                "header chains link",
-                "light-client views are prefixes",
-                "value and assets conserved",
-                "acceptance records trace to relayed anchors",
-            ],
-            "ok": True,
-        },
+        invariants={"checked": [audit.__name__ for audit in scenarios.WORLD_AUDITS], "ok": True},
     )
 
 

@@ -748,8 +748,8 @@ class World:
                     if not _is_asset_id(asset_id):
                         raise InvariantViolation(f"asset id {asset_id!r} on {label} is not text")
 
+    LEDGER_AUDITS = (check_header_chains, check_light_client_prefix, check_conservation, check_accounts)
+
     def check_all(self) -> None:
-        self.check_header_chains()
-        self.check_light_client_prefix()
-        self.check_conservation()
-        self.check_accounts()
+        for audit in self.LEDGER_AUDITS:
+            audit(self)

@@ -21,7 +21,10 @@ attributable):
   ``{`` and so never collides with the node prefix. One builder,
   `merkle_levels`, makes every level; `merkle_root` and `merkle_prove` read
   theirs from it, and `merkle_path` reads a proof from levels already built,
-  so a sealed block that keeps its levels proves without hashing.
+  so a sealed block that keeps its levels proves without hashing. A path
+  is the sibling digests and the leaf index, whose bits are the sides, as
+  in Certificate Transparency audit paths (RFC 9162); `merkle_verify` is
+  the one inclusion rule and takes the root from its caller.
 """
 
 from __future__ import annotations
@@ -142,25 +145,30 @@ def verify_sig(pk: bytes, message: bytes, sig: bytes) -> bool:
 
 @dataclass(frozen=True)
 class MerklePath:
-    """Inclusion path for one leaf: bottom-up (sibling digest, sibling side).
-
-    side is "left" or "right" and names where the sibling sits relative to
-    the node being authenticated. For a tree of n >= 2 leaves the path has
-    exactly ceil(log2(n)) siblings; a single-leaf tree has an empty path.
+    """Inclusion path for one leaf: the sibling digests, bottom-up, and the
+    leaf's index. Bit k of `leaf_index` says where sibling k sits relative
+    to the node being authenticated (1: on the left), so a path carries no
+    sides of its own. For a tree of n >= 2 leaves the path has exactly
+    ceil(log2(n)) siblings; a single-leaf tree has an empty path.
     """
 
-    siblings: tuple[tuple[bytes, str], ...]
+    siblings: tuple[bytes, ...]
     leaf_index: int
 
-    def to_json(self) -> list[dict[str, str]]:
-        return [{"hash": canonical.to_hex(h), "side": side} for h, side in self.siblings]
+    def to_json(self) -> list[str]:
+        return [canonical.to_hex(h) for h in self.siblings]
 
     @classmethod
-    def from_json(cls, items: list[dict[str, str]], leaf_index: int) -> "MerklePath":
-        return cls(
-            siblings=tuple((read_field(e, "hash", bytes), read_field(e, "side", str)) for e in items),
-            leaf_index=leaf_index,
-        )
+    def from_json(cls, items: list[str], leaf_index: int) -> "MerklePath":
+        """Raises `MalformedArtifact` on an entry that is not 0x-hex."""
+        return cls(siblings=tuple(_from_hex(h, "path entry") for h in items), leaf_index=leaf_index)
+
+
+def _from_hex(value: Any, what: str) -> bytes:
+    try:
+        return canonical.from_hex(value)
+    except ValueError:
+        raise MalformedArtifact(f"{what} is not 0x-prefixed hex") from None
 
 
 def read_field(data: Any, key: str, kind: type) -> Any:
@@ -173,10 +181,7 @@ def read_field(data: Any, key: str, kind: type) -> Any:
         raise MalformedArtifact(f"missing field {key!r}")
     value = data[key]
     if kind is bytes:
-        try:
-            return canonical.from_hex(value)
-        except ValueError:
-            raise MalformedArtifact(f"field {key!r} is not 0x-prefixed hex") from None
+        return _from_hex(value, f"field {key!r}")
     if type(value) is not kind:
         raise MalformedArtifact(f"field {key!r} is {type(value).__name__}, not {kind.__name__}")
     try:
@@ -220,11 +225,10 @@ def merkle_path(levels: Sequence[Sequence[bytes]], index: int) -> MerklePath:
     the index is out of range."""
     if not 0 <= index < len(levels[0]):
         raise IndexError(f"leaf index {index} out of range for {len(levels[0])} leaves")
-    siblings: list[tuple[bytes, str]] = []
+    siblings = []
     pos = index
     for level in levels[:-1]:
-        sib = pos ^ 1
-        siblings.append((level[min(sib, len(level) - 1)], "left" if sib < pos else "right"))
+        siblings.append(level[min(pos ^ 1, len(level) - 1)])
         pos >>= 1
     return MerklePath(siblings=tuple(siblings), leaf_index=index)
 
@@ -245,18 +249,17 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerklePath:
 def merkle_verify(leaf: bytes, path: MerklePath, root: bytes) -> bool:
     """Recompute the path from leaf to root; True iff it lands on root.
 
-    The path's position is pinned: `leaf_index` must lie in
-    [0, 2**len(siblings)) and bit k of it must name the side of sibling k
-    (1: the sibling is on the left), so one proof proves one position.
-    A left sibling equal to the node is refused: padding duplicates only
-    ever sit on the right, so the last node of an odd-width level cannot
-    also verify at its duplicate's position."""
+    The sides are the bits of `leaf_index`, which must lie in
+    [0, 2**len(siblings)), so one proof proves one position. A left
+    sibling equal to the node is refused: padding duplicates only ever sit
+    on the right, so the last node of an odd-width level cannot also
+    verify at its duplicate's position (CVE-2012-2459)."""
     if not 0 <= path.leaf_index < 1 << len(path.siblings):
         return False
     node = leaf
-    for k, (sibling, side) in enumerate(path.siblings):
+    for k, sibling in enumerate(path.siblings):
         on_left = path.leaf_index >> k & 1
-        if side != ("left" if on_left else "right") or (on_left and sibling == node):
+        if on_left and sibling == node:
             return False
         node = node_digest(sibling, node) if on_left else node_digest(node, sibling)
     return node == root

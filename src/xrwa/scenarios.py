@@ -20,6 +20,7 @@ __all__ = [
     "Parties",
     "build_parties",
     "check_world",
+    "WORLD_AUDITS",
     "TRANSFER_DISCLOSURE",
     "run_e2e",
     "run_htlc_route",
@@ -47,14 +48,17 @@ class Parties:
     buyer: KeyPair
 
 
+# every world audit, in the order `check_world` runs them
+WORLD_AUDITS = (*World.LEDGER_AUDITS, xauth.check_acceptance_soundness, identity.check_authorization)
+
+
 def check_world(world: World) -> None:
     """Every world audit, so a sound world passes this one call: the ledger's
-    linkage, light-client and conservation audits (`World.check_all`), each
-    acceptance traced to a relayed anchor, and each DID head change
+    linkage, light-client, conservation and account audits (`World.check_all`),
+    each acceptance traced to a relayed anchor, and each DID head change
     authorized. Raises `InvariantViolation` at the first that fails."""
-    world.check_all()
-    xauth.check_acceptance_soundness(world)
-    identity.check_authorization(world)
+    for audit in WORLD_AUDITS:
+        audit(world)
 
 
 def build_parties(world: World, seed: int) -> Parties:

@@ -148,9 +148,10 @@ class HtlcLock:
 
 
 def _take_escrow(world: World, chain: ChainId, owner: bytes, escrow: dict) -> None:
-    if escrow.keys() == {"value"}:
+    keys = escrow.keys() if isinstance(escrow, dict) else ()
+    if keys == {"value"}:
         world.debit(chain, owner, escrow["value"])
-    elif escrow.keys() == {"asset"}:
+    elif keys == {"asset"}:
         world.take_asset(chain, owner, escrow["asset"])
     else:
         raise InsufficientBalance("escrow must name exactly one value or one asset")
@@ -220,10 +221,11 @@ def htlc_lock(
 
 def _check_claim(lock: HtlcLock | ChannelLeg, preimage: bytes, at: int) -> None:
     """Raise unless the lock is Locked, `preimage` opens it and `at` is
-    strictly before its timeout."""
+    strictly before its timeout. Only `bytes` opens a lock: a preimage of
+    another type (a bytearray, str or None, say) is refused unhashed."""
     if lock.state != "Locked":
         raise NotLocked(f"{lock.contract_id} is {lock.state}")
-    if digest(preimage) != lock.hash_cond:
+    if type(preimage) is not bytes or digest(preimage) != lock.hash_cond:
         raise WrongPreimage("preimage does not hash to the lock condition")
     if at >= lock.timeout:
         raise Expired(f"claim at {at} not strictly before timeout {lock.timeout}")

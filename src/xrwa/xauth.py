@@ -145,17 +145,22 @@ class Commitment:
 
 @dataclass(frozen=True)
 class SpvProof:
-    """Inclusion proof against one specific header of one chain."""
+    """Inclusion proof against one specific header of one chain. It names
+    the header but carries no root: every verifier reads the root of the
+    header it trusts, through `reaches`."""
 
     path: MerklePath
-    root: bytes
     chain: ChainId
     height: int
+
+    def reaches(self, header: BlockHeader, leaf: bytes) -> bool:
+        """The inclusion rule both verifiers share: `header` is on this
+        proof's chain and the path leads from `leaf` to its root."""
+        return header.chain == self.chain and merkle_verify(leaf, self.path, header.merkle_root)
 
     def to_json(self) -> dict:
         return {
             "path": self.path.to_json(),
-            "root": canonical.to_hex(self.root),
             "chain": self.chain,
             "height": self.height,
             "leafIndex": self.path.leaf_index,
@@ -163,10 +168,10 @@ class SpvProof:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpvProof":
-        """Raises `MalformedArtifact` on a field `read_field` refuses."""
+        """Raises `MalformedArtifact` on a field `read_field` refuses or a
+        path entry that is not 0x-hex."""
         return cls(
             path=MerklePath.from_json(read_field(data, "path", list), read_field(data, "leafIndex", int)),
-            root=read_field(data, "root", bytes),
             chain=read_field(data, "chain", str),
             height=read_field(data, "height", int),
         )
@@ -257,30 +262,23 @@ def anchor(
 def spv_prove(world: World, tx_id: bytes, header_ref: tuple[ChainId, int]) -> SpvProof:
     """Inclusion proof of `tx_id` in a sealed block. The path is read from
     the tree the block kept when it was sealed, so proving hashes nothing;
-    the root is the header's, so a proof read from an edited tree fails
-    `spv_verify`."""
+    verifiers read the root from the header, so a proof read from an
+    edited tree fails `spv_verify`."""
     chain, height = header_ref
-    header = world.header_at(chain, height)
+    world.header_at(chain, height)  # UnknownChain for a chain or height with no block
     block = world.chains[chain].blocks[height]
     try:
         index = block.tx_ids.index(tx_id)
     except ValueError:
         raise TxNotInBlock(f"tx not in {chain} block {height}") from None
-    return SpvProof(
-        path=merkle_path(block.levels, index),
-        root=header.merkle_root,
-        chain=chain,
-        height=height,
-    )
+    return SpvProof(path=merkle_path(block.levels, index), chain=chain, height=height)
 
 
 def spv_verify(world: World, observer_chain: ChainId, tx: Transaction, proof: SpvProof) -> bool:
-    """True iff the proof's root belongs to a header the observer accepted
-    via relay, and the path recomputation from the tx id reaches it."""
+    """True iff the observer accepted the proof's header via relay and the
+    proof reaches it from the tx id (`SpvProof.reaches`)."""
     header = world.relayed_header_at(observer_chain, proof.chain, proof.height)
-    if header is None or header.merkle_root != proof.root:
-        return False
-    return merkle_verify(tx.tx_id, proof.path, proof.root)
+    return header is not None and proof.reaches(header, tx.tx_id)
 
 
 def authenticate(
@@ -361,9 +359,9 @@ def has_acceptance(world: World, chain: ChainId, asset_id: str) -> bool:
 
 def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) -> bool:
     """Standalone proof check from serialized artifacts, no world required:
-    validates header linkage from genesis, the inclusion path against the
-    referenced header's root, and the transaction's signature under its
-    sender, which the id does not cover."""
+    validates header linkage from genesis, the transaction's signature
+    under its sender, which the id does not cover, and inclusion in the
+    referenced header (`SpvProof.reaches`)."""
     headers = [BlockHeader.from_json(h) for h in headers_json]
     if not headers or not all(
         header_links(prev, cur) for prev, cur in zip([None, *headers], headers)
@@ -372,14 +370,9 @@ def offline_verify(proof_json: dict, tx_json: dict, headers_json: list[dict]) ->
     proof = SpvProof.from_json(proof_json)
     if not 0 <= proof.height < len(headers):
         return False
-    header = headers[proof.height]
-    if header.chain != proof.chain or header.merkle_root != proof.root:
-        return False
     tx = Transaction.from_json(tx_json)
     payload = tx.payload_bytes()
-    if not verify_sig(tx.sender, payload, tx.sig):
-        return False
-    return merkle_verify(digest(payload), proof.path, proof.root)
+    return verify_sig(tx.sender, payload, tx.sig) and proof.reaches(headers[proof.height], digest(payload))
 
 
 def check_acceptance_soundness(world: World) -> None:

@@ -1,10 +1,12 @@
 import dataclasses
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from xrwa import scenarios
 from xrwa.errors import ConfigError
 from xrwa.experiments import (
     EXPERIMENTS,
@@ -12,6 +14,7 @@ from xrwa.experiments import (
     bench_spv,
     bench_vc,
     cost_compare,
+    e2e,
     run,
 )
 
@@ -129,11 +132,13 @@ def test_e2e_determinism_same_seed():
 
 
 def test_seed_42_bytes_pinned():
-    # measured before header linkage, length prefixing, the transaction
-    # payload and the status and top-proof checks each became one function
+    # the digests were measured before header linkage, length prefixing, the
+    # transaction payload and the status and top-proof checks each became one
+    # function; the fingerprint moved when proofs dropped their root and the
+    # report came to name each audit check_world runs
     report = run(ScenarioConfig(seed=42))
     assert report.fingerprint() == (
-        "0x8801243580bcaf73c7cd383260145b5dc7eeee4a34c038781eac08b69ede4ad0"
+        "0x1e92649f02439f1b472be24facf913a907415d7dd9f5cf3dc37f9d31883d616b"
     )
     assert report.derived["opLogDigest"] == (
         "0x10f8501ce78c7c30269a5f42e9081604399ff237e3023d60a42b687456baaadf"
@@ -144,6 +149,26 @@ def test_seed_42_bytes_pinned():
     assert cost_compare(seed=42).fingerprint() == (
         "0x36b812f50dc43fb055cdcea58b5939fdddaf96ac2384d6f29031c99c80f2f3ff"
     )
+
+
+def test_e2e_report_names_each_audit_check_world_runs():
+    """The report lists, in order, the audits `check_world` calls, itself or
+    through `World.check_all`, as a profiler sees them run."""
+    report = e2e(updates=1, seed=3)
+    world = scenarios.run_e2e(seed=3, n_updates=1)["world"]
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back.f_code.co_name in ("check_world", "check_all"):
+            ran.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        scenarios.check_world(world)
+    finally:
+        sys.setprofile(None)
+    assert report.invariants["checked"] == [name for name in ran if name != "check_all"]
+    assert len(report.invariants["checked"]) == 6
 
 
 def test_e2e_different_seed_different_oplog():

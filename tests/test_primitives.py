@@ -216,10 +216,7 @@ def test_path_read_from_levels_equals_oracle_path():
         tree = oracle_levels(leaves)
         levels = prim.merkle_levels(leaves)
         for i in range(n):
-            want = tuple(
-                (tree[k][(i >> k) ^ 1], "left" if (i >> k) & 1 else "right")
-                for k in range(len(tree) - 1)
-            )
+            want = tuple(tree[k][(i >> k) ^ 1] for k in range(len(tree) - 1))
             assert prim.merkle_path(levels, i) == prim.MerklePath(want, i)
         for bad in (-1, n):
             with pytest.raises(IndexError):
@@ -306,28 +303,10 @@ def test_tamper_law_exhaustive_small_trees():
         # flip every sibling digest in every position
         for pos in range(len(path.siblings)):
             sibs = list(path.siblings)
-            h, side = sibs[pos]
-            sibs[pos] = (bytes([h[0] ^ 0xFF]) + h[1:], side)
+            h = sibs[pos]
+            sibs[pos] = bytes([h[0] ^ 0xFF]) + h[1:]
             bad = prim.MerklePath(siblings=tuple(sibs), leaf_index=i)
             assert not prim.merkle_verify(leaves[i], bad, root)
-
-        # flip every side flag; a duplicated-last-node sibling equals the
-        # running hash, where left/right fold to the same parent, so those
-        # positions are skipped here (the position check rejects them; see
-        # test_proof_position_pinned_small_trees)
-        running = leaves[i]
-        for pos in range(len(path.siblings)):
-            h, side = path.siblings[pos]
-            if h != running:
-                sibs = list(path.siblings)
-                sibs[pos] = (h, "left" if side == "right" else "right")
-                bad = prim.MerklePath(siblings=tuple(sibs), leaf_index=i)
-                assert not prim.merkle_verify(leaves[i], bad, root)
-            running = (
-                prim.node_digest(h, running)
-                if side == "left"
-                else prim.node_digest(running, h)
-            )
 
         # mutate the leaf and the root
         assert not prim.merkle_verify(prim.digest(b"other"), path, root)
@@ -337,8 +316,7 @@ def test_tamper_law_exhaustive_small_trees():
 
 
 def test_proof_position_pinned_small_trees():
-    """Each honest proof verifies at its own leaf index only, and flipping
-    any sibling side, a duplicated last node's included, is rejected."""
+    """Each honest proof verifies at its own leaf index only."""
     rng = random.Random(0xDC)
     for n in range(1, 18):
         leaves = rand_digests(rng, n)
@@ -350,27 +328,21 @@ def test_proof_position_pinned_small_trees():
                 if j != i:
                     moved = prim.MerklePath(siblings=path.siblings, leaf_index=j)
                     assert not prim.merkle_verify(leaves[i], moved, root)
-            for pos, (h, side) in enumerate(path.siblings):
-                sibs = list(path.siblings)
-                sibs[pos] = (h, "left" if side == "right" else "right")
-                flipped = prim.MerklePath(siblings=tuple(sibs), leaf_index=i)
-                assert not prim.merkle_verify(leaves[i], flipped, root)
 
 
 def test_padding_position_rejected():
     """An odd-width level pads with a copy of its last node on the right. At
     the copy's position the same hash would be a left sibling equal to the
     node itself, which is refused, so each leaf verifies at its own index
-    only, even with every sibling side rewritten to match the index."""
+    only, whatever index the same hashes are given."""
     rng = random.Random(0xDD)
     for n in range(1, 40):
         leaves = rand_digests(rng, n)
         root = prim.merkle_root(leaves)
         for i in range(n):
-            hashes = [h for h, _ in prim.merkle_prove(leaves, i).siblings]
+            hashes = prim.merkle_prove(leaves, i).siblings
             for j in range(1 << len(hashes)):
-                sides = ["left" if j >> k & 1 else "right" for k in range(len(hashes))]
-                other = prim.MerklePath(siblings=tuple(zip(hashes, sides)), leaf_index=j)
+                other = prim.MerklePath(siblings=hashes, leaf_index=j)
                 assert prim.merkle_verify(leaves[i], other, root) == (j == i), (n, i, j)
 
 

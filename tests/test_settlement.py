@@ -46,6 +46,8 @@ from xrwa.settlement import (
 )
 from xrwa.scenarios import run_channel_route, run_htlc_route
 
+from test_ledger import _unsnapshotted
+
 ALICE = keygen(digest(b"settle-alice"))
 BOB = keygen(digest(b"settle-bob"))
 RHO = digest(b"settle-preimage")
@@ -342,6 +344,43 @@ def test_lock_commits_same_digest_on_both_legs(world):
     funds, assets = legs(world, ch)
     assert funds.committed_digest == assets.committed_digest
     assert funds.committed_digest == ch.latest.state_digest()
+
+
+def _htlc_lock_with(escrow):
+    def arm(world):
+        return lambda: htlc_lock(world, "C1", ALICE.pk, BOB.pk, escrow, H_RHO, timeout=5)
+    return arm
+
+
+def _claim_with(step, preimage):
+    def arm(world):
+        if step is htlc_unlock:
+            target = htlc_lock(world, "C1", ALICE.pk, BOB.pk, {"value": 100}, H_RHO, timeout=5)
+        else:
+            target = locked_channel(world)
+        return lambda: step(world, target, preimage)
+    return arm
+
+
+_CLAIM_STEPS = (htlc_unlock, settlement.reveal_on_assets_leg, settlement.redeem_on_funds_leg, chan_unlock)
+_WRONG_PREIMAGES = {"str": "r", "None": None, "int": 5, "bytearray": bytearray(RHO)}
+_WRONG_ESCROWS = {"None": None, "list": [1], "str": "value"}
+
+
+@pytest.mark.parametrize("arm, refusal", [
+    *(pytest.param(_htlc_lock_with(escrow), InsufficientBalance, id=f"htlc_lock-escrow-{name}")
+      for name, escrow in _WRONG_ESCROWS.items()),
+    *(pytest.param(_claim_with(step, preimage), WrongPreimage, id=f"{step.__name__}-preimage-{name}")
+      for step in _CLAIM_STEPS for name, preimage in _WRONG_PREIMAGES.items()),
+])
+def test_wrong_type_escrow_or_preimage_refused_before_anything_moves(world, arm, refusal):
+    # an escrow that is no dict used to raise AttributeError, a preimage of
+    # text, None or an int TypeError, and a bytearray holding the preimage paid out
+    act = arm(world)
+    before = (world.world_digest(), world.op_log_csv(), _unsnapshotted(world))
+    with pytest.raises(refusal):
+        act()
+    assert (world.world_digest(), world.op_log_csv(), _unsnapshotted(world)) == before
 
 
 def test_partial_settlement_without_closure(world):

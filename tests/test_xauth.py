@@ -188,7 +188,7 @@ def test_prove_single_tx_block_empty_path(flow):
     world, issuer, _, cred, pres = flow
     _, tx, proof = anchored(world, issuer, pres, cred)
     assert proof.path.siblings == ()
-    assert proof.root == tx.tx_id
+    assert world.header_at(proof.chain, proof.height).merkle_root == tx.tx_id
 
 
 def test_prove_wrong_header_ref(flow):
@@ -259,9 +259,9 @@ def test_verify_mutation_fuzz_1000_trials(flow):
         else:
             pos = rng.randrange(len(good.path.siblings))
             sibs = list(good.path.siblings)
-            h, side = sibs[pos]
+            h = sibs[pos]
             byte = rng.randrange(32)
-            sibs[pos] = (h[:byte] + bytes([h[byte] ^ (1 << rng.randrange(8))]) + h[byte + 1 :], side)
+            sibs[pos] = h[:byte] + bytes([h[byte] ^ (1 << rng.randrange(8))]) + h[byte + 1 :]
             bad_path = dataclasses.replace(good, path=dataclasses.replace(good.path, siblings=tuple(sibs)))
             assert not xauth.spv_verify(world, "C2", target, bad_path)
 
@@ -838,23 +838,16 @@ def test_injected_acceptance_of_unrelayed_anchor_fails_audit(flow):
 
 # ------------------------------------------------------------ proof position ----
 
-def moved(proof_json, leaf_index=None, flip=None):
-    out = dict(proof_json, path=[dict(e) for e in proof_json["path"]])
-    if leaf_index is not None:
-        out["leafIndex"] = leaf_index
-    if flip is not None:
-        e = out["path"][flip]
-        e["side"] = "left" if e["side"] == "right" else "right"
-    return out
+def moved(proof_json, leaf_index):
+    return dict(proof_json, leafIndex=leaf_index)
 
 
-@pytest.mark.parametrize("change", [
-    {"leaf_index": 2}, {"leaf_index": 7}, {"leaf_index": -1}, {"leaf_index": 8}, {"flip": 0},
-], ids=["index-2", "index-7", "index-negative", "index-8", "side-0"])
-def test_moved_proof_position_rejected(change):
-    """The last of seven leaves is its own sibling at the bottom level, so a
-    flipped side there still reaches the root; only the position check
-    catches it, and the changed leaf indices."""
+@pytest.mark.parametrize("leaf_index", [2, 7, -1, 8], ids=["index-2", "index-7", "index-negative", "index-8"])
+def test_moved_proof_position_rejected(leaf_index):
+    """The last of seven leaves is its own sibling at the bottom level, so at
+    index 7 the same hashes put a copy of the node on its left, which the
+    padding check refuses; at index 2 they miss the root, and -1 and 8 lie
+    outside the tree."""
     world = World(WorldConfig(seed=8))
     key = keygen(digest(b"positions"))
     world.mint("C1", key.pk, 1)
@@ -871,15 +864,15 @@ def test_moved_proof_position_rejected(change):
     assert xauth.spv_verify(world, "C2", target, good)
     assert xauth.offline_verify(good.to_json(), target.to_json(), headers)
 
-    bad = moved(good.to_json(), **change)
+    bad = moved(good.to_json(), leaf_index)
     assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(bad))
     assert not xauth.offline_verify(bad, target.to_json(), headers)
 
 
 def test_padding_position_proof_rejected():
     """In a three-transaction block the last transaction is its own sibling
-    at the bottom level, so the same hashes with both sides on the left
-    would reach the root at position 3; both verifiers refuse it."""
+    at the bottom level, so the same hashes at index 3, both siblings on the
+    left, would reach the root; both verifiers refuse it."""
     world = World(WorldConfig(seed=9))
     key = keygen(digest(b"padding"))
     world.mint("C1", key.pk, 1)
@@ -893,10 +886,10 @@ def test_padding_position_proof_rejected():
     target = world.chains["C1"].blocks[header.height].txs[2]
     good = xauth.spv_prove(world, target.tx_id, ("C1", header.height))
     headers = [h.to_json() for h in world.relayed[("C2", "C1")]]
-    assert good.path.siblings[0][0] == target.tx_id
+    assert good.path.siblings[0] == target.tx_id
 
-    padded = moved(good.to_json(), leaf_index=3, flip=0)
-    assert [e["side"] for e in padded["path"]] == ["left", "left"]
+    padded = moved(good.to_json(), leaf_index=3)
+    assert [padded["leafIndex"] >> k & 1 for k in range(len(padded["path"]))] == [1, 1]
     assert not xauth.spv_verify(world, "C2", target, xauth.SpvProof.from_json(padded))
     assert not xauth.offline_verify(padded, target.to_json(), headers)
 
@@ -904,15 +897,13 @@ def test_padding_position_proof_rejected():
 @pytest.mark.parametrize("mangle", [
     lambda p: p.pop("leafIndex"),
     lambda p: p.update(height="1"),
-    lambda p: p.update(root="0xnothex"),
     lambda p: p.update(path={}),
-    lambda p: p["path"][0].pop("hash"),
-    lambda p: p["path"][0].update(hash=1),
-    lambda p: p["path"][0].update(side="left\ud800"),
-    lambda p: p["path"].append("0x00"),
+    lambda p: p["path"].__setitem__(0, {"hash": p["path"][0]}),
+    lambda p: p["path"].__setitem__(0, 1),
+    lambda p: p["path"].__setitem__(0, p["path"][0][2:]),
 ], ids=[
-    "no-leaf-index", "height-text", "root-not-hex", "path-dict", "sibling-no-hash",
-    "sibling-hash-int", "side-lone-surrogate", "sibling-not-object",
+    "no-leaf-index", "height-text", "path-dict", "sibling-object",
+    "sibling-int", "sibling-no-prefix",
 ])
 def test_malformed_spv_proof_refused_by_from_json(mangle):
     world = World(WorldConfig(seed=9))
@@ -932,3 +923,22 @@ def test_malformed_spv_proof_refused_by_from_json(mangle):
         xauth.SpvProof.from_json(proof)
     with pytest.raises(MalformedArtifact):
         xauth.offline_verify(proof, target.to_json(), headers)
+
+
+def test_proof_json_carries_only_path_and_header_place():
+    """A proof names its header and carries the sibling digests and the leaf
+    index; no root and no sides, which the verifier derives."""
+    world = World(WorldConfig(seed=9))
+    key = keygen(digest(b"shape"))
+    world.mint("C1", key.pk, 1)
+    for i in range(5):
+        world.submit_tx(
+            "C1",
+            Transaction.make("transfer", {"to": canonical.to_hex(key.pk), "amount": 0}, key, f"s{i}"),
+        )
+    header = world.seal_block("C1")
+    target = world.chains["C1"].blocks[header.height].txs[3]
+    proof = xauth.spv_prove(world, target.tx_id, ("C1", header.height)).to_json()
+    assert sorted(proof) == ["chain", "height", "leafIndex", "path"]
+    assert len(proof["path"]) == 3
+    assert all(isinstance(h, str) and len(canonical.from_hex(h)) == 32 for h in proof["path"])
